@@ -162,10 +162,7 @@ def price_cds(
         tr = tree.transitions[n]
         default_mass = float(np.sum(alive * tr.default_prob))
         protection += dfv[n + 1] * default_mass * (1.0 - recovery)
-        nxt = np.zeros(tree.layers[n + 1].size)
-        for row in range(3):
-            np.add.at(nxt, tr.succ[row], tr.probs[row] * alive)
-        alive = nxt
+        alive = tr.push(alive)
         survival[n + 1] = float(alive.sum())
 
     annuity = 0.0

@@ -279,10 +279,13 @@ def price_report(
         stages, spec.nominal_steps, schedule_policy(spec, tree.grid, "min")
     ).root_value
 
+    # leaves are worth zero under every action, so the tie-break's largest
+    # redemption there says nothing about the policy
     summary = []
     for n in sorted(redemption_stages(spec, tree.grid)):
+        live = tree.transitions[n].live
         for s_index in sorted(solution.policy[n]):
-            chosen = solution.policy[n][s_index]
+            chosen = solution.policy[n][s_index][live]
             summary.append(
                 {
                     "time": tree.grid.times[n],

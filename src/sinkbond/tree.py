@@ -4,10 +4,23 @@ The lattice lives in the unit-diffusion coordinate of :mod:`sinkbond.jdcev`,
 where a per-layer node spacing of sqrt(3 * dt) together with nearest-node
 centering guarantees branch probabilities inside [0, 1].  Each node carries
 the back-transformed stock level and the (capped) intensity it implies.
-Augmentation attaches the jump to the absorbing default state: every node
-gets a one-step default probability 1 - exp(-intensity * dt) and its
-diffusion branches are scaled by the matching survival factor, so the four
-outgoing probabilities sum to one.
+Every node also gets a one-step default probability 1 - exp(-intensity * dt),
+and its diffusion branches scaled by the matching survival factor sum with
+it to one; :func:`augment_default` checks this and marks the tree ready for
+pricing, with the jump leading to the absorbing default state.
+
+The lattice is banded by mass.  While it builds, the survival-weighted
+probability of reaching each node is pushed forward, and a layer expands
+only the contiguous band of nodes whose reach mass exceeds ``_MASS_FLOOR``
+(the heaviest node alone if none does).  Successors of the band that fall
+outside the next band stay in their layer as *leaves*: their parents keep the
+exact moment-matched triple, but a leaf has zero branch, survival and default
+probability, so it is worth zero and the (at most floor-sized) mass reaching
+it is lost.  :func:`validate_tree` reports that truncated mass per layer.
+Layer width therefore grows like the square root of the step count instead
+of linearly.  Edge nodes are not given Hull-White shifted branching: its
+middle probability 2a - a^2 - 1/3 is negative whenever the mean offset
+satisfies |a| < 0.184 dx, the usual case for a drift without mean reversion.
 """
 
 from __future__ import annotations
@@ -23,6 +36,10 @@ from .jdcev import JDCEVParams, bessel_drift, intensity, inverse_transform, tran
 from .market_data import TimeGrid
 
 _PROB_TOL = 1e-12
+#: Reach mass a node must exceed for its layer's band to include it.
+_MASS_FLOOR = 1e-20
+#: Total truncated mass above which :func:`validate_tree` flags the lattice.
+_TRUNCATION_TOL = 1e-12
 
 
 class TreeConstructionError(RuntimeError):
@@ -47,17 +64,29 @@ class LayerTransition:
     """Branching data for one step t_n -> t_{n+1}.
 
     succ: (3, m) indices into the next layer, rows ordered down/mid/up.
-    branch_probs: (3, m) diffusion probabilities; columns sum to 1.
+    branch_probs: (3, m) diffusion probabilities; columns sum to 1 on live nodes.
     survival: (m,) one-step survival exp(-intensity * dt).
     default_prob: (m,) one-step default probability 1 - survival.
-    probs: survival-scaled branch probabilities, present on augmented trees.
+    probs: (3, m) survival-scaled branch probabilities.
+    live: (m,) False at leaves, whose branch, survival and default
+        probabilities are all zero.
+    next_size: number of nodes in the next layer.
     """
 
     succ: np.ndarray
     branch_probs: np.ndarray
     survival: np.ndarray
     default_prob: np.ndarray
-    probs: np.ndarray | None = None
+    probs: np.ndarray
+    live: np.ndarray
+    next_size: int
+
+    def push(self, mass: np.ndarray) -> np.ndarray:
+        """Carry per-node mass one step forward along the survival-scaled branches."""
+        return sum(
+            np.bincount(self.succ[row], self.probs[row] * mass, minlength=self.next_size)
+            for row in range(3)
+        )
 
 
 @dataclass(frozen=True)
@@ -165,48 +194,82 @@ def _successor_drift(params: JDCEVParams | None, x: np.ndarray, lam: np.ndarray)
     return drift
 
 
-def _check_branch_probs(probs: np.ndarray, layer: int) -> None:
+def _check_branch_probs(probs: np.ndarray, layer: int, first: int = 0) -> None:
+    """Abort on a column outside [0, 1] or not summing to one.
+
+    ``probs`` holds the columns of consecutive nodes starting at index ``first``.
+    """
     bad = np.argwhere((probs < -_PROB_TOL) | (probs > 1.0 + _PROB_TOL))
     if bad.size:
         row, node = bad[0]
         raise TreeConstructionError(
-            f"layer {layer} node {int(node)}: branch probability "
+            f"layer {layer} node {first + int(node)}: branch probability "
             f"{probs[row, node]!r} outside [0, 1]"
         )
     sums = probs.sum(axis=0)
     off = np.argmax(np.abs(sums - 1.0))
     if abs(sums[off] - 1.0) > 1e-9:
         raise TreeConstructionError(
-            f"layer {layer} node {int(off)}: branch probabilities sum to {sums[off]!r}"
+            f"layer {layer} node {first + int(off)}: branch probabilities sum to {sums[off]!r}"
         )
+
+
+def _transition(
+    succ: np.ndarray, branch: np.ndarray, lam: np.ndarray, dt: float, live: np.ndarray, next_size: int
+) -> LayerTransition:
+    """Freeze one step's branching, attaching survival and default probabilities.
+
+    Leaves (``live`` False) must come with zero ``branch`` columns; they also
+    get zero survival and default probability.
+    """
+    survival = np.where(live, np.exp(-lam * dt), 0.0)
+    default_prob = np.where(live, -np.expm1(-lam * dt), 0.0)
+    probs = branch * survival
+    for arr in (succ, branch, survival, default_prob, probs, live):
+        arr.flags.writeable = False
+    return LayerTransition(
+        succ=succ,
+        branch_probs=branch,
+        survival=survival,
+        default_prob=default_prob,
+        probs=probs,
+        live=live,
+        next_size=next_size,
+    )
 
 
 def build_trinomial(
     params: JDCEVParams, grid: TimeGrid, *, degenerate: bool = False
 ) -> IntensityTree:
-    """Build the pre-default lattice (no default branch yet).
+    """Build the mass-banded lattice; :func:`augment_default` readies it for pricing.
 
-    From each node the central successor is the next-layer node nearest to
-    the one-step conditional mean x + nu(x) * dt; the three probabilities
-    match that mean exactly and the conditional variance dt.  With
-    ``degenerate=True`` the diffusion is switched off and every layer holds
-    the single node at the conditional mean -- the zero-volatility limit used
-    as a deterministic oracle.
+    From each band node the central successor is the next-layer node nearest
+    to the one-step conditional mean x + nu(x) * dt; the three probabilities
+    match that mean exactly and the conditional variance dt.  The next layer
+    spans the band's successors, and its own band is the contiguous run of
+    nodes whose pushed reach mass exceeds ``_MASS_FLOOR`` (or its heaviest node
+    when none does); the rest are leaves.  The last layer has no band: all its
+    nodes are kept.  With ``degenerate=True`` the diffusion is switched off
+    and every layer holds the single node at the conditional mean -- the
+    zero-volatility limit used as a deterministic oracle.
     """
     x0 = float(transform(params, params.z0))
     layers = [_layer_from_x(params, np.array([x0]))]
     transitions: list[LayerTransition] = []
+    band = slice(0, 1)
+    mass = np.ones(1)
 
     for n in range(grid.n_steps):
         dt = float(grid.steps[n])
         current = layers[n]
-        drift = _successor_drift(params, current.x, current.intensity)
-        mean = current.x + drift * dt
+        x = current.x[band]
+        drift = _successor_drift(params, x, current.intensity[band])
+        mean = x + drift * dt
 
         if degenerate:
             next_x = mean.copy()
-            succ = np.zeros((3, 1), dtype=np.intp)
-            branch = np.array([[0.0], [1.0], [0.0]])
+            branch_band = np.array([[0.0], [1.0], [0.0]])
+            succ_band = np.zeros((3, 1), dtype=np.intp)
         else:
             dx = math.sqrt(3.0 * dt)
             center = np.rint((mean - x0) / dx).astype(np.intp)
@@ -215,23 +278,32 @@ def build_trinomial(
             next_x = x0 + np.arange(lo, hi + 1, dtype=float) * dx
             offset = (mean - (x0 + center * dx)) / dx
             up = 1.0 / 6.0 + 0.5 * (offset**2 + offset)
-            mid = 2.0 / 3.0 - offset**2
             down = 1.0 / 6.0 + 0.5 * (offset**2 - offset)
-            branch = np.stack([down, mid, up])
-            _check_branch_probs(branch, n)
+            # 2/3 - offset**2 in exact arithmetic; the complement keeps the
+            # triple's rounding from draining mass over thousands of steps
+            mid = 1.0 - (down + up)
+            branch_band = np.stack([down, mid, up])
+            _check_branch_probs(branch_band, n, band.start)
             ci = center - lo
-            succ = np.stack([ci - 1, ci, ci + 1])
+            succ_band = np.stack([ci - 1, ci, ci + 1])
 
-        survival = np.exp(-current.intensity * dt)
-        default_prob = -np.expm1(-current.intensity * dt)
-        for arr in (succ, branch, survival, default_prob):
-            arr.flags.writeable = False
-        transitions.append(
-            LayerTransition(
-                succ=succ, branch_probs=branch, survival=survival, default_prob=default_prob
-            )
-        )
+        live = np.zeros(current.size, dtype=bool)
+        live[band] = True
+        succ = np.zeros((3, current.size), dtype=np.intp)
+        succ[:, band] = succ_band
+        branch = np.zeros((3, current.size))
+        branch[:, band] = branch_band
+        tr = _transition(succ, branch, current.intensity, dt, live, next_x.size)
+        transitions.append(tr)
         layers.append(_layer_from_x(params, next_x))
+
+        mass = tr.push(mass)
+        heavy = np.flatnonzero(mass > _MASS_FLOOR)
+        if heavy.size:
+            band = slice(int(heavy[0]), int(heavy[-1]) + 1)
+        else:
+            heaviest = int(np.argmax(mass))
+            band = slice(heaviest, heaviest + 1)
 
     return IntensityTree(
         grid=grid,
@@ -260,7 +332,6 @@ def deterministic_tree(grid: TimeGrid, intensities: Union[float, Sequence[float]
         raise ValueError(f"need one intensity per grid date ({n_dates}), got shape {path.shape}")
 
     layers = []
-    transitions = []
     for n in range(n_dates):
         lam = np.array([path[n]])
         x = np.zeros(1)
@@ -268,19 +339,17 @@ def deterministic_tree(grid: TimeGrid, intensities: Union[float, Sequence[float]
         for arr in (x, z, lam):
             arr.flags.writeable = False
         layers.append(TreeLayer(x=x, z_level=z, intensity=lam))
-    for n in range(grid.n_steps):
-        dt = float(grid.steps[n])
-        succ = np.zeros((3, 1), dtype=np.intp)
-        branch = np.array([[0.0], [1.0], [0.0]])
-        survival = np.exp(-layers[n].intensity * dt)
-        default_prob = -np.expm1(-layers[n].intensity * dt)
-        for arr in (succ, branch, survival, default_prob):
-            arr.flags.writeable = False
-        transitions.append(
-            LayerTransition(
-                succ=succ, branch_probs=branch, survival=survival, default_prob=default_prob
-            )
+    transitions = [
+        _transition(
+            np.zeros((3, 1), dtype=np.intp),
+            np.array([[0.0], [1.0], [0.0]]),
+            layers[n].intensity,
+            float(grid.steps[n]),
+            np.ones(1, dtype=bool),
+            1,
         )
+        for n in range(grid.n_steps)
+    ]
     return IntensityTree(
         grid=grid,
         layers=tuple(layers),
@@ -292,18 +361,18 @@ def deterministic_tree(grid: TimeGrid, intensities: Union[float, Sequence[float]
 
 
 def augment_default(tree: IntensityTree) -> IntensityTree:
-    """Attach the default branch: scale diffusion probabilities by survival."""
+    """Mark the tree ready for pricing, with its default branch attached.
+
+    Construction already scales the branches by survival; this checks that
+    every live node's diffusion branches sum to one.
+    """
     if tree.augmented:
         raise ValueError("tree is already default-augmented")
-    new_transitions = []
     for n, tr in enumerate(tree.transitions):
-        sums = tr.branch_probs.sum(axis=0)
+        sums = tr.branch_probs[:, tr.live].sum(axis=0)
         if np.max(np.abs(sums - 1.0)) > 1e-9:
             raise ValueError(f"layer {n}: pre-default branch probabilities do not sum to 1")
-        probs = tr.branch_probs * tr.survival
-        probs.flags.writeable = False
-        new_transitions.append(dataclasses.replace(tr, probs=probs))
-    return dataclasses.replace(tree, transitions=tuple(new_transitions), augmented=True)
+    return dataclasses.replace(tree, augmented=True)
 
 
 @dataclass(frozen=True)
@@ -315,6 +384,7 @@ class LayerReport:
     max_branch_prob: float
     mean_error: float
     variance_error: float | None
+    truncated_mass: float
 
 
 @dataclass(frozen=True)
@@ -328,6 +398,7 @@ class TreeDiagnostics:
     max_mean_error: float
     max_variance_error: float | None
     second_moment_constant: float | None
+    total_truncated_mass: float
 
     @property
     def ok(self) -> bool:
@@ -342,6 +413,7 @@ class TreeDiagnostics:
             "max_mean_error": self.max_mean_error,
             "max_variance_error": self.max_variance_error,
             "second_moment_constant": self.second_moment_constant,
+            "total_truncated_mass": self.total_truncated_mass,
             "layers": [
                 {
                     "layer": r.layer,
@@ -351,6 +423,7 @@ class TreeDiagnostics:
                     "max_branch_prob": r.max_branch_prob,
                     "mean_error": r.mean_error,
                     "variance_error": r.variance_error,
+                    "truncated_mass": r.truncated_mass,
                 }
                 for r in self.layer_reports
             ],
@@ -360,9 +433,13 @@ class TreeDiagnostics:
 def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
     """Re-check probability normalization and moment matching, node by node.
 
-    Moment errors are measured on the pre-default branch probabilities
-    against the drift target and the step variance; the variance check is
-    skipped for single-chain trees whose variance is zero by design.
+    Sums and moments are checked on live nodes; leaves must carry no
+    probability at all.  Moment errors are measured on the pre-default branch
+    probabilities against the drift target and the step variance; the
+    variance check is skipped for single-chain trees whose variance is zero by
+    design.  A forward pass of the reach mass gives each layer's truncated
+    mass (the mass arriving at its leaves); a total above ``_TRUNCATION_TOL``
+    is a violation.
     """
     reports = []
     violations: list[str] = []
@@ -370,11 +447,14 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
     max_mean_err = 0.0
     max_var_err: float | None = None
     c_var: float | None = None
+    mass = np.ones(1)
+    total_truncated = 0.0
 
     for n, tr in enumerate(tree.transitions):
         dt = float(tree.grid.steps[n])
         layer = tree.layers[n]
         next_layer = tree.layers[n + 1]
+        live = tr.live
 
         effective = tr.probs if tree.augmented else tr.branch_probs
         if tree.augmented:
@@ -383,10 +463,11 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
         else:
             sums = effective.sum(axis=0)
             all_probs = effective
-        sum_err = float(np.max(np.abs(sums - 1.0)))
+        sum_errs = np.where(live, np.abs(sums - 1.0), 0.0)
+        worst = int(np.argmax(sum_errs))
+        sum_err = float(sum_errs[worst])
         max_sum_err = max(max_sum_err, sum_err)
         if sum_err > _PROB_TOL:
-            worst = int(np.argmax(np.abs(sums - 1.0)))
             violations.append(f"layer {n} node {worst}: probabilities sum to {sums[worst]!r}")
         bad = np.argwhere((all_probs < -_PROB_TOL) | (all_probs > 1.0 + _PROB_TOL))
         for row, node_idx in bad:
@@ -394,39 +475,52 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
                 f"layer {n} node {int(node_idx)}: probability "
                 f"{all_probs[row, node_idx]!r} outside [0, 1]"
             )
+        for node_idx in np.flatnonzero(~live & np.any(all_probs != 0.0, axis=0)):
+            violations.append(f"layer {n} node {int(node_idx)}: leaf carries probability")
         if tr.succ.min() < 0 or tr.succ.max() >= next_layer.size:
             violations.append(f"layer {n}: successor index outside the next layer")
-            succ = np.clip(tr.succ, 0, next_layer.size - 1)
-        else:
-            succ = tr.succ
+            # clipped so the moment checks and the mass pass can go on
+            tr = dataclasses.replace(
+                tr, succ=np.clip(tr.succ, 0, next_layer.size - 1), next_size=next_layer.size
+            )
+        succ = tr.succ
 
-        drift = _successor_drift(tree.params, layer.x, layer.intensity)
-        target = layer.x + drift * dt
-        succ_x = next_layer.x[succ]
-        mean_hat = (tr.branch_probs * succ_x).sum(axis=0)
+        x = layer.x[live]
+        branch = tr.branch_probs[:, live]
+        drift = _successor_drift(tree.params, x, layer.intensity[live])
+        target = x + drift * dt
+        succ_x = next_layer.x[succ[:, live]]
+        mean_hat = (branch * succ_x).sum(axis=0)
         mean_err = float(np.max(np.abs(mean_hat - target)))
         max_mean_err = max(max_mean_err, mean_err)
 
         var_err: float | None = None
         if tree.stochastic:
-            var_hat = (tr.branch_probs * (succ_x - target) ** 2).sum(axis=0)
+            var_hat = (branch * (succ_x - target) ** 2).sum(axis=0)
             var_err = float(np.max(np.abs(var_hat - dt)))
             max_var_err = var_err if max_var_err is None else max(max_var_err, var_err)
             ratio = var_err / dt**2
             c_var = ratio if c_var is None else max(c_var, ratio)
+
+        truncated = float(mass[~live].sum())
+        total_truncated += truncated
+        mass = tr.push(mass)
 
         reports.append(
             LayerReport(
                 layer=n,
                 size=layer.size,
                 prob_sum_error=sum_err,
-                min_branch_prob=float(effective.min()),
-                max_branch_prob=float(effective.max()),
+                min_branch_prob=float(effective[:, live].min()),
+                max_branch_prob=float(effective[:, live].max()),
                 mean_error=mean_err,
                 variance_error=var_err,
+                truncated_mass=truncated,
             )
         )
 
+    if total_truncated > _TRUNCATION_TOL:
+        violations.append(f"truncated mass {total_truncated!r} exceeds {_TRUNCATION_TOL!r}")
     return TreeDiagnostics(
         layer_reports=tuple(reports),
         violations=tuple(violations),
@@ -435,19 +529,21 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
         max_mean_error=max_mean_err,
         max_variance_error=max_var_err,
         second_moment_constant=c_var,
+        total_truncated_mass=total_truncated,
     )
 
 
 def survival_probabilities(tree: IntensityTree) -> np.ndarray:
-    """P(no default by t_n) for every grid date, by a forward layer pass."""
+    """P(no default by t_n) for every grid date, by a forward layer pass.
+
+    Mass reaching a leaf counts as surviving to the leaf's date and is lost
+    after it; :func:`validate_tree` reports that truncated mass.
+    """
     if not tree.augmented:
         raise ValueError("survival probabilities need a default-augmented tree")
     alive = np.array([1.0])
     out = [1.0]
-    for n, tr in enumerate(tree.transitions):
-        nxt = np.zeros(tree.layers[n + 1].size)
-        for row in range(3):
-            np.add.at(nxt, tr.succ[row], tr.probs[row] * alive)
-        out.append(float(nxt.sum()))
-        alive = nxt
+    for tr in tree.transitions:
+        alive = tr.push(alive)
+        out.append(float(alive.sum()))
     return np.asarray(out)

@@ -174,6 +174,18 @@ class TestValidateTreeCommand:
         assert report["ok"] is True
         assert report["violations"] == []
         assert report["max_prob_sum_error"] <= 1e-12
+        assert 0.0 <= report["total_truncated_mass"] <= 1e-12
+        assert report["total_truncated_mass"] == pytest.approx(
+            sum(layer["truncated_mass"] for layer in report["layers"]), abs=1e-300
+        )
+
+    def test_reports_are_byte_identical(self, tmp_path):
+        payload = dict(BASE, grid={"steps_per_year": 12, "maturity": 5.0})
+        config = write_config(tmp_path, payload)
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["validate-tree", "--config", config, "--out", str(out1)]) == 0
+        assert main(["validate-tree", "--config", config, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestMcCheckCommand:

@@ -301,6 +301,42 @@ class TestPriceReport:
         assert report["option_value"] >= -1e-12
         assert report["policy_summary"]
 
+    @pytest.mark.parametrize(
+        "steps_per_year, price, forced_max, forced_min",
+        [
+            (12, 1.159818000111499, 1.17198945918387, 1.2345429395756322),
+            (52, 1.160068922241197, 1.172708520649129, 1.2336794675373182),
+        ],
+    )
+    def test_readme_bond_prices(
+        self, fitted_params, flat_curve, steps_per_year, price, forced_max, forced_min
+    ):
+        spec = SinkingBondSpec(
+            maturity=10.0,
+            coupon_rate=0.08,
+            coupon_frequency=1,
+            redemption_dates=tuple(float(y) for y in range(1, 10)),
+            admissible_fractions=(0.05, 0.10),
+            alpha=75.0,
+            recovery=0.4,
+        )
+        tree = augment_default(build_trinomial(fitted_params, bond_grid(spec, steps_per_year)))
+        report = price_report(tree, flat_curve, spec)
+        assert report["price"] == pytest.approx(price, abs=1e-12)
+        assert report["forced_max"] == pytest.approx(forced_max, abs=1e-12)
+        assert report["forced_min"] == pytest.approx(forced_min, abs=1e-12)
+
+    def test_policy_summary_ignores_leaves(self, calm_params, flat_curve):
+        # without coupons the issuer redeems the smallest installment at
+        # every live node; leaves tie at zero and would report the largest
+        spec = premium_spec(maturity=4.0, coupon_rate=0.0, redemption_dates=(1.0, 2.0, 3.0))
+        tree = stochastic_tree(calm_params, 4.0, 52, events=spec.redemption_dates)
+        assert not all(tr.live.all() for tr in tree.transitions)
+        smallest = 5.0 / 75.0
+        for entry in price_report(tree, flat_curve, spec)["policy_summary"]:
+            assert entry["action_min"] == pytest.approx(smallest, abs=1e-15)
+            assert entry["action_max"] == pytest.approx(smallest, abs=1e-15)
+
 
 def test_schedule_policy_rejects_unknown_rule(fitted_params, flat_curve):
     spec = premium_spec()

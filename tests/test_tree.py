@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from sinkbond.jdcev import JDCEVParams, bessel_drift, transform
 from sinkbond.market_data import build_time_grid
+from sinkbond.pricer import price_zcb
 from sinkbond.tree import (
     augment_default,
     build_trinomial,
@@ -139,11 +141,15 @@ class TestAugmentDefault:
     )
     @settings(max_examples=40, deadline=None)
     def test_probability_sums_after_augmentation(self, lambda0, sigma, beta):
+        # live nodes sum to one; leaves of the mass band carry no probability
         params = JDCEVParams(lambda0=lambda0, sigma=sigma, beta=beta, z0=20.0)
         tree = augment_default(build_trinomial(params, build_time_grid(1.5, 6)))
         for tr in tree.transitions:
             total = tr.probs.sum(axis=0) + tr.default_prob
-            assert np.max(np.abs(total - 1.0)) <= 1e-12
+            assert tr.live.any()
+            assert np.max(np.abs(total[tr.live] - 1.0)) <= 1e-12
+            assert np.all(tr.probs[:, ~tr.live] == 0.0)
+            assert np.all(tr.default_prob[~tr.live] == 0.0)
             assert tr.probs.min() >= 0.0 and tr.probs.max() <= 1.0
 
 
@@ -164,12 +170,76 @@ class TestValidateTree:
         assert not diag.ok
         assert any("layer 1 node 0" in v for v in diag.violations)
 
+    def test_successor_outside_next_layer_is_flagged(self, fitted_params):
+        tree = augment_default(build_trinomial(fitted_params, build_time_grid(2.0, 8)))
+        tr = tree.transitions[3]
+        succ = tr.succ.copy()
+        succ[0, 0] = -1
+        transitions = (
+            tree.transitions[:3] + (dataclasses.replace(tr, succ=succ),) + tree.transitions[4:]
+        )
+        diag = validate_tree(dataclasses.replace(tree, transitions=transitions))
+        assert diag.violations == ("layer 3: successor index outside the next layer",)
+
     def test_report_is_json_ready(self, fitted_params):
         import json
 
         tree = augment_default(build_trinomial(fitted_params, build_time_grid(1.0, 4)))
         dumped = json.dumps(validate_tree(tree).to_dict())
         assert "layer_sizes" in dumped
+        assert "total_truncated_mass" in dumped
+
+    def test_excess_truncated_mass_is_flagged(self, fitted_params):
+        # turning a heavy node into a leaf loses its mass: the sums still
+        # hold on live nodes, so only the truncation check can catch it
+        tree = augment_default(build_trinomial(fitted_params, build_time_grid(2.0, 8)))
+        tr = tree.transitions[3]
+        live = tr.live.copy()
+        band = np.flatnonzero(live)
+        live[band[band.size // 2]] = False
+        zeroed = {
+            name: np.where(live, getattr(tr, name), 0.0)
+            for name in ("branch_probs", "survival", "default_prob", "probs")
+        }
+        leafy = dataclasses.replace(tr, live=live, **zeroed)
+        transitions = tree.transitions[:3] + (leafy,) + tree.transitions[4:]
+        diag = validate_tree(dataclasses.replace(tree, transitions=transitions))
+        assert diag.total_truncated_mass > 1e-3
+        assert diag.layer_reports[3].truncated_mass == diag.total_truncated_mass
+        assert diag.violations == (
+            f"truncated mass {diag.total_truncated_mass!r} exceeds 1e-12",
+        )
+
+
+class TestMassBand:
+    def test_mass_is_conserved(self, fitted_params):
+        # survived + cumulative defaulted + cumulative truncated = 1
+        tree = augment_default(build_trinomial(fitted_params, build_time_grid(10.0, 52)))
+        mass = np.ones(1)
+        defaulted = 0.0
+        for tr in tree.transitions:
+            defaulted += float(np.sum(mass * tr.default_prob))
+            mass = tr.push(mass)
+        survived = survival_probabilities(tree)[-1]
+        truncated = validate_tree(tree).total_truncated_mass
+        assert 0.0 < truncated <= 1e-12
+        assert survived + defaulted + truncated == pytest.approx(1.0, abs=1e-14)
+
+    def test_width_grows_like_square_root_of_steps(self, fitted_params):
+        coarse = build_trinomial(fitted_params, build_time_grid(10.0, 12))
+        fine = build_trinomial(fitted_params, build_time_grid(10.0, 52))
+        # sqrt(52 / 12) = 2.08; the unbanded lattice would grow by 52 / 12
+        assert max(fine.layer_sizes()) <= 2.5 * max(coarse.layer_sizes())
+
+    def test_empty_band_keeps_only_the_heaviest_node(self, flat_curve):
+        # one step survives with probability exp(-5e3 / 52) ~ 1e-42, so no
+        # node after the root clears the floor
+        params = JDCEVParams(lambda0=5e3, sigma=0.5, beta=-1.5, z0=20.0)
+        tree = augment_default(build_trinomial(params, build_time_grid(2.0, 52)))
+        assert max(tree.layer_sizes()) <= 3
+        assert sum(tree.layer_sizes()) <= 3 * tree.n_steps + 1
+        assert validate_tree(tree).ok
+        assert price_zcb(tree, flat_curve, 0.4) == pytest.approx(0.39984618342816, abs=1e-12)
 
 
 class TestSurvival:
