@@ -20,7 +20,7 @@ from .calibration import (
 )
 from .instruments import (
     SinkingBondSpec,
-    action_set,
+    action_table,
     bond_event_dates,
     bond_grid,
     coupons_on_grid,
@@ -75,7 +75,7 @@ __all__ = [
     "StageProblem",
     "TimeGrid",
     "TreeConstructionError",
-    "action_set",
+    "action_table",
     "augment_default",
     "backward_induction",
     "bellman_residual",

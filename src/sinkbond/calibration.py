@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .jdcev import JDCEVParams
 from .market_data import DiscountCurve, TimeGrid, build_time_grid, discount_factors
@@ -253,6 +252,9 @@ def calibrate(
     The simplex runs in (log lambda0, log sigma, beta) coordinates, which
     keeps the search well scaled and positivity automatic.
     """
+    # imported here so the other commands do not pay scipy's import time
+    from scipy import optimize
+
     if not quotes:
         raise ValueError("calibration needs at least one quote")
     quotes = tuple(quotes)

@@ -189,14 +189,8 @@ def _mc_settings(config: Mapping[str, Any], args: argparse.Namespace) -> tuple[i
     return n_paths, seed, schedule
 
 
-def _config_echo(command: str, args: argparse.Namespace, steps_per_year: int, **extra) -> dict:
-    echo = {
-        "command": command,
-        "steps_per_year": steps_per_year,
-        "threads": args.threads,
-    }
-    echo.update(extra)
-    return echo
+def _config_echo(command: str, steps_per_year: int, **extra) -> dict:
+    return {"command": command, "steps_per_year": steps_per_year, **extra}
 
 
 def _run_price(config: dict, args: argparse.Namespace, base: Path) -> dict:
@@ -208,7 +202,7 @@ def _run_price(config: dict, args: argparse.Namespace, base: Path) -> dict:
     tree = augment_default(build_trinomial(params, grid))
     report = price_report(tree, curve, spec)
     report["grid_points"] = grid.n_steps + 1
-    report["config"] = _config_echo("price", args, spy, lambda_cap=params.lambda_cap)
+    report["config"] = _config_echo("price", spy, lambda_cap=params.lambda_cap)
     return report
 
 
@@ -229,7 +223,7 @@ def _run_zspread(config: dict, args: argparse.Namespace, base: Path) -> dict:
     return {
         "z_spread": spread,
         "market_price": market_price,
-        "config": _config_echo("zspread", args, spy, bracket=list(bracket)),
+        "config": _config_echo("zspread", spy, bracket=list(bracket)),
     }
 
 
@@ -243,7 +237,7 @@ def _run_worst(config: dict, args: argparse.Namespace, base: Path) -> dict:
     spy = _steps_per_year(config, args)
     grid = bond_grid(spec, spy)
     price = worst_ansatz(spec, curve, grid, spread)
-    return {"worst_price": price, "spread": spread, "config": _config_echo("worst", args, spy)}
+    return {"worst_price": price, "spread": spread, "config": _config_echo("worst", spy)}
 
 
 def _run_calibrate(config: dict, args: argparse.Namespace, base: Path) -> dict:
@@ -278,7 +272,7 @@ def _run_calibrate(config: dict, args: argparse.Namespace, base: Path) -> dict:
         },
         "fit": result.report.to_dict(),
         "recovery": recovery,
-        "config": _config_echo("calibrate", args, cal_config.steps_per_year),
+        "config": _config_echo("calibrate", cal_config.steps_per_year),
     }
 
 
@@ -302,7 +296,7 @@ def _run_mc_check(config: dict, args: argparse.Namespace, base: Path) -> dict:
         "within_three_std_errors": bool(abs(gap) <= 3.0 * estimate.std_error),
         "n_paths": n_paths,
         "seed": seed,
-        "config": _config_echo("mc-check", args, spy, schedule=str(schedule)),
+        "config": _config_echo("mc-check", spy, schedule=str(schedule)),
     }
 
 
@@ -320,7 +314,7 @@ def _run_validate_tree(config: dict, args: argparse.Namespace, base: Path) -> di
     tree = augment_default(build_trinomial(params, grid))
     diagnostics = validate_tree(tree)
     report = diagnostics.to_dict()
-    report["config"] = _config_echo("validate-tree", args, spy)
+    report["config"] = _config_echo("validate-tree", spy)
     return report
 
 
@@ -352,7 +346,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     parser.add_argument("--seed", type=int, help="override the Monte Carlo seed")
     parser.add_argument("--steps-per-year", type=int, dest="steps_per_year", help="override the grid density")
-    parser.add_argument("--threads", type=int, default=1, help="accepted for compatibility; computations are vectorized in-process")
     args = parser.parse_args(argv)
 
     try:

@@ -130,62 +130,38 @@ def redemption_stages(spec: SinkingBondSpec, grid: TimeGrid) -> frozenset[int]:
     return frozenset(stages)
 
 
-def action_set(spec: SinkingBondSpec, grid: TimeGrid, n: int, s_index: int) -> tuple[int, ...]:
-    """Admissible redemption amounts (grid units) at stage n and nominal s.
+def action_table(spec: SinkingBondSpec, grid: TimeGrid):
+    """Callable (stage n, nominal index s) -> admissible redemption amounts (grid units).
 
     The terminal stage forces full redemption.  At a redemption date the set
     is the installments not exceeding the remaining nominal, extended by 0
     (allow_skip) and by the full remainder (full_call); if nothing remains
     admissible the leftover stub itself is redeemed.  Everywhere else the
-    only action is 0.
+    only action is 0.  The redemption stages are looked up once, here.
     """
-    return _action_set(spec, redemption_stages(spec, grid), grid.n_steps, n, s_index)
-
-
-def _action_set(
-    spec: SinkingBondSpec,
-    stages: frozenset[int],
-    n_steps: int,
-    n: int,
-    s_index: int,
-) -> tuple[int, ...]:
-    if not 0 <= s_index <= spec.nominal_steps:
-        raise ValueError(f"nominal index {s_index} outside the grid 0..{spec.nominal_steps}")
-    if not 0 <= n < n_steps:
-        raise ValueError(f"stage {n} outside 0..{n_steps - 1}")
-    if n == n_steps - 1:
-        return (s_index,)
-    if n not in stages:
-        return (0,)
-    acts = {a for a in spec.redemption_indices if a <= s_index}
-    if spec.full_call:
-        acts.add(s_index)
-    if spec.allow_skip:
-        acts.add(0)
-    if not acts:
-        return (s_index,)
-    return tuple(sorted(acts))
-
-
-def action_table(spec: SinkingBondSpec, grid: TimeGrid):
-    """Callable (stage, nominal index) -> actions, redemption stages precomputed."""
     stages = redemption_stages(spec, grid)
+    installments = spec.redemption_indices
     n_steps = grid.n_steps
 
     def lookup(n: int, s_index: int) -> tuple[int, ...]:
-        return _action_set(spec, stages, n_steps, n, s_index)
+        if not 0 <= s_index <= spec.nominal_steps:
+            raise ValueError(f"nominal index {s_index} outside the grid 0..{spec.nominal_steps}")
+        if not 0 <= n < n_steps:
+            raise ValueError(f"stage {n} outside 0..{n_steps - 1}")
+        if n == n_steps - 1:
+            return (s_index,)
+        if n not in stages:
+            return (0,)
+        acts = {a for a in installments if a <= s_index}
+        if spec.full_call:
+            acts.add(s_index)
+        if spec.allow_skip:
+            acts.add(0)
+        if not acts:
+            return (s_index,)
+        return tuple(sorted(acts))
 
     return lookup
-
-
-def action_provider(spec: SinkingBondSpec, grid: TimeGrid, n: int):
-    """Per-stage closure over the precomputed redemption stages."""
-    table = action_table(spec, grid)
-
-    def provider(s_index: int) -> tuple[int, ...]:
-        return table(n, s_index)
-
-    return provider
 
 
 def coupon_dates(spec: SinkingBondSpec) -> tuple[float, ...]:

@@ -5,8 +5,9 @@ lambda(z) = lambda0 * (z / z0)^(2*beta) with beta < 0, so falling equity means
 rising default risk.  Pricing lattices and simulations do not work on the
 stock level directly: a power-law change of variable maps it to a coordinate
 with unit diffusion, where equally spaced lattice nodes are natural.  This
-module holds the parameter set, the intensity map, the coordinate change and
-the drift of the transformed process.
+module holds the parameter set, the intensity map, the coordinate change,
+the drift of the transformed process, and :func:`x_state`, the one map from a
+coordinate to what the lattice and the simulation need there.
 """
 
 from __future__ import annotations
@@ -109,7 +110,31 @@ def bessel_drift(params: JDCEVParams, x: ArrayLike) -> ArrayLike:
     if np.any(arr <= 0.0):
         raise ValueError("transformed coordinate must be positive")
     z = inverse_transform(params, arr)
-    lam = intensity(params, z)
+    return _maybe_scalar(_drift(params, z, intensity(params, z)), scalar)
+
+
+def _drift(params: JDCEVParams, z: np.ndarray, lam: ArrayLike) -> np.ndarray:
+    """nu(x) from the stock level z > 0 and its intensity lam."""
     drift = lam * z ** (-params.beta) / params.sigma
-    drift = drift + 0.5 * (-params.beta - 1.0) * params.sigma * z ** params.beta
-    return _maybe_scalar(drift, scalar)
+    return drift + 0.5 * (-params.beta - 1.0) * params.sigma * z ** params.beta
+
+
+def x_state(params: JDCEVParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stock level, capped intensity and drift at the coordinates ``x``.
+
+    x <= 0 is the default boundary: level 0 and the boundary intensity of
+    :func:`intensity`.  The drift is zero there and wherever the intensity is
+    capped: such states are numerically certain defaulters, and following the
+    diverging boundary drift would only stretch lattice layers (and move
+    simulated paths after their default) for mass of size exp(-cap * dt).
+    """
+    z = np.zeros_like(x)
+    pos = x > 0.0
+    if pos.any():
+        z[pos] = inverse_transform(params, x[pos])
+    lam = np.asarray(intensity(params, z), dtype=float)
+    drift = np.zeros_like(x)
+    live = pos & (lam < params.lambda_cap)
+    if live.any():
+        drift[live] = _drift(params, z[live], lam[live])
+    return z, lam, drift

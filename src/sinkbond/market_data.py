@@ -179,16 +179,31 @@ class DiscountCurve:
         return np.asarray(self.pillar_rates)[idx]
 
 
+def step_rate_integrals(curve: DiscountCurve, grid: TimeGrid) -> np.ndarray:
+    """Exact integral of the forward over each grid step, length n_steps.
+
+    A step with no pillar strictly inside it integrates to r(t_n) * dt_n; a
+    step that pillars split sums rate times length over its pieces.
+    """
+    times = grid.times_array
+    out = curve.forward_rates(times[:-1]) * grid.steps
+    pillars = np.asarray(curve.pillar_times)
+    owner = np.searchsorted(times, pillars, side="right") - 1
+    inside = (pillars > times[owner]) & (owner < grid.n_steps)
+    for n in np.unique(owner[inside]):
+        edges = np.concatenate(([times[n]], pillars[inside & (owner == n)], [times[n + 1]]))
+        out[n] = np.sum(curve.forward_rates(edges[:-1]) * np.diff(edges))
+    return out
+
+
 def rate_integrals(curve: DiscountCurve, grid: TimeGrid) -> np.ndarray:
-    """Cumulative sums of r(t_{i-1}) * dt_i; entry m integrates up to t_m."""
-    rates = curve.forward_rates(grid.times_array[:-1])
-    return np.concatenate(([0.0], np.cumsum(rates * grid.steps)))
+    """Cumulative forward integrals; entry m integrates from t_0 up to t_m."""
+    return np.concatenate(([0.0], np.cumsum(step_rate_integrals(curve, grid))))
 
 
 def step_discounts(curve: DiscountCurve, grid: TimeGrid) -> np.ndarray:
-    """One-step factors exp(-r(t_n) * dt_{n+1}), length n_steps."""
-    rates = curve.forward_rates(grid.times_array[:-1])
-    return np.exp(-rates * grid.steps)
+    """One-step factors from t_{n+1} back to t_n, length n_steps."""
+    return np.exp(-step_rate_integrals(curve, grid))
 
 
 def discount_factors(curve: DiscountCurve, grid: TimeGrid) -> np.ndarray:
@@ -197,7 +212,7 @@ def discount_factors(curve: DiscountCurve, grid: TimeGrid) -> np.ndarray:
 
 
 def discount_factor(curve: DiscountCurve, grid: TimeGrid, start: int, stop: int) -> float:
-    """exp(-sum of r(t_{i-1}) dt_i) over steps start+1..stop; 1 when start == stop."""
+    """exp(-integral of the forward from t_start to t_stop); 1 when start == stop."""
     if not 0 <= start <= stop <= grid.n_steps:
         raise ValueError(f"invalid index range ({start}, {stop}) for a grid with {grid.n_steps} steps")
     integrals = rate_integrals(curve, grid)

@@ -1,12 +1,13 @@
 """Monte Carlo cross-check for fixed redemption schedules.
 
 Paths are Euler steps in the unit-diffusion coordinate (the lattice's own
-coordinate, so no state-dependent-volatility bias separates the two), and
-default is decided exactly as on the lattice: the running sum of
-left-endpoint intensities times step widths is compared against an
-independent unit-mean exponential draw per path.  Randomness is counter
-based -- path i draws from a generator keyed by (seed, i) -- so path i is
-bitwise identical no matter how many paths are requested.
+coordinate, so no state-dependent-volatility bias separates the two), with
+intensity and drift from :func:`sinkbond.jdcev.x_state`, the map the lattice
+builds its nodes with.  Default is decided exactly as on the lattice: the
+running sum of left-endpoint intensities times step widths is compared
+against an independent unit-mean exponential draw per path.  Randomness is
+counter based -- path i draws from a generator keyed by (seed, i) -- so path
+i is bitwise identical no matter how many paths are requested.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .instruments import SinkingBondSpec, action_table, coupons_on_grid
-from .jdcev import JDCEVParams, bessel_drift, intensity, inverse_transform, transform
+from .jdcev import JDCEVParams, transform, x_state
 from .market_data import DiscountCurve, TimeGrid, discount_factors
 from .pricer import schedule_policy
 
@@ -54,24 +55,6 @@ class MCEstimate:
 def _path_generator(seed: int, index: int) -> np.random.Generator:
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _intensity_from_x(params: JDCEVParams, x: np.ndarray) -> np.ndarray:
-    """Capped intensity at a coordinate; x <= 0 takes the boundary value."""
-    boundary = params.lambda_cap if params.lambda0 > 0.0 else 0.0
-    lam = np.full_like(x, boundary)
-    pos = x > 0.0
-    if pos.any():
-        lam[pos] = intensity(params, inverse_transform(params, x[pos]))
-    return lam
-
-
-def _drift_from_x(params: JDCEVParams, x: np.ndarray) -> np.ndarray:
-    drift = np.zeros_like(x)
-    pos = x > 0.0
-    if pos.any():
-        drift[pos] = bessel_drift(params, x[pos])
-    return drift
 
 
 def simulate_paths(
@@ -115,7 +98,7 @@ def simulate_paths(
             shocks[:] = 0.0
 
         x = np.full(size, x0)
-        lam = _intensity_from_x(params, x)
+        _, lam, drift = x_state(params, x)
         intensities[start:stop, 0] = lam
         hazard_sum = np.zeros(size)
         defaulted = np.zeros(size, dtype=bool)
@@ -124,8 +107,8 @@ def simulate_paths(
             newly = (~defaulted) & (hazard_sum > thresholds)
             default_step[start:stop][newly] = n + 1
             defaulted |= newly
-            x = x + _drift_from_x(params, x) * steps[n] + sqrt_steps[n] * shocks[:, n]
-            lam = _intensity_from_x(params, x)
+            x = x + drift * steps[n] + sqrt_steps[n] * shocks[:, n]
+            _, lam, drift = x_state(params, x)
             intensities[start:stop, n + 1] = lam
 
     return PathSet(grid=grid, intensities=intensities, default_step=default_step, seed=seed)

@@ -1,8 +1,10 @@
 """Finite-horizon Markov decision engine over (nominal, intensity-node) states.
 
 A stage problem bundles the admissible redemption amounts per remaining
-nominal, one layer of lattice transitions and the cashflow parameters of the
-step.  Values are stored per stage as {nominal index: vector over nodes};
+nominal, the step's lattice transition and the cashflow parameters of the
+step.  The continuation of every (nominal, action) pair is the transition's
+``expect`` of the next stage's values, discounted: one operator, applied once
+per stage.  Values are stored per stage as {nominal index: vector over nodes};
 only nominals reachable from the full notional are materialized.  The
 absorbing post-default state never appears explicitly: the one-time recovery
 payment sits inside the stage cost and everything after default is worth
@@ -16,11 +18,12 @@ broken toward the largest redemption so policies are reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
+
+from .tree import LayerTransition
 
 ActionProvider = Callable[[int], Sequence[int]]
 #: Policies map (stage, nominal index) to either a single action index or a
@@ -35,30 +38,25 @@ class StageProblem:
 
     actions: admissible redemption amounts (in nominal-grid units) per
         remaining-nominal index; must be nonempty for every reachable nominal.
-    succ/probs: survival-scaled lattice transitions of the step.
+    transition: the lattice step t_n -> t_{n+1}.
     coupon: coupon rate C_{n+1} paid at t_{n+1} per unit of remaining nominal.
     recovery: fraction of the remaining nominal paid once upon default.
-    rate: discounting rate at t_n; dt: step width t_{n+1} - t_n.
+    discount: riskless discount factor from t_{n+1} back to t_n.
     """
 
     actions: ActionProvider
-    succ: np.ndarray
-    probs: np.ndarray
-    survival: np.ndarray
-    default_prob: np.ndarray
+    transition: LayerTransition
     coupon: float
     recovery: float
-    rate: float
-    dt: float
-    next_size: int
+    discount: float
 
     @property
     def size(self) -> int:
-        return self.survival.shape[0]
+        return self.transition.survival.shape[0]
 
-    @property
-    def discount(self) -> float:
-        return math.exp(-self.rate * self.dt)
+    def continuation(self, next_values: np.ndarray) -> np.ndarray:
+        """Discounted survival-weighted expectation of next-stage values."""
+        return self.discount * self.transition.expect(next_values)
 
 
 @dataclass
@@ -76,12 +74,6 @@ class MDPSolution:
     @property
     def root_value(self) -> float:
         return float(self.values[0][self.initial_index][0])
-
-    def policy_fn(self) -> PolicyFn:
-        def lookup(stage: int, s_index: int) -> np.ndarray:
-            return self.policy[stage][s_index]
-
-        return lookup
 
     def policy_records(self) -> list[dict]:
         """Flat dump: one record per (stage, nominal, node)."""
@@ -120,28 +112,17 @@ def stage_cost(
         raise ValueError(
             f"action {action_index} not admissible for nominal index {s_index}"
         )
-    return _cost(stage, s_index, action_index, nominal_steps, stage.discount)
+    return _cost(stage, s_index, action_index, nominal_steps)
 
 
 def _cost(
-    stage: StageProblem,
-    s_index: int,
-    action_index: Union[int, np.ndarray],
-    nominal_steps: int,
-    discount: float,
+    stage: StageProblem, s_index: int, action_index: Union[int, np.ndarray], nominal_steps: int
 ) -> np.ndarray:
     s = s_index / nominal_steps
     a = np.asarray(action_index, dtype=float) / nominal_steps
-    return discount * (
-        (a + stage.coupon * s) * stage.survival + stage.default_prob * stage.recovery * s
-    )
-
-
-def _continuation(stage: StageProblem, next_values: np.ndarray, discount: float) -> np.ndarray:
-    return discount * (
-        stage.probs[0] * next_values[stage.succ[0]]
-        + stage.probs[1] * next_values[stage.succ[1]]
-        + stage.probs[2] * next_values[stage.succ[2]]
+    tr = stage.transition
+    return stage.discount * (
+        (a + stage.coupon * s) * tr.survival + tr.default_prob * stage.recovery * s
     )
 
 
@@ -158,7 +139,6 @@ def bellman_step(
     Returns the stage's value table and the attained minimizers.
     """
     label = "?" if stage_index is None else str(stage_index)
-    discount = stage.discount
     values: dict[int, np.ndarray] = {}
     policy: dict[int, np.ndarray] = {}
     cont_cache: dict[int, np.ndarray] = {}
@@ -181,9 +161,9 @@ def bellman_step(
                     raise ValueError(
                         f"stage {label}: missing continuation values for nominal index {remaining}"
                     )
-                cont = _continuation(stage, next_values, discount)
+                cont = stage.continuation(next_values)
                 cont_cache[remaining] = cont
-            table[row] = _cost(stage, s_index, action, nominal_steps, discount) + cont
+            table[row] = _cost(stage, s_index, action, nominal_steps) + cont
         # acts are sorted descending, so argmin's first hit is the largest
         # action among exact ties.
         best = np.argmin(table, axis=0)
@@ -217,7 +197,7 @@ def backward_induction(
     reach = reachable_nominals(stages, initial_index)
     n_stages = len(stages)
 
-    terminal_size = stages[-1].next_size
+    terminal_size = stages[-1].transition.next_size
     values: list[dict[int, np.ndarray]] = [dict() for _ in range(n_stages + 1)]
     policy: list[dict[int, np.ndarray]] = [dict() for _ in range(n_stages)]
     values[n_stages] = {s: np.zeros(terminal_size) for s in reach[n_stages]}
@@ -229,11 +209,10 @@ def backward_induction(
 
 
 def as_policy_fn(policy: PolicyLike) -> PolicyFn:
-    if isinstance(policy, MDPSolution):
-        return policy.policy_fn()
+    """Policy callable from a callable, per-stage tables or an engine solution."""
     if callable(policy):
         return policy
-    tables = policy
+    tables = policy.policy if isinstance(policy, MDPSolution) else policy
 
     def lookup(stage: int, s_index: int):
         return tables[stage][s_index]
@@ -281,15 +260,14 @@ def evaluate_policy(
         reach.append(nxt)
 
     values: list[dict[int, np.ndarray]] = [dict() for _ in range(n_stages + 1)]
-    values[n_stages] = {s: np.zeros(stages[-1].next_size) for s in reach[n_stages]}
+    values[n_stages] = {s: np.zeros(stages[-1].transition.next_size) for s in reach[n_stages]}
     for n in range(n_stages - 1, -1, -1):
         stage = stages[n]
-        discount = stage.discount
         table: dict[int, np.ndarray] = {}
         for s_index, action_vec in acts_taken[n].items():
-            out = _cost(stage, s_index, action_vec, nominal_steps, discount)
+            out = _cost(stage, s_index, action_vec, nominal_steps)
             for a in np.unique(action_vec):
-                cont = _continuation(stage, values[n + 1][s_index - int(a)], discount)
+                cont = stage.continuation(values[n + 1][s_index - int(a)])
                 mask = action_vec == a
                 out = np.where(mask, out + cont, out)
             table[s_index] = out
@@ -309,13 +287,12 @@ def bellman_residual(
     fixed_point = 0.0
     minimality = 0.0
     for n, stage in enumerate(stages):
-        discount = stage.discount
         for s_index, stored in solution.values[n].items():
             chosen = solution.policy[n][s_index]
             rows = {}
             for action in set(stage.actions(s_index)):
-                cont = _continuation(stage, solution.values[n + 1][s_index - action], discount)
-                rows[action] = _cost(stage, s_index, action, nominal_steps, discount) + cont
+                cont = stage.continuation(solution.values[n + 1][s_index - action])
+                rows[action] = _cost(stage, s_index, action, nominal_steps) + cont
             at_policy = np.empty(stage.size)
             for action, row in rows.items():
                 mask = chosen == action
@@ -325,23 +302,3 @@ def bellman_residual(
                 gap = float(np.max(stored - row))
                 minimality = max(minimality, gap)
     return {"fixed_point": fixed_point, "minimality": minimality}
-
-
-def random_admissible_policy(
-    stages: Sequence[StageProblem],
-    nominal_steps: int,
-    rng: np.random.Generator,
-    initial_index: int | None = None,
-) -> list[dict[int, int]]:
-    """Uniformly random admissible action per reachable (stage, nominal)."""
-    if initial_index is None:
-        initial_index = nominal_steps
-    reach = reachable_nominals(stages, initial_index)
-    tables: list[dict[int, int]] = []
-    for n, stage in enumerate(stages):
-        table = {}
-        for s_index in sorted(reach[n]):
-            acts = sorted(set(stage.actions(s_index)))
-            table[s_index] = int(acts[rng.integers(len(acts))])
-        tables.append(table)
-    return tables

@@ -11,19 +11,14 @@ machinery solves both.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from . import mdp
-from .instruments import (
-    SinkingBondSpec,
-    action_provider,
-    action_table,
-    coupons_on_grid,
-    redemption_stages,
-)
+from .instruments import SinkingBondSpec, action_table, coupons_on_grid, redemption_stages
 from .market_data import DiscountCurve, TimeGrid, rate_integrals, step_discounts
 from .mdp import MDPSolution, StageProblem, backward_induction, evaluate_policy
 from .tree import IntensityTree, augment_default, deterministic_tree
@@ -61,12 +56,7 @@ def price_zcb(tree: IntensityTree, curve: DiscountCurve, recovery: float) -> flo
     values = np.ones(tree.layers[-1].size)
     for n in range(tree.n_steps - 1, -1, -1):
         tr = tree.transitions[n]
-        cont = (
-            tr.probs[0] * values[tr.succ[0]]
-            + tr.probs[1] * values[tr.succ[1]]
-            + tr.probs[2] * values[tr.succ[2]]
-        )
-        values = disc[n] * (tr.default_prob * recovery + cont)
+        values = disc[n] * (tr.default_prob * recovery + tr.expect(values))
     return float(values[0])
 
 
@@ -90,12 +80,7 @@ def price_vanilla_bond(
     for n in range(tree.n_steps - 1, -1, -1):
         tr = tree.transitions[n]
         cash = coupons[n + 1] + (1.0 if n + 1 == tree.n_steps else 0.0)
-        cont = (
-            tr.probs[0] * values[tr.succ[0]]
-            + tr.probs[1] * values[tr.succ[1]]
-            + tr.probs[2] * values[tr.succ[2]]
-        )
-        values = disc[n] * (cash * tr.survival + tr.default_prob * recovery + cont)
+        values = disc[n] * (cash * tr.survival + tr.default_prob * recovery + tr.expect(values))
     return float(values[0])
 
 
@@ -107,25 +92,18 @@ def build_stage_problems(
     _check_same_horizon(tree, spec)
     grid = tree.grid
     coupons = coupons_on_grid(spec, grid)
-    rates = curve.forward_rates(grid.times_array[:-1])
-    stages = []
-    for n in range(grid.n_steps):
-        tr = tree.transitions[n]
-        stages.append(
-            StageProblem(
-                actions=action_provider(spec, grid, n),
-                succ=tr.succ,
-                probs=tr.probs,
-                survival=tr.survival,
-                default_prob=tr.default_prob,
-                coupon=float(coupons[n + 1]),
-                recovery=spec.recovery,
-                rate=float(rates[n]),
-                dt=float(grid.steps[n]),
-                next_size=tree.layers[n + 1].size,
-            )
+    actions = action_table(spec, grid)
+    disc = step_discounts(curve, grid)
+    return [
+        StageProblem(
+            actions=functools.partial(actions, n),
+            transition=tree.transitions[n],
+            coupon=float(coupons[n + 1]),
+            recovery=spec.recovery,
+            discount=float(disc[n]),
         )
-    return stages
+        for n in range(grid.n_steps)
+    ]
 
 
 @dataclass(frozen=True)

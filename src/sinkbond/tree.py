@@ -3,11 +3,17 @@
 The lattice lives in the unit-diffusion coordinate of :mod:`sinkbond.jdcev`,
 where a per-layer node spacing of sqrt(3 * dt) together with nearest-node
 centering guarantees branch probabilities inside [0, 1].  Each node carries
-the back-transformed stock level and the (capped) intensity it implies.
+the back-transformed stock level and the (capped) intensity it implies, and
+successors are centred on its drift; all three come from
+:func:`sinkbond.jdcev.x_state`, the map the Monte Carlo paths use too.
 Every node also gets a one-step default probability 1 - exp(-intensity * dt),
 and its diffusion branches scaled by the matching survival factor sum with
 it to one; :func:`augment_default` checks this and marks the tree ready for
 pricing, with the jump leading to the absorbing default state.
+
+A step's :class:`LayerTransition` is the one lattice operator: ``expect``
+takes next-layer values back to the current layer (every backward recursion
+and decision stage uses it) and ``push``, its adjoint, carries mass forward.
 
 The lattice is banded by mass.  While it builds, the survival-weighted
 probability of reaching each node is pushed forward, and a layer expands
@@ -28,11 +34,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .jdcev import JDCEVParams, bessel_drift, intensity, inverse_transform, transform
+from .jdcev import JDCEVParams, transform, x_state
 from .market_data import TimeGrid
 
 _PROB_TOL = 1e-12
@@ -81,23 +87,23 @@ class LayerTransition:
     live: np.ndarray
     next_size: int
 
+    def expect(self, values: np.ndarray) -> np.ndarray:
+        """Survival-weighted expectation of next-layer ``values`` at each node.
+
+        The adjoint of :meth:`push`: dot(push(m), v) == dot(m, expect(v)).
+        """
+        return (
+            self.probs[0] * values[self.succ[0]]
+            + self.probs[1] * values[self.succ[1]]
+            + self.probs[2] * values[self.succ[2]]
+        )
+
     def push(self, mass: np.ndarray) -> np.ndarray:
         """Carry per-node mass one step forward along the survival-scaled branches."""
         return sum(
             np.bincount(self.succ[row], self.probs[row] * mass, minlength=self.next_size)
             for row in range(3)
         )
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """Read-only view of a single lattice node."""
-
-    x: float
-    z_level: float
-    intensity: float
-    successors: tuple[tuple[int, float], ...]
-    default_prob: float
 
 
 @dataclass(frozen=True)
@@ -120,78 +126,13 @@ class IntensityTree:
     def layer_sizes(self) -> tuple[int, ...]:
         return tuple(layer.size for layer in self.layers)
 
-    def node(self, layer: int, index: int) -> TreeNode:
-        lay = self.layers[layer]
-        if layer < self.n_steps:
-            tr = self.transitions[layer]
-            probs = tr.probs if self.augmented else tr.branch_probs
-            successors = tuple(
-                (int(tr.succ[row, index]), float(probs[row, index])) for row in range(3)
-            )
-            default_prob = float(tr.default_prob[index]) if self.augmented else 0.0
-        else:
-            successors = ()
-            default_prob = 0.0
-        return TreeNode(
-            x=float(lay.x[index]),
-            z_level=float(lay.z_level[index]),
-            intensity=float(lay.intensity[index]),
-            successors=successors,
-            default_prob=default_prob,
-        )
 
-    def iter_nodes(self, layer: int) -> Iterator[TreeNode]:
-        for i in range(self.layers[layer].size):
-            yield self.node(layer, i)
-
-    def to_dict(self) -> dict:
-        """JSON-safe dump: layers -> nodes with coordinates and branches."""
-
-        def scrub(v: float):
-            return None if math.isnan(v) else v
-
-        layers = []
-        for n, lay in enumerate(self.layers):
-            nodes = []
-            for node in self.iter_nodes(n):
-                nodes.append(
-                    {
-                        "x": scrub(node.x),
-                        "z_level": scrub(node.z_level),
-                        "intensity": node.intensity,
-                        "default_prob": node.default_prob,
-                        "successors": [list(s) for s in node.successors],
-                    }
-                )
-            layers.append({"time": self.grid.times[n], "nodes": nodes})
-        return {"augmented": self.augmented, "stochastic": self.stochastic, "layers": layers}
-
-
-def _layer_from_x(params: JDCEVParams, x: np.ndarray) -> TreeLayer:
-    z = np.zeros_like(x)
-    pos = x > 0.0
-    if pos.any():
-        z[pos] = inverse_transform(params, x[pos])
-    lam = np.asarray(intensity(params, z), dtype=float)
+def _layer_from_x(params: JDCEVParams, x: np.ndarray) -> tuple[TreeLayer, np.ndarray]:
+    """Freeze the layer at coordinates ``x``; also returns the successor drift there."""
+    z, lam, drift = x_state(params, x)
     for arr in (x, z, lam):
         arr.flags.writeable = False
-    return TreeLayer(x=x, z_level=z, intensity=lam)
-
-
-def _successor_drift(params: JDCEVParams | None, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Drift used to center successors.
-
-    Capped nodes (including the x <= 0 boundary) are centered straight: they
-    are numerically certain defaulters, and following the diverging boundary
-    drift would only stretch the layers for mass of size exp(-cap * dt).
-    """
-    drift = np.zeros_like(x)
-    if params is None:
-        return drift
-    live = (x > 0.0) & (lam < params.lambda_cap)
-    if live.any():
-        drift[live] = bessel_drift(params, x[live])
-    return drift
+    return TreeLayer(x=x, z_level=z, intensity=lam), drift
 
 
 def _check_branch_probs(probs: np.ndarray, layer: int, first: int = 0) -> None:
@@ -254,7 +195,8 @@ def build_trinomial(
     zero-volatility limit used as a deterministic oracle.
     """
     x0 = float(transform(params, params.z0))
-    layers = [_layer_from_x(params, np.array([x0]))]
+    root, drift = _layer_from_x(params, np.array([x0]))
+    layers = [root]
     transitions: list[LayerTransition] = []
     band = slice(0, 1)
     mass = np.ones(1)
@@ -263,8 +205,7 @@ def build_trinomial(
         dt = float(grid.steps[n])
         current = layers[n]
         x = current.x[band]
-        drift = _successor_drift(params, x, current.intensity[band])
-        mean = x + drift * dt
+        mean = x + drift[band] * dt
 
         if degenerate:
             next_x = mean.copy()
@@ -295,7 +236,8 @@ def build_trinomial(
         branch[:, band] = branch_band
         tr = _transition(succ, branch, current.intensity, dt, live, next_x.size)
         transitions.append(tr)
-        layers.append(_layer_from_x(params, next_x))
+        layer, drift = _layer_from_x(params, next_x)
+        layers.append(layer)
 
         mass = tr.push(mass)
         heavy = np.flatnonzero(mass > _MASS_FLOOR)
@@ -487,7 +429,7 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
 
         x = layer.x[live]
         branch = tr.branch_probs[:, live]
-        drift = _successor_drift(tree.params, x, layer.intensity[live])
+        drift = np.zeros_like(x) if tree.params is None else x_state(tree.params, x)[2]
         target = x + drift * dt
         succ_x = next_layer.x[succ[:, live]]
         mean_hat = (branch * succ_x).sum(axis=0)

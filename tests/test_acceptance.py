@@ -12,18 +12,14 @@ import numpy as np
 import pytest
 
 from oracles import zcb_closed_form
+from policies import random_admissible_policy
 
 from sinkbond.calibration import CalibrationConfig, CDSQuote, calibrate, model_spreads
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams
 from sinkbond.market_data import DiscountCurve, build_time_grid
 from sinkbond.mc import mc_price_fixed_policy, simulate_paths
-from sinkbond.mdp import (
-    backward_induction,
-    bellman_residual,
-    evaluate_policy,
-    random_admissible_policy,
-)
+from sinkbond.mdp import backward_induction, bellman_residual, evaluate_policy
 from sinkbond.pricer import (
     build_stage_problems,
     deterministic_spread_price,

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -256,3 +258,9 @@ def test_stdout_when_no_out_file(tmp_path, capsys):
     assert main(["price", "--config", config]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert "price" in printed
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = "import sys, sinkbond.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from sinkbond.instruments import (
     SinkingBondSpec,
-    action_set,
     action_table,
     bond_event_dates,
     bond_grid,
@@ -75,24 +74,24 @@ class TestActionSet:
         spec = two_installment_bond()
         grid = bond_grid(spec, 4)
         n = grid.index_of(1.0)
-        assert action_set(spec, grid, n, 15) == (1, 2)  # 5/75 and 10/75 in 15ths
+        assert action_table(spec, grid)(n, 15) == (1, 2)  # 5/75 and 10/75 in 15ths
 
     def test_small_remainder_restricts_the_set(self):
         spec = two_installment_bond()
         grid = bond_grid(spec, 4)
         n = grid.index_of(2.0)
-        assert action_set(spec, grid, n, 1) == (1,)
+        assert action_table(spec, grid)(n, 1) == (1,)
 
     def test_non_redemption_dates_allow_nothing(self):
         spec = two_installment_bond()
         grid = bond_grid(spec, 4)
         n = grid.index_of(1.25)
-        assert action_set(spec, grid, n, 15) == (0,)
+        assert action_table(spec, grid)(n, 15) == (0,)
 
     def test_terminal_stage_forces_full_redemption(self):
         spec = two_installment_bond()
         grid = bond_grid(spec, 4)
-        assert action_set(spec, grid, grid.n_steps - 1, 7) == (7,)
+        assert action_table(spec, grid)(grid.n_steps - 1, 7) == (7,)
 
     def test_leftover_stub_is_redeemed_when_nothing_else_fits(self):
         # on a refined nominal grid the installment spans 2 units, so a
@@ -106,14 +105,14 @@ class TestActionSet:
         )
         grid = bond_grid(spec, 2)
         n = grid.index_of(2.0)
-        assert action_set(spec, grid, n, 8) == (2,)
-        assert action_set(spec, grid, n, 1) == (1,)
+        assert action_table(spec, grid)(n, 8) == (2,)
+        assert action_table(spec, grid)(n, 1) == (1,)
 
     def test_allow_skip_adds_zero(self):
         spec = two_installment_bond(allow_skip=True)
         grid = bond_grid(spec, 4)
         n = grid.index_of(3.0)
-        assert action_set(spec, grid, n, 15) == (0, 1, 2)
+        assert action_table(spec, grid)(n, 15) == (0, 1, 2)
 
     def test_full_call_adds_the_remainder(self):
         spec = SinkingBondSpec(
@@ -126,23 +125,23 @@ class TestActionSet:
         grid = bond_grid(spec, 4)
         n = grid.index_of(2.0)
         assert spec.nominal_steps == 1
-        assert action_set(spec, grid, n, 1) == (0, 1)
-        assert action_set(spec, grid, n, 0) == (0,)
+        assert action_table(spec, grid)(n, 1) == (0, 1)
+        assert action_table(spec, grid)(n, 0) == (0,)
 
     def test_bad_indices_rejected(self):
         spec = two_installment_bond()
         grid = bond_grid(spec, 4)
         with pytest.raises(ValueError, match="nominal index"):
-            action_set(spec, grid, 0, 16)
+            action_table(spec, grid)(0, 16)
         with pytest.raises(ValueError, match="stage"):
-            action_set(spec, grid, grid.n_steps, 1)
+            action_table(spec, grid)(grid.n_steps, 1)
 
     @given(s_index=st.integers(min_value=0, max_value=15), stage=st.integers(min_value=0, max_value=39))
     @settings(max_examples=200, deadline=None)
     def test_actions_always_admissible_and_nonempty(self, s_index, stage):
         spec = two_installment_bond()
         grid = bond_grid(spec, 4)
-        acts = action_set(spec, grid, stage, s_index)
+        acts = action_table(spec, grid)(stage, s_index)
         assert acts
         for a in acts:
             assert 0 <= a <= s_index

@@ -11,6 +11,7 @@ from sinkbond.jdcev import (
     intensity,
     inverse_transform,
     transform,
+    x_state,
 )
 
 params_strategy = st.builds(
@@ -158,3 +159,14 @@ def test_vectorized_calls_match_scalars(fitted_params):
     drift = bessel_drift(fitted_params, x)
     for i in range(len(z)):
         assert drift[i] == bessel_drift(fitted_params, float(x[i]))
+
+
+def test_x_state_boundary_and_cap_conventions(fitted_params):
+    capped = float(transform(fitted_params, 1e-6))  # intensity far above the cap
+    x = np.array([-0.5, 0.0, capped, 1.0, 5.0])
+    z, lam, drift = x_state(fitted_params, x)
+    assert np.array_equal(z[:2], [0.0, 0.0])
+    assert np.array_equal(lam[:3], [fitted_params.lambda_cap] * 3)
+    assert np.array_equal(drift[:3], [0.0, 0.0, 0.0])
+    assert np.array_equal(lam[3:], intensity(fitted_params, inverse_transform(fitted_params, x[3:])))
+    assert np.array_equal(drift[3:], bessel_drift(fitted_params, x[3:]))

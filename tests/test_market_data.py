@@ -12,6 +12,7 @@ from sinkbond.market_data import (
     discount_factor,
     discount_factors,
     rate_integrals,
+    step_rate_integrals,
 )
 
 
@@ -160,3 +161,38 @@ class TestDiscountFactor:
         integrals = rate_integrals(flat_curve, grid)
         assert integrals[0] == 0.0
         assert np.all(np.diff(integrals) >= 0)
+
+
+class TestExactStepDiscounting:
+    def test_off_grid_pillar_is_integrated_exactly(self):
+        # forward 0 until 0.3 y, then 10 %: the pillar splits the step (0.25, 1/3]
+        curve = DiscountCurve((0.0, 0.3), (0.0, 0.1))
+        grid = build_time_grid(1.0, 12)
+        assert discount_factors(curve, grid)[-1] == pytest.approx(math.exp(-0.07), abs=1e-15)
+        assert discount_factor(curve, grid, 0, 4) == pytest.approx(
+            math.exp(-0.1 * (4 / 12 - 0.3)), abs=1e-15
+        )
+
+    def test_engine_chain_zcb_uses_exact_discounting(self):
+        from sinkbond.instruments import SinkingBondSpec, bond_grid
+        from sinkbond.mdp import backward_induction
+        from sinkbond.pricer import build_stage_problems
+        from sinkbond.tree import augment_default, deterministic_tree
+
+        curve = DiscountCurve((0.0, 0.3), (0.0, 0.1))
+        spec = SinkingBondSpec(maturity=1.0, recovery=0.0)
+        chain = augment_default(deterministic_tree(bond_grid(spec, 12), 0.0))
+        stages = build_stage_problems(chain, curve, spec)
+        value = backward_induction(stages, spec.nominal_steps).root_value
+        assert value == pytest.approx(math.exp(-0.07), abs=1e-15)
+
+    def test_steps_without_inner_pillars_keep_left_endpoint_products(self):
+        curve = DiscountCurve((0.0, 0.3, 1.0, 1.55), (0.01, 0.03, 0.025, 0.04))
+        grid = build_time_grid(2.0, 12)
+        integrals = step_rate_integrals(curve, grid)
+        left = curve.forward_rates(grid.times_array[:-1]) * grid.steps
+        split = [3, 18]  # steps holding the off-grid pillars 0.3 and 1.55
+        keep = np.setdiff1d(np.arange(grid.n_steps), split)
+        assert np.array_equal(integrals[keep], left[keep])
+        assert integrals[3] == pytest.approx(0.01 * 0.05 + 0.03 * (4 / 12 - 0.3), rel=1e-14)
+        assert integrals[18] == pytest.approx(0.025 * 0.05 + 0.04 * (19 / 12 - 1.55), rel=1e-14)

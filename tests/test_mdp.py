@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from policies import random_admissible_policy
+
 from sinkbond.instruments import SinkingBondSpec, bond_grid
-from sinkbond.market_data import DiscountCurve, build_time_grid
+from sinkbond.market_data import DiscountCurve, TimeGrid, build_time_grid
 from sinkbond.mdp import (
     StageProblem,
     backward_induction,
     bellman_residual,
     bellman_step,
     evaluate_policy,
-    random_admissible_policy,
     stage_cost,
 )
 from sinkbond.pricer import build_stage_problems, price_zcb
@@ -20,18 +21,13 @@ from sinkbond.tree import augment_default, build_trinomial, deterministic_tree
 
 def chain_stage(actions_map, intensity, dt, rate, coupon, recovery):
     """Single-node stage with a constant intensity, for closed-form checks."""
-    survival = np.array([math.exp(-intensity * dt)])
+    chain = deterministic_tree(TimeGrid((0.0, dt)), intensity)
     return StageProblem(
         actions=lambda s: actions_map[s],
-        succ=np.zeros((3, 1), dtype=np.intp),
-        probs=np.array([[0.0], [survival[0]], [0.0]]),
-        survival=survival,
-        default_prob=1.0 - survival,
+        transition=chain.transitions[0],
         coupon=coupon,
         recovery=recovery,
-        rate=rate,
-        dt=dt,
-        next_size=1,
+        discount=math.exp(-rate * dt),
     )
 
 
@@ -69,7 +65,7 @@ class TestBellmanStep:
         stage = chain_stage({2: (0,)}, intensity=0.01, dt=0.25, rate=0.0, coupon=0.04, recovery=0.0)
         continuation = {2: np.array([0.7])}
         values, policy = bellman_step(stage, continuation, {2}, 2)
-        direct = stage_cost(stage, 2, 0, 2) + stage.discount * stage.probs[1] * 0.7
+        direct = stage_cost(stage, 2, 0, 2) + stage.discount * stage.transition.probs[1] * 0.7
         assert values[2][0] == pytest.approx(direct[0], abs=1e-15)
         assert policy[2][0] == 0
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -281,12 +282,29 @@ def test_out_of_range_probability_is_a_hard_failure():
         _check_branch_probs(probs, 3)
 
 
-def test_node_view_and_dump(fitted_params):
+def test_root_node_arrays(fitted_params):
     tree = augment_default(build_trinomial(fitted_params, build_time_grid(0.5, 4)))
-    root = tree.node(0, 0)
-    assert root.intensity == pytest.approx(fitted_params.lambda0, rel=1e-12)
-    assert len(root.successors) == 3
-    assert root.default_prob > 0.0
-    dump = tree.to_dict()
-    assert len(dump["layers"]) == tree.n_steps + 1
-    assert dump["layers"][0]["nodes"][0]["intensity"] == root.intensity
+    root = tree.transitions[0]
+    assert tree.layers[0].intensity[0] == pytest.approx(fitted_params.lambda0, rel=1e-12)
+    assert root.succ[:, 0].shape == (3,)
+    assert np.all((0 <= root.succ[:, 0]) & (root.succ[:, 0] < tree.layers[1].size))
+    assert root.default_prob[0] > 0.0
+    assert len(tree.layers) == tree.n_steps + 1
+    assert tree.root_intensity == tree.layers[0].intensity[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _banded_tree():
+    params = JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-0.6, z0=30.0)
+    return augment_default(build_trinomial(params, build_time_grid(10.0, 12)))
+
+
+@given(layer=st.integers(min_value=0, max_value=119), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_push_and_expect_are_adjoint(layer, seed):
+    tr = _banded_tree().transitions[layer]
+    rng = np.random.default_rng(seed)
+    mass = rng.random(tr.succ.shape[1])
+    mass /= mass.sum()
+    values = rng.random(tr.next_size)
+    assert np.dot(tr.push(mass), values) == pytest.approx(np.dot(mass, tr.expect(values)), abs=1e-14)
