@@ -131,6 +131,55 @@ def cds_grid(
     return build_time_grid(horizon, steps_per_year, [d for d in merged if d < horizon])
 
 
+def _par_spreads(
+    tree: IntensityTree,
+    curve: DiscountCurve,
+    recovery: float,
+    tenors: Sequence[float],
+    premium_frequency: int,
+) -> np.ndarray:
+    """Par spreads (protection-leg value over premium-leg annuity) of several tenors.
+
+    Default during a step pays (1 - recovery) at the step's end; premiums are
+    paid at period ends contingent on survival, with no accrual on default.
+    One forward pass keeps the protection leg's running sum and the survival
+    probability at every grid date up to the longest tenor; each tenor reads
+    its own.
+    """
+    if not tree.augmented:
+        raise ValueError("CDS pricing requires a default-augmented tree")
+    if not 0.0 <= recovery <= 1.0:
+        raise ValueError("recovery must lie in [0, 1]")
+    grid = tree.grid
+    for tenor in tenors:
+        if tenor > grid.maturity + 1e-9:
+            raise ValueError(f"tenor {tenor!r} exceeds the tree horizon {grid.maturity!r}")
+    ends = [grid.index_of(tenor) for tenor in tenors]
+    dfv = discount_factors(curve, grid)
+
+    alive = np.array([1.0])
+    survival, protection = [1.0], [0.0]
+    for n in range(max(ends)):
+        tr = tree.transitions[n]
+        default_mass = float(np.sum(alive * tr.default_prob))
+        protection.append(protection[n] + dfv[n + 1] * default_mass * (1.0 - recovery))
+        alive = tr.push(alive)
+        survival.append(float(alive.sum()))
+
+    spreads = []
+    for tenor, end in zip(tenors, ends):
+        annuity = 0.0
+        previous = 0.0
+        for date in premium_dates(tenor, premium_frequency):
+            idx = grid.index_of(date)
+            annuity += dfv[idx] * survival[idx] * (date - previous)
+            previous = date
+        if annuity <= 0.0:
+            raise ValueError("premium annuity is not positive")
+        spreads.append(protection[end] / annuity)
+    return np.array(spreads)
+
+
 def price_cds(
     tree: IntensityTree,
     curve: DiscountCurve,
@@ -138,41 +187,8 @@ def price_cds(
     tenor: float,
     premium_frequency: int = 4,
 ) -> float:
-    """Par spread: protection-leg value over premium-leg annuity.
-
-    Default during a step pays (1 - recovery) at the step's end; premiums are
-    paid at period ends contingent on survival, with no accrual on default.
-    """
-    if not tree.augmented:
-        raise ValueError("CDS pricing requires a default-augmented tree")
-    if not 0.0 <= recovery <= 1.0:
-        raise ValueError("recovery must lie in [0, 1]")
-    grid = tree.grid
-    if tenor > grid.maturity + 1e-9:
-        raise ValueError(f"tenor {tenor!r} exceeds the tree horizon {grid.maturity!r}")
-    end = grid.index_of(tenor)
-    dfv = discount_factors(curve, grid)
-
-    alive = np.array([1.0])
-    survival = np.empty(end + 1)
-    survival[0] = 1.0
-    protection = 0.0
-    for n in range(end):
-        tr = tree.transitions[n]
-        default_mass = float(np.sum(alive * tr.default_prob))
-        protection += dfv[n + 1] * default_mass * (1.0 - recovery)
-        alive = tr.push(alive)
-        survival[n + 1] = float(alive.sum())
-
-    annuity = 0.0
-    previous = 0.0
-    for date in premium_dates(tenor, premium_frequency):
-        idx = grid.index_of(date)
-        annuity += dfv[idx] * survival[idx] * (date - previous)
-        previous = date
-    if annuity <= 0.0:
-        raise ValueError("premium annuity is not positive")
-    return protection / annuity
+    """Par spread of one tenor: the single-tenor call of :func:`_par_spreads`."""
+    return float(_par_spreads(tree, curve, recovery, [tenor], premium_frequency)[0])
 
 
 def model_spreads(
@@ -182,12 +198,10 @@ def model_spreads(
     recovery: float,
     config: CalibrationConfig,
 ) -> np.ndarray:
-    """Par spreads for several tenors off a single lattice build."""
+    """Par spreads for several tenors off a single lattice build and survival pass."""
     grid = cds_grid(tenors, config.steps_per_year, config.premium_frequency)
     tree = augment_default(build_trinomial(params, grid))
-    return np.array(
-        [price_cds(tree, curve, recovery, t, config.premium_frequency) for t in tenors]
-    )
+    return _par_spreads(tree, curve, recovery, tenors, config.premium_frequency)
 
 
 def _clamp(value: float, bounds: tuple[float, float]) -> float:

@@ -182,6 +182,8 @@ def _steps_per_year(config: Mapping[str, Any], args: argparse.Namespace) -> int:
 def _mc_settings(config: Mapping[str, Any], args: argparse.Namespace) -> tuple[int, int, Any]:
     section = _section(config, "mc", required=False)
     n_paths = int(section.get("n_paths", DEFAULT_MC_PATHS))
+    if n_paths < 2:
+        raise ConfigError(f"mc.n_paths must be at least 2 to estimate a standard error, got {n_paths}")
     seed = args.seed if args.seed is not None else int(section.get("seed", DEFAULT_MC_SEED))
     schedule = section.get("schedule", DEFAULT_MC_SCHEDULE)
     if isinstance(schedule, dict):

@@ -52,11 +52,6 @@ class MCEstimate:
     n_paths: int
 
 
-def _path_generator(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def simulate_paths(
     params: JDCEVParams,
     grid: TimeGrid,
@@ -85,13 +80,20 @@ def simulate_paths(
     intensities = np.empty((n_paths, n_steps + 1))
     default_step = np.full(n_paths, -1, dtype=np.intp)
 
+    # one generator for all paths: resetting the bit generator to key
+    # (seed, i), counter 0 and an empty buffer starts path i's stream afresh
+    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+
     for start in range(0, n_paths, _CHUNK):
         stop = min(start + _CHUNK, n_paths)
         size = stop - start
         shocks = np.empty((size, n_steps))
         thresholds = np.empty(size)
         for i in range(size):
-            gen = _path_generator(seed, start + i)
+            fresh["state"]["key"][1] = start + i
+            bit_generator.state = fresh
             thresholds[i] = gen.standard_exponential()
             shocks[i] = gen.standard_normal(n_steps)
         if zero_diffusion:

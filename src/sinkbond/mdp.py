@@ -2,24 +2,26 @@
 
 A stage problem bundles the admissible redemption amounts per remaining
 nominal, the step's lattice transition and the cashflow parameters of the
-step.  The continuation of every (nominal, action) pair is the transition's
-``expect`` of the next stage's values, discounted: one operator, applied once
-per stage.  Values are stored per stage as {nominal index: vector over nodes};
-only nominals reachable from the full notional are materialized.  The
-absorbing post-default state never appears explicitly: the one-time recovery
-payment sits inside the stage cost and everything after default is worth
-zero.
+step.  Each stage is computed as one (R, m) array: a row per nominal index
+reachable from the full notional (``rows``, sorted), a column per lattice
+node; solutions keep the rows in {nominal index: row} tables.  One kernel,
+:func:`stage_values`, prices a whole stage under a per-(row, node) action
+array -- cost plus the discounted transition ``expect`` of the next stage's
+array, read at continuation row s - a -- and backward induction, policy
+evaluation and the residual check all run through it.  The absorbing post-default state never appears explicitly: the
+one-time recovery payment sits inside the stage cost and everything after
+default is worth zero.
 
 Action sets are keyed by the remaining nominal alone (the intensity node
-never restricts what an issuer may redeem), which lets every stage run as a
-handful of vectorized operations across nodes.  Ties in the minimization are
-broken toward the largest redemption so policies are reproducible.
+never restricts what an issuer may redeem), so a stage's admissible actions
+form a small (R, A) grid and the minimization is one kernel call per column.
+Ties are broken toward the largest redemption so policies are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -54,22 +56,18 @@ class StageProblem:
     def size(self) -> int:
         return self.transition.survival.shape[0]
 
-    def continuation(self, next_values: np.ndarray) -> np.ndarray:
-        """Discounted survival-weighted expectation of next-stage values."""
-        return self.discount * self.transition.expect(next_values)
-
 
 @dataclass
 class MDPSolution:
-    """Value tables, optimal policy and the headline root value."""
+    """Value tables, optimal policy and the headline root value.
+
+    ``values[n]`` and ``policy[n]`` map each reachable nominal index to its
+    per-node row.
+    """
 
     values: tuple[dict[int, np.ndarray], ...]
     policy: tuple[dict[int, np.ndarray], ...]
     initial_index: int
-
-    @property
-    def n_stages(self) -> int:
-        return len(self.policy)
 
     @property
     def root_value(self) -> float:
@@ -87,38 +85,28 @@ class MDPSolution:
         return records
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyValue:
-    """Value tables of a fixed (not necessarily optimal) policy."""
+    """Expected discounted cost of a fixed (not necessarily optimal) policy."""
 
-    values: tuple[dict[int, np.ndarray], ...]
-    initial_index: int
-
-    @property
-    def root_value(self) -> float:
-        return float(self.values[0][self.initial_index][0])
+    root_value: float
 
 
 def stage_cost(
-    stage: StageProblem, s_index: int, action_index: int, nominal_steps: int
+    stage: StageProblem,
+    s_index: Union[int, np.ndarray],
+    action_index: Union[int, np.ndarray],
+    nominal_steps: int,
 ) -> np.ndarray:
-    """Expected discounted one-step cashflow, as a vector over layer nodes.
+    """Expected discounted one-step cashflow over layer nodes.
 
     Survival pays the chosen redemption plus the coupon on the remaining
     nominal; default pays the recovery fraction of the remaining nominal.
-    Both land at t_{n+1} and are discounted back one step.
+    Both land at t_{n+1} and are discounted back one step.  Nominal and
+    action indices broadcast against the node axis, so an (R, 1) column of
+    nominals gives an (R, m) table.
     """
-    if action_index not in set(stage.actions(s_index)):
-        raise ValueError(
-            f"action {action_index} not admissible for nominal index {s_index}"
-        )
-    return _cost(stage, s_index, action_index, nominal_steps)
-
-
-def _cost(
-    stage: StageProblem, s_index: int, action_index: Union[int, np.ndarray], nominal_steps: int
-) -> np.ndarray:
-    s = s_index / nominal_steps
+    s = np.asarray(s_index) / nominal_steps
     a = np.asarray(action_index, dtype=float) / nominal_steps
     tr = stage.transition
     return stage.discount * (
@@ -126,64 +114,51 @@ def _cost(
     )
 
 
-def bellman_step(
+def stage_values(
     stage: StageProblem,
-    values_next: Mapping[int, np.ndarray],
-    reachable: Iterable[int],
+    rows: np.ndarray,
+    actions: np.ndarray,
+    next_rows: np.ndarray,
+    next_values: np.ndarray,
     nominal_steps: int,
-    *,
-    stage_index: int | None = None,
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """One backward step: minimize cost plus discounted continuation.
+) -> np.ndarray:
+    """Cost plus discounted continuation of every (row, node) under ``actions``.
 
-    Returns the stage's value table and the attained minimizers.
+    ``rows`` are the stage's sorted nominal indices; ``actions`` broadcasts
+    to (len(rows), m); ``next_values`` is the next stage's (R', m') array
+    whose sorted row labels are ``next_rows``.  Node j of row s under action
+    a continues at row s - a of the next stage.
     """
-    label = "?" if stage_index is None else str(stage_index)
-    values: dict[int, np.ndarray] = {}
-    policy: dict[int, np.ndarray] = {}
-    cont_cache: dict[int, np.ndarray] = {}
+    remaining = rows[:, None] - np.asarray(actions)
+    pos = np.searchsorted(next_rows, remaining)
+    missing = next_rows.take(pos, mode="clip") != remaining
+    if missing.any():
+        raise ValueError(f"missing continuation values for nominal index {remaining[missing][0]}")
+    cont = stage.discount * stage.transition.expect(next_values)
+    return stage_cost(stage, rows[:, None], actions, nominal_steps) + cont[pos, np.arange(stage.size)]
 
-    for s_index in sorted(reachable):
+
+def _action_grid(stage: StageProblem, rows: np.ndarray, n: int) -> np.ndarray:
+    """(R, A) admissible actions per row in descending order.
+
+    Rows with fewer than A actions repeat their smallest one, which changes
+    no minimum.
+    """
+    sets = []
+    for s_index in rows.tolist():
         acts = sorted(set(stage.actions(s_index)), reverse=True)
         if not acts:
-            raise ValueError(f"stage {label}, nominal index {s_index}: empty action set")
-        table = np.empty((len(acts), stage.size))
-        for row, action in enumerate(acts):
-            remaining = s_index - action
-            if remaining < 0:
-                raise ValueError(
-                    f"stage {label}, nominal index {s_index}: action {action} exceeds the nominal"
-                )
-            cont = cont_cache.get(remaining)
-            if cont is None:
-                next_values = values_next.get(remaining)
-                if next_values is None:
-                    raise ValueError(
-                        f"stage {label}: missing continuation values for nominal index {remaining}"
-                    )
-                cont = stage.continuation(next_values)
-                cont_cache[remaining] = cont
-            table[row] = _cost(stage, s_index, action, nominal_steps) + cont
-        # acts are sorted descending, so argmin's first hit is the largest
-        # action among exact ties.
-        best = np.argmin(table, axis=0)
-        values[s_index] = table[best, np.arange(stage.size)]
-        policy[s_index] = np.asarray(acts, dtype=np.intp)[best]
-    return values, policy
+            raise ValueError(f"stage {n}, nominal index {s_index}: empty action set")
+        if acts[0] > s_index:
+            raise ValueError(f"stage {n}, nominal index {s_index}: action {acts[0]} exceeds the nominal")
+        sets.append(acts)
+    width = max(map(len, sets))
+    return np.array([acts + acts[-1:] * (width - len(acts)) for acts in sets], dtype=np.intp)
 
 
-def reachable_nominals(
-    stages: Sequence[StageProblem], initial_index: int
-) -> list[set[int]]:
-    """Forward closure of nominal indices under all admissible actions."""
-    reach: list[set[int]] = [{initial_index}]
-    for stage in stages:
-        nxt: set[int] = set()
-        for s_index in reach[-1]:
-            for action in stage.actions(s_index):
-                nxt.add(s_index - action)
-        reach.append(nxt)
-    return reach
+def _next_rows(rows: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Sorted distinct continuation rows s - a; actions never exceed their row."""
+    return np.flatnonzero(np.bincount((rows[:, None] - actions).ravel()))
 
 
 def backward_induction(
@@ -191,21 +166,39 @@ def backward_induction(
     nominal_steps: int,
     initial_index: int | None = None,
 ) -> MDPSolution:
-    """Solve the decision problem; the root value is the instrument's price."""
+    """Solve the decision problem; the root value is the instrument's price.
+
+    A forward pass collects the reachable rows and action grids; the
+    backward pass evaluates the kernel once per action column, descending,
+    and only a strictly smaller value replaces the running best, so exact
+    ties go to the largest redemption.
+    """
     if initial_index is None:
         initial_index = nominal_steps
-    reach = reachable_nominals(stages, initial_index)
-    n_stages = len(stages)
+    rows = [np.array([initial_index])]
+    grids = []
+    for n, stage in enumerate(stages):
+        grids.append(_action_grid(stage, rows[n], n))
+        rows.append(_next_rows(rows[n], grids[n]))
 
-    terminal_size = stages[-1].transition.next_size
-    values: list[dict[int, np.ndarray]] = [dict() for _ in range(n_stages + 1)]
-    policy: list[dict[int, np.ndarray]] = [dict() for _ in range(n_stages)]
-    values[n_stages] = {s: np.zeros(terminal_size) for s in reach[n_stages]}
-    for n in range(n_stages - 1, -1, -1):
-        values[n], policy[n] = bellman_step(
-            stages[n], values[n + 1], reach[n], nominal_steps, stage_index=n
-        )
-    return MDPSolution(values=tuple(values), policy=tuple(policy), initial_index=initial_index)
+    nxt = np.zeros((len(rows[-1]), stages[-1].transition.next_size))
+    values = [dict(zip(rows[-1].tolist(), nxt))]
+    policy = []
+    for n in range(len(stages) - 1, -1, -1):
+        stage, grid = stages[n], grids[n]
+        best = stage_values(stage, rows[n], grid[:, :1], rows[n + 1], nxt, nominal_steps)
+        chosen = np.repeat(grid[:, :1], stage.size, axis=1)
+        for col in range(1, grid.shape[1]):
+            trial = stage_values(stage, rows[n], grid[:, col:col + 1], rows[n + 1], nxt, nominal_steps)
+            better = trial < best
+            best = np.where(better, trial, best)
+            chosen = np.where(better, grid[:, col:col + 1], chosen)
+        # rows are copied out: stage arrays kept alive as views among freed
+        # temporaries fragment the heap (5 MB more peak RSS at 252 steps/yr)
+        values.append({s: row.copy() for s, row in zip(rows[n].tolist(), best)})
+        policy.append({s: row.copy() for s, row in zip(rows[n].tolist(), chosen)})
+        nxt = best
+    return MDPSolution(tuple(reversed(values)), tuple(reversed(policy)), initial_index)
 
 
 def as_policy_fn(policy: PolicyLike) -> PolicyFn:
@@ -235,44 +228,27 @@ def evaluate_policy(
     if initial_index is None:
         initial_index = nominal_steps
     fn = as_policy_fn(policy)
-    n_stages = len(stages)
 
-    # forward pass: policy-reachable nominals and the actions taken there
-    reach: list[set[int]] = [{initial_index}]
-    acts_taken: list[dict[int, np.ndarray]] = []
+    # forward pass: policy-reachable rows and the actions taken there, kept as
+    # per-row broadcast views so one stage's (R, m) action array exists at a time
+    rows = [np.array([initial_index])]
+    taken = []
     for n, stage in enumerate(stages):
-        taken: dict[int, np.ndarray] = {}
-        nxt: set[int] = set()
-        for s_index in reach[n]:
-            action = fn(n, s_index)
-            action_vec = np.broadcast_to(
-                np.asarray(action, dtype=np.intp), (stage.size,)
-            )
-            admissible = set(stage.actions(s_index))
-            for a in np.unique(action_vec):
-                if int(a) not in admissible:
-                    raise ValueError(
-                        f"stage {n}, nominal index {s_index}: action {int(a)} not admissible"
-                    )
-                nxt.add(s_index - int(a))
-            taken[s_index] = action_vec
-        acts_taken.append(taken)
-        reach.append(nxt)
+        acts = []
+        for s_index in rows[n].tolist():
+            acts.append(np.broadcast_to(np.asarray(fn(n, s_index), dtype=np.intp), (stage.size,)))
+            inadmissible = set(acts[-1].tolist()).difference(stage.actions(s_index))
+            if inadmissible:
+                raise ValueError(
+                    f"stage {n}, nominal index {s_index}: action {min(inadmissible)} not admissible"
+                )
+        taken.append(acts)
+        rows.append(_next_rows(rows[n], np.array(acts)))
 
-    values: list[dict[int, np.ndarray]] = [dict() for _ in range(n_stages + 1)]
-    values[n_stages] = {s: np.zeros(stages[-1].transition.next_size) for s in reach[n_stages]}
-    for n in range(n_stages - 1, -1, -1):
-        stage = stages[n]
-        table: dict[int, np.ndarray] = {}
-        for s_index, action_vec in acts_taken[n].items():
-            out = _cost(stage, s_index, action_vec, nominal_steps)
-            for a in np.unique(action_vec):
-                cont = stage.continuation(values[n + 1][s_index - int(a)])
-                mask = action_vec == a
-                out = np.where(mask, out + cont, out)
-            table[s_index] = out
-        values[n] = table
-    return PolicyValue(values=tuple(values), initial_index=initial_index)
+    values = np.zeros((len(rows[-1]), stages[-1].transition.next_size))
+    for n in range(len(stages) - 1, -1, -1):
+        values = stage_values(stages[n], rows[n], np.array(taken[n]), rows[n + 1], values, nominal_steps)
+    return PolicyValue(root_value=float(values[0, 0]))
 
 
 def bellman_residual(
@@ -284,21 +260,20 @@ def bellman_residual(
     stored minimizer) and from minimality (no admissible action beats the
     stored value).
     """
+    def stacked(table: Mapping[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.array(sorted(table))
+        return rows, np.stack([table[s] for s in rows.tolist()])
+
     fixed_point = 0.0
     minimality = 0.0
     for n, stage in enumerate(stages):
-        for s_index, stored in solution.values[n].items():
-            chosen = solution.policy[n][s_index]
-            rows = {}
-            for action in set(stage.actions(s_index)):
-                cont = stage.continuation(solution.values[n + 1][s_index - action])
-                rows[action] = _cost(stage, s_index, action, nominal_steps) + cont
-            at_policy = np.empty(stage.size)
-            for action, row in rows.items():
-                mask = chosen == action
-                at_policy[mask] = row[mask]
-            fixed_point = max(fixed_point, float(np.max(np.abs(at_policy - stored))))
-            for row in rows.values():
-                gap = float(np.max(stored - row))
-                minimality = max(minimality, gap)
+        rows, stored = stacked(solution.values[n])
+        _, chosen = stacked(solution.policy[n])
+        next_rows, nxt = stacked(solution.values[n + 1])
+        at_policy = stage_values(stage, rows, chosen, next_rows, nxt, nominal_steps)
+        fixed_point = max(fixed_point, float(np.max(np.abs(at_policy - stored))))
+        grid = _action_grid(stage, rows, n)
+        for col in range(grid.shape[1]):
+            trial = stage_values(stage, rows, grid[:, col:col + 1], next_rows, nxt, nominal_steps)
+            minimality = max(minimality, float(np.max(stored - trial)))
     return {"fixed_point": fixed_point, "minimality": minimality}

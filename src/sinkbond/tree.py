@@ -90,12 +90,14 @@ class LayerTransition:
     def expect(self, values: np.ndarray) -> np.ndarray:
         """Survival-weighted expectation of next-layer ``values`` at each node.
 
-        The adjoint of :meth:`push`: dot(push(m), v) == dot(m, expect(v)).
+        The last axis of ``values`` runs over next-layer nodes, so an (R, m')
+        array gives one (R, m) expectation per row.  The adjoint of
+        :meth:`push`: dot(push(m), v) == dot(m, expect(v)).
         """
         return (
-            self.probs[0] * values[self.succ[0]]
-            + self.probs[1] * values[self.succ[1]]
-            + self.probs[2] * values[self.succ[2]]
+            self.probs[0] * values[..., self.succ[0]]
+            + self.probs[1] * values[..., self.succ[1]]
+            + self.probs[2] * values[..., self.succ[2]]
         )
 
     def push(self, mass: np.ndarray) -> np.ndarray:

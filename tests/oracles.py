@@ -1,11 +1,14 @@
 """Independent reference computations used to pin expected test values.
 
-Everything here is a plain-Python loop over the discrete cashflow timeline,
+Everything here is a plain-Python loop over the discrete cashflow timeline
+or, for the decision engine, over one nominal and one action at a time,
 kept deliberately separate from the library's vectorized recursions.
 """
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 
 def zcb_closed_form(
@@ -52,3 +55,104 @@ def deterministic_bond_pv(
         disc *= math.exp(-(rates[m - 1] + spread) * dt)
         total += coupons[m] * disc
     return total + disc
+
+
+def _row_cost(stage, s_index: int, action, nominal_steps: int) -> np.ndarray:
+    s = s_index / nominal_steps
+    a = np.asarray(action, dtype=float) / nominal_steps
+    tr = stage.transition
+    return stage.discount * ((a + stage.coupon * s) * tr.survival + tr.default_prob * stage.recovery * s)
+
+
+def _row_continuation(stage, next_row: np.ndarray) -> np.ndarray:
+    tr = stage.transition
+    return stage.discount * (
+        tr.probs[0] * next_row[tr.succ[0]]
+        + tr.probs[1] * next_row[tr.succ[1]]
+        + tr.probs[2] * next_row[tr.succ[2]]
+    )
+
+
+def per_nominal_backward_induction(stages, nominal_steps: int, initial_index: int):
+    """Reference solve: one vector per (stage, nominal), one row per action.
+
+    Returns per-stage {nominal index: values} and {nominal index: actions},
+    plus the number of (stage, nominal, node) states whose minimum is attained
+    by more than one distinct action.  Actions are tried in descending order
+    and argmin keeps the first minimum, so ties go to the largest redemption.
+    """
+    reach = [{initial_index}]
+    for stage in stages:
+        reach.append({s - a for s in reach[-1] for a in stage.actions(s)})
+    values = [dict() for _ in range(len(stages) + 1)]
+    policy = [dict() for _ in stages]
+    values[-1] = {s: np.zeros(stages[-1].transition.next_size) for s in reach[-1]}
+    ties = 0
+    for n in range(len(stages) - 1, -1, -1):
+        stage = stages[n]
+        for s_index in sorted(reach[n]):
+            acts = sorted(set(stage.actions(s_index)), reverse=True)
+            table = np.array([
+                _row_cost(stage, s_index, a, nominal_steps)
+                + _row_continuation(stage, values[n + 1][s_index - a])
+                for a in acts
+            ])
+            best = np.argmin(table, axis=0)
+            values[n][s_index] = table[best, np.arange(stage.size)]
+            policy[n][s_index] = np.asarray(acts, dtype=np.intp)[best]
+            ties += int(np.sum(np.sum(table == values[n][s_index], axis=0) > 1))
+    return values, policy, ties
+
+
+def per_nominal_policy_value(
+    stages, nominal_steps: int, policy: Callable[[int, int], object], initial_index: int
+) -> float:
+    """Reference value of a fixed policy: per-nominal loop over the actions taken."""
+    reach = [{initial_index}]
+    taken = []
+    for n, stage in enumerate(stages):
+        acts = {s: np.broadcast_to(np.asarray(policy(n, s), dtype=np.intp), (stage.size,)) for s in reach[n]}
+        taken.append(acts)
+        reach.append({s - int(a) for s, vec in acts.items() for a in np.unique(vec)})
+    values = {s: np.zeros(stages[-1].transition.next_size) for s in reach[-1]}
+    for n in range(len(stages) - 1, -1, -1):
+        stage = stages[n]
+        table = {}
+        for s_index, vec in taken[n].items():
+            out = _row_cost(stage, s_index, vec, nominal_steps)
+            for a in np.unique(vec):
+                cont = _row_continuation(stage, values[s_index - int(a)])
+                out = np.where(vec == a, out + cont, out)
+            table[s_index] = out
+        values = table
+    return float(values[initial_index][0])
+
+
+def per_path_generator_paths(params, grid, n_paths: int, seed: int):
+    """Reference Monte Carlo paths: a freshly built Generator(Philox(key=[seed, i])) per path.
+
+    The Euler stepping and default rule are those of ``sinkbond.mc``, over all
+    paths at once; returns (intensities, default_step).
+    """
+    from sinkbond.jdcev import transform, x_state
+
+    thresholds = np.empty(n_paths)
+    shocks = np.empty((n_paths, grid.n_steps))
+    for i in range(n_paths):
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        thresholds[i] = gen.standard_exponential()
+        shocks[i] = gen.standard_normal(grid.n_steps)
+    x = np.full(n_paths, float(transform(params, params.z0)))
+    _, lam, drift = x_state(params, x)
+    intensities = np.empty((n_paths, grid.n_steps + 1))
+    intensities[:, 0] = lam
+    default_step = np.full(n_paths, -1, dtype=np.intp)
+    hazard_sum = np.zeros(n_paths)
+    for n, dt in enumerate(grid.steps):
+        hazard_sum += lam * dt
+        newly = (default_step < 0) & (hazard_sum > thresholds)
+        default_step[newly] = n + 1
+        x = x + drift * dt + np.sqrt(grid.steps)[n] * shocks[:, n]
+        _, lam, drift = x_state(params, x)
+        intensities[:, n + 1] = lam
+    return intensities, default_step

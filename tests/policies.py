@@ -4,7 +4,17 @@ from typing import Sequence
 
 import numpy as np
 
-from sinkbond.mdp import StageProblem, reachable_nominals
+from sinkbond.mdp import StageProblem
+
+
+def reachable_nominals(
+    stages: Sequence[StageProblem], initial_index: int
+) -> list[set[int]]:
+    """Forward closure of nominal indices under all admissible actions."""
+    reach: list[set[int]] = [{initial_index}]
+    for stage in stages:
+        reach.append({s_index - action for s_index in reach[-1] for action in stage.actions(s_index)})
+    return reach
 
 
 def random_admissible_policy(

@@ -35,6 +35,14 @@ class TestQuoteValidation:
 
 
 class TestPriceCds:
+    def test_one_pass_for_all_tenors_equals_single_tenor_prices(self, fitted_params, flat_curve):
+        tenors = (5.0, 1.0, 3.0, 10.0, 3.0)
+        spreads = model_spreads(fitted_params, tenors, flat_curve, 0.4, FAST)
+        grid = cds_grid(tenors, FAST.steps_per_year, FAST.premium_frequency)
+        tree = augment_default(build_trinomial(fitted_params, grid))
+        singles = [price_cds(tree, flat_curve, 0.4, t, FAST.premium_frequency) for t in tenors]
+        assert spreads.tolist() == singles
+
     def test_zero_intensity_zero_spread(self, flat_curve):
         assert price_cds(chain_tree(0.0), flat_curve, 0.4, 5.0) == 0.0
 

@@ -215,6 +215,14 @@ class TestMcCheckCommand:
         assert code == 0
         assert report["seed"] == 99
 
+    @pytest.mark.parametrize("n_paths", [1, 0])
+    def test_too_few_paths_exit_2(self, tmp_path, n_paths):
+        payload = dict(BASE, bond={"maturity": 2.0}, mc={"n_paths": n_paths}, grid={"steps_per_year": 4})
+        code, report = run(tmp_path, "mc-check", payload)
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert "mc.n_paths" in report["error"]["message"]
+
 
 class TestCalibrateCommand:
     def test_single_quote_fit(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import per_path_generator_paths
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams
 from sinkbond.market_data import build_time_grid
@@ -18,6 +19,15 @@ class TestSimulatePaths:
         large = simulate_paths(fitted_params, grid, 256, seed=7)
         assert np.array_equal(small.intensities, large.intensities[:64])
         assert np.array_equal(small.default_step, large.default_step[:64])
+
+    @pytest.mark.parametrize("seed", [7, 20270615])
+    def test_reused_generator_matches_per_path_construction(self, fitted_params, seed):
+        grid = build_time_grid(2.0, 12)
+        paths = simulate_paths(fitted_params, grid, 300, seed=seed)
+        intensities, default_step = per_path_generator_paths(fitted_params, grid, 300, seed)
+        assert np.all(paths.intensities == intensities)
+        assert np.all(paths.default_step == default_step)
+        assert np.any(default_step > 0)
 
     def test_same_seed_same_paths(self, fitted_params):
         grid = build_time_grid(1.0, 12)
