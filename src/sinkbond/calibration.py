@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .jdcev import JDCEVParams
-from .market_data import DiscountCurve, TimeGrid, build_time_grid, discount_factors
+from .market_data import DiscountCurve, TimeGrid, _merge_close_dates, build_time_grid, discount_factors
 from .tree import IntensityTree, augment_default, build_trinomial
 
 
@@ -120,15 +120,8 @@ def cds_grid(
 ) -> TimeGrid:
     """Grid spanning the longest tenor with every premium date as a member."""
     horizon = max(tenors)
-    events: set[float] = set()
-    for tenor in tenors:
-        events.update(premium_dates(tenor, premium_frequency))
-    merged = []
-    for d in sorted(events):
-        if merged and d - merged[-1] <= 1e-12 * max(1.0, d):
-            continue
-        merged.append(d)
-    return build_time_grid(horizon, steps_per_year, [d for d in merged if d < horizon])
+    events = _merge_close_dates(d for tenor in tenors for d in premium_dates(tenor, premium_frequency))
+    return build_time_grid(horizon, steps_per_year, [d for d in events if d < horizon])
 
 
 def _par_spreads(

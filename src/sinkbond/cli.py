@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Mapping
@@ -82,6 +83,14 @@ class ConfigError(ValueError):
     """The config file is missing, malformed, or carries unknown/invalid keys."""
 
 
+def _finite_number(text: str) -> float:
+    """JSON number hook: NaN, +-Infinity and overflowing literals are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} is not allowed")
+    return value
+
+
 def load_config(path: str | Path) -> dict:
     """Parse and key-validate a run configuration.
 
@@ -92,7 +101,7 @@ def load_config(path: str | Path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -135,7 +144,7 @@ def _build_curve(config: Mapping[str, Any], base: Path) -> DiscountCurve:
         curve_path = base / section["file"]
         if not curve_path.exists():
             raise ConfigError(f"curve file {curve_path} does not exist")
-        pillars = json.loads(curve_path.read_text())
+        pillars = json.loads(curve_path.read_text(), parse_float=_finite_number, parse_constant=_finite_number)
     else:
         raise ConfigError("curve section needs either 'pillars' or 'file'")
     try:

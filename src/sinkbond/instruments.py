@@ -10,11 +10,12 @@ every rescaled installment is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import TimeGrid, build_time_grid
+from .market_data import TimeGrid, _merge_close_dates, build_time_grid
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ class SinkingBondSpec:
 
         if not self.maturity > 0.0:
             raise ValueError("maturity must be positive")
-        if self.coupon_rate < 0.0:
-            raise ValueError("coupon_rate must be nonnegative")
+        if not 0.0 <= self.coupon_rate < math.inf:
+            raise ValueError("coupon_rate must be finite and nonnegative")
         if int(self.coupon_frequency) != self.coupon_frequency or self.coupon_frequency < 1:
             raise ValueError("coupon_frequency must be a positive integer")
         object.__setattr__(self, "coupon_frequency", int(self.coupon_frequency))
@@ -186,15 +187,7 @@ def coupons_on_grid(spec: SinkingBondSpec, grid: TimeGrid) -> np.ndarray:
 
 def bond_event_dates(spec: SinkingBondSpec) -> tuple[float, ...]:
     """All cashflow-relevant dates the time grid must contain."""
-    dates = sorted(set(coupon_dates(spec)) | set(spec.redemption_dates))
-    merged: list[float] = []
-    for d in dates:
-        # coupon and redemption schedules may quote the same date with
-        # different rounding; keep a single representative
-        if merged and d - merged[-1] <= 1e-12 * max(1.0, d):
-            continue
-        merged.append(d)
-    return tuple(merged)
+    return tuple(_merge_close_dates(coupon_dates(spec) + spec.redemption_dates))
 
 
 def bond_grid(spec: SinkingBondSpec, steps_per_year: int) -> TimeGrid:

@@ -132,6 +132,16 @@ def _validated_events(event_dates: Sequence[float], maturity: float) -> list[flo
     return events
 
 
+def _merge_close_dates(dates: Iterable[float]) -> list[float]:
+    """Sorted dates with near-duplicates (separately rounded quotes of one date) merged."""
+    merged: list[float] = []
+    for d in sorted(set(dates)):
+        if merged and d - merged[-1] <= _atol(d):
+            continue
+        merged.append(d)
+    return merged
+
+
 @dataclass(frozen=True)
 class DiscountCurve:
     """Piecewise-constant instantaneous forward curve.
@@ -164,6 +174,10 @@ class DiscountCurve:
         times = tuple(t for t, _ in pairs)
         rates = tuple(r for _, r in pairs)
         return cls(times, rates)
+
+    def shifted(self, spread: float) -> "DiscountCurve":
+        """The same pillars with every forward rate raised by ``spread``."""
+        return DiscountCurve(self.pillar_times, tuple(r + spread for r in self.pillar_rates))
 
     def forward_rate(self, t: float) -> float:
         if t < 0.0:

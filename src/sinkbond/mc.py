@@ -127,8 +127,10 @@ def mc_price_fixed_policy(
     The schedule fixes the nominal trajectory, so a path's payout depends
     only on its default step: coupons and redemptions while alive, then the
     recovery fraction of the remaining nominal at the end of the default
-    step.
+    step.  Needs at least two paths, so the standard error exists.
     """
+    if paths.n_paths < 2:
+        raise ValueError(f"need at least 2 paths to estimate a standard error, got {paths.n_paths}")
     grid = paths.grid
     if abs(grid.maturity - spec.maturity) > 1e-9:
         raise ValueError("paths and bond do not share a horizon")
@@ -163,9 +165,5 @@ def mc_price_fixed_policy(
 
     d = paths.default_step
     payouts = np.where(d > 0, payout_by_step[np.maximum(d, 0)], survive_payout)
-    estimate = float(np.mean(payouts))
-    if paths.n_paths > 1:
-        std_error = float(np.std(payouts, ddof=1) / math.sqrt(paths.n_paths))
-    else:
-        std_error = float("nan")
-    return MCEstimate(estimate=estimate, std_error=std_error, n_paths=paths.n_paths)
+    std_error = float(np.std(payouts, ddof=1) / math.sqrt(paths.n_paths))
+    return MCEstimate(estimate=float(np.mean(payouts)), std_error=std_error, n_paths=paths.n_paths)

@@ -3,14 +3,14 @@
 Zero-coupon and vanilla coupon bonds run as plain backward recursions;
 sinking bonds run through the decision engine, which also evaluates forced
 redemption schedules.  The z-spread and the worst-case callable quote are the
-deterministic-intensity special cases: a single-chain lattice with constant
-intensity z and zero recovery reproduces discounting at r + z, so the same
-machinery solves both.
+default-free special cases: a spread z enters only as a parallel shift of the
+forward curve (:meth:`DiscountCurve.shifted`), so discounting runs at r + z.
+The z-spread prices the bond on a zero-intensity chain against the shifted
+curve, and the worst-case quote discounts its cashflows on the same curve.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -19,9 +19,12 @@ import numpy as np
 
 from . import mdp
 from .instruments import SinkingBondSpec, action_table, coupons_on_grid, redemption_stages
-from .market_data import DiscountCurve, TimeGrid, rate_integrals, step_discounts
+from .market_data import DiscountCurve, TimeGrid, discount_factors, step_discounts
 from .mdp import MDPSolution, StageProblem, backward_induction, evaluate_policy
 from .tree import IntensityTree, augment_default, deterministic_tree
+
+
+_Z_SPREAD_TOL = 1e-10  # bracket width at which z_spread stops bisecting
 
 
 class UnattainablePriceError(ValueError):
@@ -172,14 +175,13 @@ def price_fixed_schedule(
 def deterministic_spread_price(
     spec: SinkingBondSpec, curve: DiscountCurve, grid: TimeGrid, spread: float
 ) -> float:
-    """Optimal-schedule price when the intensity is the constant ``spread``.
+    """Optimal-schedule price of the default-free bond discounted at r + ``spread``.
 
-    Zero recovery turns the survival factor into pure extra discounting, so
-    this is the bond priced on the curve r + spread.
+    The bond is priced on a zero-intensity chain against the shifted curve;
+    with no default, its recovery term is exactly zero.
     """
-    chain = augment_default(deterministic_tree(grid, spread))
-    riskless = dataclasses.replace(spec, recovery=0.0)
-    return price_sinking_bond(chain, curve, riskless).price
+    chain = augment_default(deterministic_tree(grid, 0.0))
+    return price_sinking_bond(chain, curve.shifted(spread), spec).price
 
 
 def z_spread(
@@ -189,28 +191,31 @@ def z_spread(
     market_price: float,
     *,
     bracket: tuple[float, float] = (-0.05, 5.0),
-    tol: float = 1e-10,
 ) -> float:
     """Constant spread over the curve that reproduces a market price.
 
-    The price is evaluated by the deterministic program above (so bonds with
-    optional sinking features are re-optimized at each trial spread) and is
-    strictly decreasing in the spread; plain bisection on the bracket is
-    therefore safe.
+    Each trial is :func:`deterministic_spread_price` on one chain built per
+    call, so bonds with optional sinking features are re-optimized at each
+    trial spread.  The price is strictly decreasing in the spread; plain
+    bisection on the bracket is therefore safe.
     """
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("bracket must be increasing")
-    price_lo = deterministic_spread_price(spec, curve, grid, lo)
-    price_hi = deterministic_spread_price(spec, curve, grid, hi)
+    chain = augment_default(deterministic_tree(grid, 0.0))
+
+    def price(spread: float) -> float:
+        return price_sinking_bond(chain, curve.shifted(spread), spec).price
+
+    price_lo, price_hi = price(lo), price(hi)
     if not (price_hi <= market_price <= price_lo):
         raise UnattainablePriceError(
             f"market price {market_price!r} outside the attainable range "
             f"[{price_hi!r}, {price_lo!r}] for spreads in [{lo!r}, {hi!r}]"
         )
-    while hi - lo > tol:
+    while hi - lo > _Z_SPREAD_TOL:
         mid = 0.5 * (lo + hi)
-        if deterministic_spread_price(spec, curve, grid, mid) >= market_price:
+        if price(mid) >= market_price:
             lo = mid
         else:
             hi = mid
@@ -223,16 +228,14 @@ def worst_ansatz(
     """Callable-bond shortcut: minimum over call dates of the deterministic PV.
 
     For each admissible call stage (and maturity) the bond's cashflows up to
-    the redemption are discounted at r + spread; the quote is the smallest of
-    these values.  Payment timing matches the decision engine: the amount
-    chosen at t_n lands at t_{n+1}.
+    the redemption are discounted on the curve shifted by ``spread``; the
+    quote is the smallest of these values.  Payment timing matches the
+    decision engine: the amount chosen at t_n lands at t_{n+1}.
     """
     if not spec.full_call:
         raise ValueError("the worst-case quote needs a callable-style bond (full_call)")
-    coupons = coupons_on_grid(spec, grid)
-    cum_dt = np.concatenate(([0.0], np.cumsum(grid.steps)))
-    dfz = np.exp(-(rate_integrals(curve, grid) + spread * cum_dt))
-    coupon_pv = np.cumsum(coupons * dfz)
+    dfz = discount_factors(curve.shifted(spread), grid)
+    coupon_pv = np.cumsum(coupons_on_grid(spec, grid) * dfz)
 
     call_stages = sorted(set(redemption_stages(spec, grid)) | {grid.n_steps - 1})
     candidates = [coupon_pv[n + 1] + dfz[n + 1] for n in call_stages]

@@ -114,7 +114,6 @@ class IntensityTree:
     layers: tuple[TreeLayer, ...]
     transitions: tuple[LayerTransition, ...]
     augmented: bool
-    stochastic: bool
     params: JDCEVParams | None = None
 
     @property
@@ -181,9 +180,7 @@ def _transition(
     )
 
 
-def build_trinomial(
-    params: JDCEVParams, grid: TimeGrid, *, degenerate: bool = False
-) -> IntensityTree:
+def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
     """Build the mass-banded lattice; :func:`augment_default` readies it for pricing.
 
     From each band node the central successor is the next-layer node nearest
@@ -192,9 +189,7 @@ def build_trinomial(
     spans the band's successors, and its own band is the contiguous run of
     nodes whose pushed reach mass exceeds ``_MASS_FLOOR`` (or its heaviest node
     when none does); the rest are leaves.  The last layer has no band: all its
-    nodes are kept.  With ``degenerate=True`` the diffusion is switched off
-    and every layer holds the single node at the conditional mean -- the
-    zero-volatility limit used as a deterministic oracle.
+    nodes are kept.
     """
     x0 = float(transform(params, params.z0))
     root, drift = _layer_from_x(params, np.array([x0]))
@@ -208,27 +203,21 @@ def build_trinomial(
         current = layers[n]
         x = current.x[band]
         mean = x + drift[band] * dt
-
-        if degenerate:
-            next_x = mean.copy()
-            branch_band = np.array([[0.0], [1.0], [0.0]])
-            succ_band = np.zeros((3, 1), dtype=np.intp)
-        else:
-            dx = math.sqrt(3.0 * dt)
-            center = np.rint((mean - x0) / dx).astype(np.intp)
-            lo = int(center.min()) - 1
-            hi = int(center.max()) + 1
-            next_x = x0 + np.arange(lo, hi + 1, dtype=float) * dx
-            offset = (mean - (x0 + center * dx)) / dx
-            up = 1.0 / 6.0 + 0.5 * (offset**2 + offset)
-            down = 1.0 / 6.0 + 0.5 * (offset**2 - offset)
-            # 2/3 - offset**2 in exact arithmetic; the complement keeps the
-            # triple's rounding from draining mass over thousands of steps
-            mid = 1.0 - (down + up)
-            branch_band = np.stack([down, mid, up])
-            _check_branch_probs(branch_band, n, band.start)
-            ci = center - lo
-            succ_band = np.stack([ci - 1, ci, ci + 1])
+        dx = math.sqrt(3.0 * dt)
+        center = np.rint((mean - x0) / dx).astype(np.intp)
+        lo = int(center.min()) - 1
+        hi = int(center.max()) + 1
+        next_x = x0 + np.arange(lo, hi + 1, dtype=float) * dx
+        offset = (mean - (x0 + center * dx)) / dx
+        up = 1.0 / 6.0 + 0.5 * (offset**2 + offset)
+        down = 1.0 / 6.0 + 0.5 * (offset**2 - offset)
+        # 2/3 - offset**2 in exact arithmetic; the complement keeps the
+        # triple's rounding from draining mass over thousands of steps
+        mid = 1.0 - (down + up)
+        branch_band = np.stack([down, mid, up])
+        _check_branch_probs(branch_band, n, band.start)
+        ci = center - lo
+        succ_band = np.stack([ci - 1, ci, ci + 1])
 
         live = np.zeros(current.size, dtype=bool)
         live[band] = True
@@ -254,19 +243,17 @@ def build_trinomial(
         layers=tuple(layers),
         transitions=tuple(transitions),
         augmented=False,
-        stochastic=not degenerate,
         params=params,
     )
 
 
 def deterministic_tree(grid: TimeGrid, intensities: Union[float, Sequence[float]]) -> IntensityTree:
-    """Single-chain lattice carrying a fixed intensity path.
+    """Single-chain lattice carrying a fixed, nonnegative intensity path.
 
     ``intensities`` is a scalar or one value per grid date; the value at t_n
-    drives the step (t_n, t_{n+1}].  Negative values are accepted so that
-    spread-style discounting (the z-spread's deterministic program) can reuse
-    the same machinery; the probabilistic reading holds only for nonnegative
-    intensities.  Nodes have no stock-level interpretation here.
+    drives the step (t_n, t_{n+1}].  The tree has no model parameters and its
+    nodes no stock level.  A zero path is the default-free chain of spread
+    pricing, where the spread shifts the discount curve instead.
     """
     n_dates = grid.n_steps + 1
     path = np.asarray(intensities, dtype=float)
@@ -274,34 +261,22 @@ def deterministic_tree(grid: TimeGrid, intensities: Union[float, Sequence[float]
         path = np.full(n_dates, float(path))
     if path.shape != (n_dates,):
         raise ValueError(f"need one intensity per grid date ({n_dates}), got shape {path.shape}")
+    if not np.all(path >= 0.0):
+        raise ValueError("intensities must be nonnegative")
 
-    layers = []
-    for n in range(n_dates):
-        lam = np.array([path[n]])
-        x = np.zeros(1)
-        z = np.full(1, np.nan)
-        for arr in (x, z, lam):
-            arr.flags.writeable = False
-        layers.append(TreeLayer(x=x, z_level=z, intensity=lam))
-    transitions = [
-        _transition(
-            np.zeros((3, 1), dtype=np.intp),
-            np.array([[0.0], [1.0], [0.0]]),
-            layers[n].intensity,
-            float(grid.steps[n]),
-            np.ones(1, dtype=bool),
-            1,
-        )
-        for n in range(grid.n_steps)
-    ]
-    return IntensityTree(
-        grid=grid,
-        layers=tuple(layers),
-        transitions=tuple(transitions),
-        augmented=False,
-        stochastic=False,
-        params=None,
+    x = np.zeros(1)
+    z = np.full(1, np.nan)
+    lam = path.reshape(n_dates, 1).copy()
+    succ = np.zeros((3, 1), dtype=np.intp)
+    branch = np.array([[0.0], [1.0], [0.0]])
+    live = np.ones(1, dtype=bool)
+    for arr in (x, z, lam):
+        arr.flags.writeable = False
+    layers = tuple(TreeLayer(x=x, z_level=z, intensity=lam[n]) for n in range(n_dates))
+    transitions = tuple(
+        _transition(succ, branch, lam[n], float(grid.steps[n]), live, 1) for n in range(grid.n_steps)
     )
+    return IntensityTree(grid=grid, layers=layers, transitions=transitions, augmented=False)
 
 
 def augment_default(tree: IntensityTree) -> IntensityTree:
@@ -379,9 +354,10 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
 
     Sums and moments are checked on live nodes; leaves must carry no
     probability at all.  Moment errors are measured on the pre-default branch
-    probabilities against the drift target and the step variance; the
-    variance check is skipped for single-chain trees whose variance is zero by
-    design.  A forward pass of the reach mass gives each layer's truncated
+    probabilities against the drift target and the step variance.  A tree
+    without model parameters (a single chain from :func:`deterministic_tree`)
+    has zero drift and, by design, zero variance, so its variance check is
+    skipped.  A forward pass of the reach mass gives each layer's truncated
     mass (the mass arriving at its leaves); a total above ``_TRUNCATION_TOL``
     is a violation.
     """
@@ -439,7 +415,7 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
         max_mean_err = max(max_mean_err, mean_err)
 
         var_err: float | None = None
-        if tree.stochastic:
+        if tree.params is not None:
             var_hat = (branch * (succ_x - target) ** 2).sum(axis=0)
             var_err = float(np.max(np.abs(var_hat - dt)))
             max_var_err = var_err if max_var_err is None else max(max_var_err, var_err)

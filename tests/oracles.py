@@ -57,6 +57,26 @@ def deterministic_bond_pv(
     return total + disc
 
 
+def mean_chain(params, grid):
+    """Single-chain lattice along the conditional-mean path x <- x + nu(x) * dt.
+
+    The zero-volatility limit of the trinomial lattice: x starts at the
+    transformed z0, and the intensity at each date and the drift nu come from
+    ``jdcev.x_state`` at the chain's x.
+    """
+    from sinkbond.jdcev import transform, x_state
+    from sinkbond.tree import deterministic_tree
+
+    x = np.array([float(transform(params, params.z0))])
+    path = []
+    for dt in grid.steps:
+        _, lam, drift = x_state(params, x)
+        path.append(float(lam[0]))
+        x = x + drift * dt
+    path.append(float(x_state(params, x)[1][0]))
+    return deterministic_tree(grid, path)
+
+
 def _row_cost(stage, s_index: int, action, nominal_steps: int) -> np.ndarray:
     s = s_index / nominal_steps
     a = np.asarray(action, dtype=float) / nominal_steps

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +21,20 @@ def write_config(tmp_path, payload, name="run.json"):
     return str(path)
 
 
+def strict_json(text):
+    """Parse a report, refusing the non-standard literals NaN and +-Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"report holds {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(tmp_path, command, payload, *extra):
     config = write_config(tmp_path, payload)
     out = tmp_path / "report.json"
     code = main([command, "--config", config, "--out", str(out), *extra])
-    report = json.loads(out.read_text()) if out.exists() else None
+    report = strict_json(out.read_text()) if out.exists() else None
     return code, report
 
 
@@ -67,6 +78,13 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="not valid JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_literal_rejected(self, tmp_path, literal):
+        path = tmp_path / "run.json"
+        path.write_text('{"worst": {"spread": %s}}' % literal)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_config(path)
+
 
 class TestPriceCommand:
     def test_reduction_to_zcb(self, tmp_path):
@@ -103,6 +121,13 @@ class TestPriceCommand:
         code, report = run(tmp_path, "price", payload)
         assert code == 2
         assert "multiple of the smallest" in report["error"]["message"]
+
+    def test_nan_coupon_rate_exits_2(self, tmp_path):
+        payload = dict(BASE, bond=dict(sinking_bond_section(), coupon_rate=math.nan))
+        code, report = run(tmp_path, "price", payload)
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert "NaN" in report["error"]["message"]
 
     def test_unknown_key_exits_2(self, tmp_path):
         payload = dict(BASE, bond={"maturity": 2.0, "recoverey": 0.4})
@@ -160,6 +185,13 @@ class TestWorstCommand:
         code, report = run(tmp_path, "worst", payload)
         assert code == 0
         assert 0.5 < report["worst_price"] < 1.5
+
+    def test_nan_spread_exits_2(self, tmp_path):
+        payload = dict(BASE, bond={"maturity": 2.0, "full_call": True}, worst={"spread": math.nan})
+        code, report = run(tmp_path, "worst", payload)
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert "NaN" in report["error"]["message"]
 
     def test_non_callable_bond_exits_2(self, tmp_path):
         payload = dict(BASE, bond=sinking_bond_section(), worst={"spread": 0.01})
@@ -270,5 +302,7 @@ def test_stdout_when_no_out_file(tmp_path, capsys):
 
 def test_importing_the_cli_leaves_scipy_unloaded():
     code = "import sys, sinkbond.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"

@@ -58,6 +58,9 @@ class TestSpecValidation:
             {"redemption_dates": (1.0, 10.0)},  # at maturity
             {"redemption_dates": (1.0, 1.0)},
             {"coupon_frequency": 0},
+            {"coupon_rate": -0.01},
+            {"coupon_rate": float("nan")},
+            {"coupon_rate": float("inf")},
         ],
     )
     def test_invalid_contracts_rejected(self, overrides):

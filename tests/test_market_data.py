@@ -111,6 +111,17 @@ class TestDiscountCurve:
         curve = DiscountCurve.from_pillars([{"time": 0.0, "rate": 0.02}, {"time": 3.0, "rate": 0.025}])
         assert curve.pillar_rates == (0.02, 0.025)
 
+    def test_shifted_adds_the_spread_to_every_forward(self):
+        curve = DiscountCurve((0.0, 0.3, 1.0), (0.01, 0.03, 0.025))
+        shifted = curve.shifted(0.02)
+        assert shifted.pillar_times == curve.pillar_times
+        assert shifted.pillar_rates == pytest.approx((0.03, 0.05, 0.045), abs=1e-17)
+        grid = build_time_grid(2.0, 12)
+        expected = discount_factors(curve, grid) * np.exp(-0.02 * grid.times_array)
+        assert discount_factors(shifted, grid) == pytest.approx(expected, rel=1e-14)
+        with pytest.raises(ValueError, match="finite"):
+            curve.shifted(float("nan"))
+
 
 class TestDiscountFactor:
     def test_zero_rate_is_one(self, zero_curve):

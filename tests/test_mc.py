@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import per_path_generator_paths
+from oracles import mean_chain, per_path_generator_paths
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams
 from sinkbond.market_data import build_time_grid
@@ -48,7 +48,7 @@ class TestSimulatePaths:
         grid = build_time_grid(3.0, 12)
         n_paths = 20_000
         paths = simulate_paths(fitted_params, grid, n_paths, seed=11, zero_diffusion=True)
-        chain = build_trinomial(fitted_params, grid, degenerate=True)
+        chain = mean_chain(fitted_params, grid)
         hazard = sum(
             float(chain.layers[n].intensity[0]) * float(grid.steps[n])
             for n in range(grid.n_steps)
@@ -137,3 +137,9 @@ class TestMcPriceFixedPolicy:
         paths = simulate_paths(fitted_params, grid, 100, seed=1)
         with pytest.raises(ValueError, match="not admissible"):
             mc_price_fixed_policy(paths, spec, {1.0: 0.10, 2.0: 0.0}, flat_curve)
+
+    def test_single_path_rejected(self, fitted_params, flat_curve):
+        spec = sinking_spec()
+        paths = simulate_paths(fitted_params, bond_grid(spec, 4), 1, seed=1)
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            mc_price_fixed_policy(paths, spec, "max", flat_curve)

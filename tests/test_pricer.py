@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import deterministic_bond_pv, zcb_closed_form
+from oracles import deterministic_bond_pv, mean_chain, zcb_closed_form
 
 from sinkbond.instruments import SinkingBondSpec, bond_grid, coupons_on_grid
 from sinkbond.market_data import DiscountCurve, build_time_grid, discount_factor
@@ -52,10 +52,10 @@ class TestPriceZcb:
         assert price_zcb(tree, flat_curve, 1.0) >= df - 1e-12
 
     def test_deterministic_path_matches_closed_form(self, fitted_params, flat_curve):
-        # the degenerate lattice follows the conditional-mean intensity path;
-        # the oracle folds the same path into explicit survival sums
+        # the mean chain follows the conditional-mean intensity path; the
+        # oracle folds the same path into explicit survival sums
         grid = build_time_grid(4.0, 6)
-        tree = augment_default(build_trinomial(fitted_params, grid, degenerate=True))
+        tree = augment_default(mean_chain(fitted_params, grid))
         path = [float(layer.intensity[0]) for layer in tree.layers]
         rates = [flat_curve.forward_rate(t) for t in grid.times[:-1]]
         expected = zcb_closed_form(grid.times, rates, path[:-1], 0.4)
@@ -241,6 +241,19 @@ class TestZSpread:
         with pytest.raises(UnattainablePriceError):
             z_spread(spec, flat_curve, grid, 2.0)
 
+    def test_one_chain_per_call(self, flat_curve, monkeypatch):
+        built = []
+
+        def counting_tree(grid, intensities):
+            built.append(intensities)
+            return deterministic_tree(grid, intensities)
+
+        monkeypatch.setattr("sinkbond.pricer.deterministic_tree", counting_tree)
+        spec = premium_spec()
+        grid = bond_grid(spec, 4)
+        z_spread(spec, flat_curve, grid, 1.0)
+        assert built == [0.0]
+
 
 def callable_spec(maturity, coupon_rate, call_dates):
     return SinkingBondSpec(
@@ -275,6 +288,21 @@ class TestWorstAnsatz:
             assert worst_ansatz(spec, flat_curve, grid, spread) == pytest.approx(
                 deterministic_spread_price(spec, flat_curve, grid, spread), abs=1e-10
             )
+
+    def test_matches_deterministic_program_on_sloped_curve(self):
+        # whole-year pillars of an upward-sloping forward curve, as on a desk
+        curve = DiscountCurve(tuple(float(y) for y in range(13)), tuple(0.015 + 0.002 * y for y in range(13)))
+        rng = np.random.default_rng(31)
+        for steps_per_year in (4, 12):
+            for _ in range(3):
+                maturity = float(rng.integers(3, 12))
+                call_dates = tuple(float(y) for y in range(1, int(maturity)))
+                spec = callable_spec(maturity, float(rng.uniform(0.03, 0.09)), call_dates)
+                grid = bond_grid(spec, steps_per_year)
+                spread = float(rng.uniform(0.005, 0.05))
+                assert worst_ansatz(spec, curve, grid, spread) == pytest.approx(
+                    deterministic_spread_price(spec, curve, grid, spread), abs=1e-10
+                )
 
     def test_extra_call_date_never_raises_the_quote(self, flat_curve):
         few = callable_spec(5.0, 0.07, (2.0,))

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinkbond.jdcev import JDCEVParams, bessel_drift, transform
+from oracles import mean_chain
+
+from sinkbond.jdcev import JDCEVParams, bessel_drift, intensity, inverse_transform, transform
 from sinkbond.market_data import build_time_grid
 from sinkbond.pricer import price_zcb
 from sinkbond.tree import (
@@ -74,18 +76,19 @@ class TestBuildTrinomial:
         assert diag.max_mean_error <= 1e-12
         assert diag.max_variance_error <= 1e-12
 
-    def test_degenerate_flag_collapses_to_mean_chain(self, fitted_params):
+
+class TestDeterministicTree:
+    def test_mean_chain_follows_the_euler_mean(self, fitted_params):
         grid = build_time_grid(2.0, 6)
-        tree = build_trinomial(fitted_params, grid, degenerate=True)
+        tree = mean_chain(fitted_params, grid)
         assert tree.layer_sizes() == tuple([1] * (grid.n_steps + 1))
         # side-by-side Euler iteration of the conditional mean
         x = transform(fitted_params, fitted_params.z0)
         for n in range(grid.n_steps):
             x = x + bessel_drift(fitted_params, x) * float(grid.steps[n])
-            assert float(tree.layers[n + 1].x[0]) == pytest.approx(x, rel=1e-14)
+            expected = intensity(fitted_params, inverse_transform(fitted_params, x))
+            assert float(tree.layers[n + 1].intensity[0]) == pytest.approx(expected, rel=1e-14)
 
-
-class TestDeterministicTree:
     def test_constant_path(self):
         grid = build_time_grid(1.0, 4)
         tree = deterministic_tree(grid, 0.02)
@@ -99,13 +102,20 @@ class TestDeterministicTree:
         with pytest.raises(ValueError):
             deterministic_tree(grid, [0.01, 0.03])
 
-    def test_negative_spread_chain_flagged_by_validator(self):
-        # negative intensities are allowed (z-spread machinery) but are not
-        # probabilities, and the validator says so
+    def test_negative_intensity_rejected(self):
+        # a spread is a curve shift, never an intensity: survival above one
+        # is not a probability
         grid = build_time_grid(1.0, 2)
-        tree = augment_default(deterministic_tree(grid, -0.03))
-        assert float(tree.transitions[0].survival[0]) > 1.0
-        assert not validate_tree(tree).ok
+        with pytest.raises(ValueError, match="nonnegative"):
+            deterministic_tree(grid, -0.03)
+        with pytest.raises(ValueError, match="nonnegative"):
+            deterministic_tree(grid, [0.01, -0.03, 0.0])
+
+    def test_chain_passes_the_validator(self):
+        grid = build_time_grid(1.0, 4)
+        diag = validate_tree(augment_default(deterministic_tree(grid, 0.02)))
+        assert diag.ok
+        assert diag.max_variance_error is None
 
 
 class TestAugmentDefault:
