@@ -1,12 +1,13 @@
 """Fitting the intensity model to credit default swap quotes.
 
-CDS legs run as forward passes over the lattice: the protection leg collects
-discounted default mass times the loss given default, the premium leg
-collects discounted survival-weighted accrual (accrual on default is
-ignored; the effect is one order below the fit tolerance).  Calibration
-scans a coarse parameter grid first and then polishes the best point with a
-derivative-free simplex search on a penalized least-squares objective, so
-the objective stays finite wherever the optimizer probes.
+CDS legs are sums over the survival curve the lattice records while it
+builds: the protection leg collects discounted default mass times the loss
+given default, the premium leg collects discounted survival-weighted accrual
+(accrual on default is ignored; the effect is one order below the fit
+tolerance).  Calibration scans a coarse parameter grid first and then
+polishes the best point with a derivative-free simplex search on a
+penalized least-squares objective, so the objective stays finite wherever
+the optimizer probes.
 """
 
 from __future__ import annotations
@@ -135,9 +136,6 @@ def _par_spreads(
 
     Default during a step pays (1 - recovery) at the step's end; premiums are
     paid at period ends contingent on survival, with no accrual on default.
-    One forward pass keeps the protection leg's running sum and the survival
-    probability at every grid date up to the longest tenor; each tenor reads
-    its own.
     """
     if not tree.augmented:
         raise ValueError("CDS pricing requires a default-augmented tree")
@@ -149,24 +147,14 @@ def _par_spreads(
             raise ValueError(f"tenor {tenor!r} exceeds the tree horizon {grid.maturity!r}")
     ends = [grid.index_of(tenor) for tenor in tenors]
     dfv = discount_factors(curve, grid)
-
-    alive = np.array([1.0])
-    survival, protection = [1.0], [0.0]
-    for n in range(max(ends)):
-        tr = tree.transitions[n]
-        default_mass = float(np.sum(alive * tr.default_prob))
-        protection.append(protection[n] + dfv[n + 1] * default_mass * (1.0 - recovery))
-        alive = tr.push(alive)
-        survival.append(float(alive.sum()))
+    # running sums of the discounted loss on each step's default mass
+    protection = np.concatenate([[0.0], np.cumsum(dfv[1:] * tree.default_mass * (1.0 - recovery))])
 
     spreads = []
     for tenor, end in zip(tenors, ends):
-        annuity = 0.0
-        previous = 0.0
-        for date in premium_dates(tenor, premium_frequency):
-            idx = grid.index_of(date)
-            annuity += dfv[idx] * survival[idx] * (date - previous)
-            previous = date
+        dates = premium_dates(tenor, premium_frequency)
+        paid = [grid.index_of(date) for date in dates]
+        annuity = sum(dfv[i] * tree.survival[i] * (b - a) for i, a, b in zip(paid, (0.0,) + dates, dates))
         if annuity <= 0.0:
             raise ValueError("premium annuity is not positive")
         spreads.append(protection[end] / annuity)

@@ -83,8 +83,8 @@ class ConfigError(ValueError):
     """The config file is missing, malformed, or carries unknown/invalid keys."""
 
 
-def _finite_number(text: str) -> float:
-    """JSON number hook: NaN, +-Infinity and overflowing literals are rejected."""
+def _finite_number(text: str | float) -> float:
+    """A JSON number literal or config value as a float; NaN and infinities are rejected."""
     value = float(text)
     if not math.isfinite(value):
         raise ConfigError(f"non-finite number {text} is not allowed")
@@ -223,10 +223,10 @@ def _run_zspread(config: dict, args: argparse.Namespace, base: Path) -> dict:
     section = _section(config, "zspread")
     if "market_price" not in section:
         raise ConfigError("zspread section is missing key 'market_price'")
-    market_price = float(section["market_price"])
+    market_price = _finite_number(section["market_price"])
     bracket = (
-        float(section.get("bracket_low", -0.05)),
-        float(section.get("bracket_high", 5.0)),
+        _finite_number(section.get("bracket_low", -0.05)),
+        _finite_number(section.get("bracket_high", 5.0)),
     )
     spy = _steps_per_year(config, args)
     grid = bond_grid(spec, spy)

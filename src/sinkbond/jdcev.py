@@ -28,7 +28,7 @@ DEFAULT_INTENSITY_CAP = 1e4
 
 @dataclass(frozen=True)
 class JDCEVParams:
-    """Model parameters.
+    """Model parameters, all finite.
 
     lambda0: intensity at the initial stock level, 1/years (>= 0; zero gives
         the default-free limit).
@@ -45,16 +45,16 @@ class JDCEVParams:
     lambda_cap: float = DEFAULT_INTENSITY_CAP
 
     def __post_init__(self) -> None:
-        if not self.lambda0 >= 0.0:
-            raise ValueError("lambda0 must be nonnegative")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
-        if not self.beta < 0.0:
-            raise ValueError("beta must be negative")
-        if not self.z0 > 0.0:
-            raise ValueError("z0 must be positive")
-        if not self.lambda_cap > 0.0:
-            raise ValueError("lambda_cap must be positive")
+        if not 0.0 <= self.lambda0 < np.inf:
+            raise ValueError("lambda0 must be finite and nonnegative")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError("sigma must be finite and positive")
+        if not -np.inf < self.beta < 0.0:
+            raise ValueError("beta must be finite and negative")
+        if not 0.0 < self.z0 < np.inf:
+            raise ValueError("z0 must be finite and positive")
+        if not 0.0 < self.lambda_cap < np.inf:
+            raise ValueError("lambda_cap must be finite and positive")
 
 
 def _maybe_scalar(value: np.ndarray, scalar: bool) -> ArrayLike:

@@ -5,7 +5,9 @@ coordinate, so no state-dependent-volatility bias separates the two), with
 intensity and drift from :func:`sinkbond.jdcev.x_state`, the map the lattice
 builds its nodes with.  Default is decided exactly as on the lattice: the
 running sum of left-endpoint intensities times step widths is compared
-against an independent unit-mean exponential draw per path.  Randomness is
+against an independent unit-mean exponential draw per path.  A fixed
+schedule's cashflows come from :func:`sinkbond.pricer.schedule_cashflows`,
+the same ones the lattice weights by its survival curve.  Randomness is
 counter based -- path i draws from a generator keyed by (seed, i) -- so path
 i is bitwise identical no matter how many paths are requested.
 """
@@ -18,10 +20,10 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .instruments import SinkingBondSpec, action_table, coupons_on_grid
+from .instruments import SinkingBondSpec
 from .jdcev import JDCEVParams, transform, x_state
 from .market_data import DiscountCurve, TimeGrid, discount_factors
-from .pricer import schedule_policy
+from .pricer import schedule_cashflows
 
 _CHUNK = 4096
 
@@ -134,33 +136,13 @@ def mc_price_fixed_policy(
     grid = paths.grid
     if abs(grid.maturity - spec.maturity) > 1e-9:
         raise ValueError("paths and bond do not share a horizon")
-    policy = schedule_policy(spec, grid, schedule)
-    actions = action_table(spec, grid)
-    steps_total = grid.n_steps
-    nominal = spec.nominal_steps
-    coupons = coupons_on_grid(spec, grid)
-
-    s_index = nominal
-    cash = np.zeros(steps_total + 1)
-    remaining = np.zeros(steps_total + 1)
-    remaining[0] = s_index
-    for n in range(steps_total):
-        chosen = np.unique(np.asarray(policy(n, s_index)))
-        if chosen.size != 1:
-            raise ValueError("Monte Carlo valuation needs a path-independent schedule")
-        action = int(chosen[0])
-        if action not in set(actions(n, s_index)):
-            raise ValueError(f"stage {n}, nominal index {s_index}: action {action} not admissible")
-        cash[n + 1] = (action + coupons[n + 1] * s_index) / nominal
-        s_index -= action
-        remaining[n + 1] = s_index
-
+    cash, nominal = schedule_cashflows(spec, grid, schedule)
     dfv = discount_factors(curve, grid)
     cum_cash = np.cumsum(cash * dfv)
     # payout if the default lands in step m: cashflows through t_{m-1} plus
     # the discounted recovery on the nominal held entering the step
-    payout_by_step = np.zeros(steps_total + 1)
-    payout_by_step[1:] = cum_cash[:-1] + dfv[1:] * spec.recovery * remaining[:-1] / nominal
+    payout_by_step = np.zeros_like(cum_cash)
+    payout_by_step[1:] = cum_cash[:-1] + dfv[1:] * spec.recovery * nominal[:-1] / spec.nominal_steps
     survive_payout = cum_cash[-1]
 
     d = paths.default_step

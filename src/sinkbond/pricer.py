@@ -1,12 +1,12 @@
 """Bond valuations on the intensity lattice.
 
-Zero-coupon and vanilla coupon bonds run as plain backward recursions;
-sinking bonds run through the decision engine, which also evaluates forced
-redemption schedules.  The z-spread and the worst-case callable quote are the
-default-free special cases: a spread z enters only as a parallel shift of the
-forward curve (:meth:`DiscountCurve.shifted`), so discounting runs at r + z.
-The z-spread prices the bond on a zero-intensity chain against the shifted
-curve, and the worst-case quote discounts its cashflows on the same curve.
+Zero-coupon and vanilla coupon bonds run as backward recursions, sinking
+bonds through the decision engine.  A fixed redemption schedule sets the
+nominal path in advance, so its cashflows are weighted by the survival curve
+the lattice recorded while building, with no engine run.  Spreads are the
+default-free cases: z enters as a parallel shift of the forward curve
+(:meth:`DiscountCurve.shifted`); the z-spread prices the bond on a zero-intensity
+chain against it, and the worst-case quote discounts its cashflows on it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 from . import mdp
 from .instruments import SinkingBondSpec, action_table, coupons_on_grid, redemption_stages
 from .market_data import DiscountCurve, TimeGrid, discount_factors, step_discounts
-from .mdp import MDPSolution, StageProblem, backward_induction, evaluate_policy
+from .mdp import MDPSolution, StageProblem, backward_induction
+from .mdp import evaluate_policy  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 from .tree import IntensityTree, augment_default, deterministic_tree
 
 
@@ -163,13 +164,46 @@ def schedule_policy(spec: SinkingBondSpec, grid: TimeGrid, schedule: ScheduleLik
     return mdp.as_policy_fn(schedule)
 
 
+def schedule_cashflows(
+    spec: SinkingBondSpec, grid: TimeGrid, schedule: ScheduleLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Survival cashflows and nominal path of a node-independent schedule.
+
+    ``cash[n]`` is paid at t_n per unit notional; ``nominal[n]`` is the
+    nominal index held over step n.  A stage whose action varies by node or
+    is not admissible raises ValueError.
+    """
+    policy = schedule_policy(spec, grid, schedule)
+    actions = action_table(spec, grid)
+    coupons = coupons_on_grid(spec, grid)
+    cash = np.zeros(grid.n_steps + 1)
+    nominal = np.full(grid.n_steps + 1, float(spec.nominal_steps))
+    for n in range(grid.n_steps):
+        s_index = int(nominal[n])
+        chosen = np.unique(policy(n, s_index))
+        if chosen.size != 1:
+            raise ValueError(f"stage {n}: a fixed schedule must take one action at every node")
+        action = int(chosen[0])
+        if action not in actions(n, s_index):
+            raise ValueError(f"stage {n}, nominal index {s_index}: action {action} not admissible")
+        cash[n + 1] = (action + coupons[n + 1] * s_index) / spec.nominal_steps
+        nominal[n + 1] = s_index - action
+    return cash, nominal
+
+
 def price_fixed_schedule(
     tree: IntensityTree, curve: DiscountCurve, spec: SinkingBondSpec, schedule: ScheduleLike
 ) -> float:
-    """Value of a fixed redemption schedule (no optimization)."""
-    stages = build_stage_problems(tree, curve, spec)
-    policy = schedule_policy(spec, tree.grid, schedule)
-    return evaluate_policy(stages, spec.nominal_steps, policy).root_value
+    """Value of a node-independent redemption schedule from the survival curve.
+
+    Policies that vary by node belong to :func:`sinkbond.mdp.evaluate_policy`.
+    """
+    _require_augmented(tree)
+    _check_same_horizon(tree, spec)
+    cash, nominal = schedule_cashflows(spec, tree.grid, schedule)
+    df = discount_factors(curve, tree.grid)
+    recovered = spec.recovery * nominal[:-1] / spec.nominal_steps
+    return float(df[1:] @ (cash[1:] * tree.survival[1:] + recovered * tree.default_mass))
 
 
 def deterministic_spread_price(
@@ -250,15 +284,10 @@ def price_report(
     option_value is what the freedom to deviate from the always-redeem-max
     schedule is worth to the issuer.
     """
-    stages = build_stage_problems(tree, curve, spec)
-    solution = backward_induction(stages, spec.nominal_steps)
+    solution = backward_induction(build_stage_problems(tree, curve, spec), spec.nominal_steps)
     price = solution.root_value
-    forced_max = evaluate_policy(
-        stages, spec.nominal_steps, schedule_policy(spec, tree.grid, "max")
-    ).root_value
-    forced_min = evaluate_policy(
-        stages, spec.nominal_steps, schedule_policy(spec, tree.grid, "min")
-    ).root_value
+    forced_max = price_fixed_schedule(tree, curve, spec, "max")
+    forced_min = price_fixed_schedule(tree, curve, spec, "min")
 
     # leaves are worth zero under every action, so the tie-break's largest
     # redemption there says nothing about the policy

@@ -15,6 +15,9 @@ A step's :class:`LayerTransition` is the one lattice operator: ``expect``
 takes next-layer values back to the current layer (every backward recursion
 and decision stage uses it) and ``push``, its adjoint, carries mass forward.
 
+Construction records the survival curve of that push, so CDS legs and
+node-independent redemption schedules are sums over it, with no sweep.
+
 The lattice is banded by mass.  While it builds, the survival-weighted
 probability of reaching each node is pushed forward, and a layer expands
 only the contiguous band of nodes whose reach mass exceeds ``_MASS_FLOOR``
@@ -110,9 +113,15 @@ class LayerTransition:
 
 @dataclass(frozen=True)
 class IntensityTree:
+    """Layers and transitions, plus the survival curve recorded while building:
+    ``survival[n]`` is the reach mass at t_n, ``default_mass[n]`` what defaults in step n.
+    """
+
     grid: TimeGrid
     layers: tuple[TreeLayer, ...]
     transitions: tuple[LayerTransition, ...]
+    survival: np.ndarray
+    default_mass: np.ndarray
     augmented: bool
     params: JDCEVParams | None = None
 
@@ -128,11 +137,17 @@ class IntensityTree:
         return tuple(layer.size for layer in self.layers)
 
 
+def _read_only(*arrays: np.ndarray) -> np.ndarray:
+    """Lock the arrays against writes; returns the first."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays[0]
+
+
 def _layer_from_x(params: JDCEVParams, x: np.ndarray) -> tuple[TreeLayer, np.ndarray]:
     """Freeze the layer at coordinates ``x``; also returns the successor drift there."""
     z, lam, drift = x_state(params, x)
-    for arr in (x, z, lam):
-        arr.flags.writeable = False
+    _read_only(x, z, lam)
     return TreeLayer(x=x, z_level=z, intensity=lam), drift
 
 
@@ -167,8 +182,7 @@ def _transition(
     survival = np.where(live, np.exp(-lam * dt), 0.0)
     default_prob = np.where(live, -np.expm1(-lam * dt), 0.0)
     probs = branch * survival
-    for arr in (succ, branch, survival, default_prob, probs, live):
-        arr.flags.writeable = False
+    _read_only(succ, branch, survival, default_prob, probs, live)
     return LayerTransition(
         succ=succ,
         branch_probs=branch,
@@ -197,6 +211,7 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
     transitions: list[LayerTransition] = []
     band = slice(0, 1)
     mass = np.ones(1)
+    survival, default_mass = np.ones(grid.n_steps + 1), np.zeros(grid.n_steps)
 
     for n in range(grid.n_steps):
         dt = float(grid.steps[n])
@@ -230,7 +245,9 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
         layer, drift = _layer_from_x(params, next_x)
         layers.append(layer)
 
+        default_mass[n] = np.sum(mass * tr.default_prob)
         mass = tr.push(mass)
+        survival[n + 1] = mass.sum()
         heavy = np.flatnonzero(mass > _MASS_FLOOR)
         if heavy.size:
             band = slice(int(heavy[0]), int(heavy[-1]) + 1)
@@ -242,6 +259,7 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
         grid=grid,
         layers=tuple(layers),
         transitions=tuple(transitions),
+        survival=_read_only(survival), default_mass=_read_only(default_mass),
         augmented=False,
         params=params,
     )
@@ -270,13 +288,21 @@ def deterministic_tree(grid: TimeGrid, intensities: Union[float, Sequence[float]
     succ = np.zeros((3, 1), dtype=np.intp)
     branch = np.array([[0.0], [1.0], [0.0]])
     live = np.ones(1, dtype=bool)
-    for arr in (x, z, lam):
-        arr.flags.writeable = False
+    _read_only(x, z, lam)
     layers = tuple(TreeLayer(x=x, z_level=z, intensity=lam[n]) for n in range(n_dates))
     transitions = tuple(
         _transition(succ, branch, lam[n], float(grid.steps[n]), live, 1) for n in range(grid.n_steps)
     )
-    return IntensityTree(grid=grid, layers=layers, transitions=transitions, augmented=False)
+    # a chain's push multiplies its one mass by the step survival, bit for bit
+    survival = np.cumprod([1.0] + [tr.survival[0] for tr in transitions])
+    default_mass = survival[:-1] * [tr.default_prob[0] for tr in transitions]
+    return IntensityTree(
+        grid=grid,
+        layers=layers,
+        transitions=transitions,
+        survival=_read_only(survival), default_mass=_read_only(default_mass),
+        augmented=False,
+    )
 
 
 def augment_default(tree: IntensityTree) -> IntensityTree:
@@ -324,29 +350,9 @@ class TreeDiagnostics:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "layer_sizes": list(self.layer_sizes),
-            "max_prob_sum_error": self.max_prob_sum_error,
-            "max_mean_error": self.max_mean_error,
-            "max_variance_error": self.max_variance_error,
-            "second_moment_constant": self.second_moment_constant,
-            "total_truncated_mass": self.total_truncated_mass,
-            "layers": [
-                {
-                    "layer": r.layer,
-                    "size": r.size,
-                    "prob_sum_error": r.prob_sum_error,
-                    "min_branch_prob": r.min_branch_prob,
-                    "max_branch_prob": r.max_branch_prob,
-                    "mean_error": r.mean_error,
-                    "variance_error": r.variance_error,
-                    "truncated_mass": r.truncated_mass,
-                }
-                for r in self.layer_reports
-            ],
-        }
+        report = dataclasses.asdict(self)
+        report["layers"] = report.pop("layer_reports")
+        return {"ok": self.ok, **report}
 
 
 def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
@@ -454,16 +460,11 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
 
 
 def survival_probabilities(tree: IntensityTree) -> np.ndarray:
-    """P(no default by t_n) for every grid date, by a forward layer pass.
+    """P(no default by t_n) for every grid date: the curve recorded at construction.
 
     Mass reaching a leaf counts as surviving to the leaf's date and is lost
     after it; :func:`validate_tree` reports that truncated mass.
     """
     if not tree.augmented:
         raise ValueError("survival probabilities need a default-augmented tree")
-    alive = np.array([1.0])
-    out = [1.0]
-    for tr in tree.transitions:
-        alive = tr.push(alive)
-        out.append(float(alive.sum()))
-    return np.asarray(out)
+    return tree.survival

@@ -176,3 +176,45 @@ def per_path_generator_paths(params, grid, n_paths: int, seed: int):
         _, lam, drift = x_state(params, x)
         intensities[:, n + 1] = lam
     return intensities, default_step
+
+
+def push_pass_mass_curve(tree):
+    """Reference survival curve: one ``push`` per step from unit root mass.
+
+    Returns (survival at every grid date, default mass of every step).
+    """
+    mass = np.ones(1)
+    survival, default_mass = [1.0], []
+    for tr in tree.transitions:
+        default_mass.append(float(np.sum(mass * tr.default_prob)))
+        mass = tr.push(mass)
+        survival.append(float(mass.sum()))
+    return np.array(survival), np.array(default_mass)
+
+
+def forward_pass_par_spreads(tree, curve, recovery: float, tenors, premium_frequency: int):
+    """Reference par spreads: the protection leg summed step by step in its own mass pass."""
+    from sinkbond.calibration import premium_dates
+    from sinkbond.market_data import discount_factors
+
+    grid = tree.grid
+    ends = [grid.index_of(tenor) for tenor in tenors]
+    dfv = discount_factors(curve, grid)
+    alive = np.array([1.0])
+    survival, protection = [1.0], [0.0]
+    for n in range(max(ends)):
+        tr = tree.transitions[n]
+        default_mass = float(np.sum(alive * tr.default_prob))
+        protection.append(protection[n] + dfv[n + 1] * default_mass * (1.0 - recovery))
+        alive = tr.push(alive)
+        survival.append(float(alive.sum()))
+    spreads = []
+    for tenor, end in zip(tenors, ends):
+        annuity = 0.0
+        previous = 0.0
+        for date in premium_dates(tenor, premium_frequency):
+            idx = grid.index_of(date)
+            annuity += dfv[idx] * survival[idx] * (date - previous)
+            previous = date
+        spreads.append(protection[end] / annuity)
+    return np.array(spreads)

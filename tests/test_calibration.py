@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import forward_pass_par_spreads
+
 from sinkbond.calibration import (
     CalibrationConfig,
     CDSQuote,
@@ -42,6 +44,14 @@ class TestPriceCds:
         tree = augment_default(build_trinomial(fitted_params, grid))
         singles = [price_cds(tree, flat_curve, 0.4, t, FAST.premium_frequency) for t in tenors]
         assert spreads.tolist() == singles
+
+    @pytest.mark.parametrize("tenors", [(5.0, 1.0, 3.0), (2.0, 7.0, 10.0), (10.0,)])
+    def test_model_spreads_equal_the_forward_pass_bit_for_bit(self, fitted_params, flat_curve, tenors):
+        spreads = model_spreads(fitted_params, tenors, flat_curve, 0.4, FAST)
+        grid = cds_grid(tenors, FAST.steps_per_year, FAST.premium_frequency)
+        tree = augment_default(build_trinomial(fitted_params, grid))
+        reference = forward_pass_par_spreads(tree, flat_curve, 0.4, tenors, FAST.premium_frequency)
+        assert spreads.tolist() == reference.tolist()
 
     def test_zero_intensity_zero_spread(self, flat_curve):
         assert price_cds(chain_tree(0.0), flat_curve, 0.4, 5.0) == 0.0

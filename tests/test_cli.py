@@ -129,6 +129,17 @@ class TestPriceCommand:
         assert report["error"]["type"] == "config"
         assert "NaN" in report["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "key, value", [("z0", "inf"), ("beta", "-inf"), ("lambda_cap", "inf"), ("sigma", "inf")]
+    )
+    def test_infinite_model_parameter_exits_2(self, tmp_path, key, value):
+        # strings reach float() unseen by the JSON hook; the parameters check them
+        payload = dict(BASE, model=dict(BASE["model"], **{key: value}), bond={"maturity": 2.0})
+        code, report = run(tmp_path, "price", payload)
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert f"{key} must be finite" in report["error"]["message"]
+
     def test_unknown_key_exits_2(self, tmp_path):
         payload = dict(BASE, bond={"maturity": 2.0, "recoverey": 0.4})
         code, report = run(tmp_path, "price", payload)
@@ -165,6 +176,23 @@ class TestZSpreadCommand:
         code, report = run(tmp_path, "zspread", payload)
         assert code == 3
         assert report["error"]["type"] == "numerical"
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("market_price", "nan"), ("market_price", "inf"), ("bracket_low", "-inf"), ("bracket_high", "nan")],
+    )
+    def test_non_finite_string_exits_2(self, tmp_path, key, value):
+        section = {"market_price": 0.95, key: value}
+        payload = {
+            "curve": {"pillars": [{"time": 0.0, "rate": 0.0}]},
+            "bond": {"maturity": 1.0},
+            "zspread": section,
+        }
+        code, report = run(tmp_path, "zspread", payload)
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert f"non-finite number {value}" in report["error"]["message"]
 
 
 class TestWorstCommand:

@@ -34,6 +34,14 @@ class TestParams:
         with pytest.raises(ValueError):
             JDCEVParams(lambda0=0.1, sigma=1.0, beta=-0.5, z0=0.0)
 
+    @pytest.mark.parametrize("field", ["lambda0", "sigma", "beta", "z0", "lambda_cap"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_fields_rejected(self, field, value):
+        kwargs = dict(lambda0=0.1, sigma=1.0, beta=-0.5, z0=1.0, lambda_cap=1e4)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            JDCEVParams(**kwargs)
+
     def test_zero_lambda0_is_the_default_free_limit(self):
         params = JDCEVParams(lambda0=0.0, sigma=1.0, beta=-0.5, z0=1.0)
         assert intensity(params, 0.3) == 0.0

@@ -1,14 +1,20 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import deterministic_bond_pv, mean_chain, zcb_closed_form
 
 from sinkbond.instruments import SinkingBondSpec, bond_grid, coupons_on_grid
+from sinkbond.jdcev import JDCEVParams
 from sinkbond.market_data import DiscountCurve, build_time_grid, discount_factor
+from sinkbond.mdp import evaluate_policy
 from sinkbond.pricer import (
     UnattainablePriceError,
+    build_stage_problems,
     deterministic_spread_price,
     price_fixed_schedule,
     price_report,
@@ -166,7 +172,8 @@ class TestPriceFixedSchedule:
         spec = premium_spec()
         tree = stochastic_tree(fitted_params, 5.0, 4, events=spec.redemption_dates)
         result = price_sinking_bond(tree, flat_curve, spec)
-        replayed = price_fixed_schedule(tree, flat_curve, spec, result.solution)
+        stages = build_stage_problems(tree, flat_curve, spec)
+        replayed = evaluate_policy(stages, spec.nominal_steps, result.solution).root_value
         assert replayed == pytest.approx(result.price, abs=1e-12)
 
     def test_date_map_schedule(self, fitted_params, flat_curve):
@@ -192,6 +199,75 @@ class TestPriceFixedSchedule:
             schedule = {d: float(rng.choice([0.05, 0.10])) for d in spec.redemption_dates}
             value = price_fixed_schedule(tree, flat_curve, spec, schedule)
             assert value >= optimal - 1e-12
+
+
+FITTED = JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-0.6, z0=30.0)
+README_BOND = SinkingBondSpec(
+    maturity=10.0,
+    coupon_rate=0.08,
+    coupon_frequency=1,
+    redemption_dates=tuple(float(y) for y in range(1, 10)),
+    admissible_fractions=(0.05, 0.10),
+    alpha=75.0,
+    recovery=0.4,
+)
+SKIP_CALL_BOND = SinkingBondSpec(  # K = 20, with allow_skip and full_call
+    maturity=5.0,
+    coupon_rate=0.06,
+    coupon_frequency=2,
+    redemption_dates=(1.0, 2.0, 3.0, 4.0),
+    admissible_fractions=(0.05, 0.10),
+    alpha=100.0,
+    recovery=0.4,
+    allow_skip=True,
+    full_call=True,
+)
+FIXED_SCHEDULE_CASES = {
+    "readme-12": (README_BOND, 12),
+    "readme-52": (README_BOND, 52),
+    "skip-call-K20": (SKIP_CALL_BOND, 4),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def fixed_schedule_case(name):
+    spec, steps_per_year = FIXED_SCHEDULE_CASES[name]
+    tree = augment_default(build_trinomial(FITTED, bond_grid(spec, steps_per_year)))
+    curve = DiscountCurve.flat(0.02)
+    return spec, tree, curve, build_stage_problems(tree, curve, spec)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_SCHEDULE_CASES))
+class TestFixedScheduleEqualsTheEngine:
+    """Survival-weighted cashflows value a node-independent schedule as the engine does."""
+
+    @pytest.mark.parametrize("rule", ["max", "min"])
+    def test_extreme_rules(self, name, rule):
+        spec, tree, curve, stages = fixed_schedule_case(name)
+        engine = evaluate_policy(stages, spec.nominal_steps, schedule_policy(spec, tree.grid, rule))
+        assert price_fixed_schedule(tree, curve, spec, rule) == pytest.approx(engine.root_value, abs=1e-13)
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_date_maps(self, name, data):
+        spec, tree, curve, stages = fixed_schedule_case(name)
+        choices = spec.admissible_fractions + ((0.0,) if spec.allow_skip else ())
+        schedule = {d: data.draw(st.sampled_from(choices)) for d in spec.redemption_dates}
+        policy = schedule_policy(spec, tree.grid, schedule)
+        try:
+            engine = evaluate_policy(stages, spec.nominal_steps, policy).root_value
+        except ValueError:
+            # an installment larger than what is left: both refuse the schedule
+            with pytest.raises(ValueError, match="not admissible"):
+                price_fixed_schedule(tree, curve, spec, schedule)
+            return
+        assert price_fixed_schedule(tree, curve, spec, schedule) == pytest.approx(engine, abs=1e-13)
+
+    def test_node_dependent_policy_rejected(self, name):
+        spec, tree, curve, _ = fixed_schedule_case(name)
+        solution = price_sinking_bond(tree, curve, spec).solution
+        with pytest.raises(ValueError, match="one action at every node"):
+            price_fixed_schedule(tree, curve, spec, solution)
 
 
 class TestZSpread:

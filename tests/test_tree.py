@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mean_chain
+from oracles import mean_chain, push_pass_mass_curve
 
 from sinkbond.jdcev import JDCEVParams, bessel_drift, intensity, inverse_transform, transform
 from sinkbond.market_data import build_time_grid
@@ -275,6 +275,21 @@ class TestSurvival:
         assert gaps[2] < gaps[1]
         assert gaps[3] < gaps[2]
         assert gaps[3] < gaps[0] / 5.0
+
+    def test_recorded_curve_equals_a_push_pass_on_a_banded_tree(self, fitted_params):
+        tree = build_trinomial(fitted_params, build_time_grid(10.0, 12))
+        assert any(not tr.live.all() for tr in tree.transitions)  # the band has leaves
+        survival, default_mass = push_pass_mass_curve(tree)
+        assert np.array_equal(tree.survival, survival)
+        assert np.array_equal(tree.default_mass, default_mass)
+        assert not tree.survival.flags.writeable and not tree.default_mass.flags.writeable
+
+    def test_recorded_curve_equals_a_push_pass_on_a_chain(self):
+        grid = build_time_grid(2.0, 12)
+        tree = deterministic_tree(grid, [0.01 + 0.003 * n for n in range(grid.n_steps + 1)])
+        survival, default_mass = push_pass_mass_curve(tree)
+        assert np.array_equal(tree.survival, survival)
+        assert np.array_equal(tree.default_mass, default_mass)
 
     def test_requires_augmentation(self, fitted_params):
         tree = build_trinomial(fitted_params, build_time_grid(1.0, 4))
