@@ -25,7 +25,7 @@ from .instruments import (
     bond_grid,
     coupons_on_grid,
 )
-from .jdcev import JDCEVParams, bessel_drift, intensity, inverse_transform, transform
+from .jdcev import JDCEVParams, intensity, inverse_transform, transform
 from .market_data import (
     DiscountCurve,
     TimeGrid,
@@ -79,7 +79,6 @@ __all__ = [
     "augment_default",
     "backward_induction",
     "bellman_residual",
-    "bessel_drift",
     "bond_event_dates",
     "bond_grid",
     "build_time_grid",

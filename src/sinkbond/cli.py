@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 malformed config, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from .calibration import (
     calibrate,
 )
 from .instruments import SinkingBondSpec, bond_grid
-from .jdcev import DEFAULT_INTENSITY_CAP, JDCEVParams
+from .jdcev import JDCEVParams
 from .market_data import DiscountCurve, build_time_grid
 from .mc import mc_price_fixed_policy, simulate_paths
 from .pricer import (
@@ -42,22 +43,16 @@ DEFAULT_MC_PATHS = 100_000
 DEFAULT_MC_SEED = 0
 DEFAULT_MC_SCHEDULE = "max"
 
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 _SECTION_KEYS: dict[str, set[str]] = {
     "grid": {"steps_per_year", "maturity"},
     "curve": {"pillars", "file"},
-    "model": {"lambda0", "sigma", "beta", "z0", "lambda_cap"},
-    "bond": {
-        "maturity",
-        "coupon_rate",
-        "coupon_frequency",
-        "redemption_dates",
-        "admissible_fractions",
-        "alpha",
-        "recovery",
-        "nominal_steps",
-        "allow_skip",
-        "full_call",
-    },
+    "model": _field_names(JDCEVParams),
+    "bond": _field_names(SinkingBondSpec),
     "mc": {"n_paths", "seed", "schedule"},
     "zspread": {"market_price", "bracket_low", "bracket_high"},
     "worst": {"spread"},
@@ -75,7 +70,7 @@ _SECTION_KEYS: dict[str, set[str]] = {
         "max_iterations",
         "penalty_weight",
     },
-    "quotes": set(),  # a list; validated element-wise in load_config
+    "quotes": _field_names(CDSQuote),  # keys of each element of the list
 }
 
 
@@ -84,8 +79,11 @@ class ConfigError(ValueError):
 
 
 def _finite_number(text: str | float) -> float:
-    """A JSON number literal or config value as a float; NaN and infinities are rejected."""
-    value = float(text)
+    """A JSON number literal or config value as a float; non-numbers, NaN and infinities are rejected."""
+    try:
+        value = float(text)
+    except TypeError as exc:
+        raise ConfigError(f"expected a number, got {type(text).__name__}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"non-finite number {text} is not allowed")
     return value
@@ -123,7 +121,7 @@ def load_config(path: str | Path) -> dict:
             if not isinstance(quote, dict):
                 raise ConfigError(f"quotes[{i}] must be a JSON object")
             for key in quote:
-                if key not in {"tenor", "spread", "side"}:
+                if key not in _SECTION_KEYS["quotes"]:
                     raise ConfigError(f"unknown key 'quotes[{i}].{key}'")
     return raw
 
@@ -156,16 +154,8 @@ def _build_curve(config: Mapping[str, Any], base: Path) -> DiscountCurve:
 def _build_model(config: Mapping[str, Any]) -> JDCEVParams:
     section = _section(config, "model")
     try:
-        return JDCEVParams(
-            lambda0=float(section["lambda0"]),
-            sigma=float(section["sigma"]),
-            beta=float(section["beta"]),
-            z0=float(section["z0"]),
-            lambda_cap=float(section.get("lambda_cap", DEFAULT_INTENSITY_CAP)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"model section is missing key {exc.args[0]!r}") from exc
-    except ValueError as exc:
+        return JDCEVParams(**{key: float(value) for key, value in section.items()})
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
 
 
@@ -196,7 +186,7 @@ def _mc_settings(config: Mapping[str, Any], args: argparse.Namespace) -> tuple[i
     seed = args.seed if args.seed is not None else int(section.get("seed", DEFAULT_MC_SEED))
     schedule = section.get("schedule", DEFAULT_MC_SCHEDULE)
     if isinstance(schedule, dict):
-        schedule = {float(k): float(v) for k, v in schedule.items()}
+        schedule = {_finite_number(k): _finite_number(v) for k, v in schedule.items()}
     return n_paths, seed, schedule
 
 
@@ -244,7 +234,7 @@ def _run_worst(config: dict, args: argparse.Namespace, base: Path) -> dict:
     section = _section(config, "worst")
     if "spread" not in section:
         raise ConfigError("worst section is missing key 'spread'")
-    spread = float(section["spread"])
+    spread = _finite_number(section["spread"])
     spy = _steps_per_year(config, args)
     grid = bond_grid(spec, spy)
     price = worst_ansatz(spec, curve, grid, spread)
@@ -256,7 +246,7 @@ def _run_calibrate(config: dict, args: argparse.Namespace, base: Path) -> dict:
     model_section = _section(config, "model")
     if "z0" not in model_section:
         raise ConfigError("model section is missing key 'z0'")
-    z0 = float(model_section["z0"])
+    z0 = _finite_number(model_section["z0"])
     if "quotes" not in config or not config["quotes"]:
         raise ConfigError("config section 'quotes' is required for this command")
     try:
@@ -264,7 +254,7 @@ def _run_calibrate(config: dict, args: argparse.Namespace, base: Path) -> dict:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid quote: {exc}") from exc
     section = dict(_section(config, "calibration", required=False))
-    recovery = float(section.pop("recovery", 0.4))
+    recovery = _finite_number(section.pop("recovery", 0.4))
     for key in ("lambda0_grid", "sigma_grid", "beta_grid"):
         if key in section and section[key] is not None:
             section[key] = tuple(float(v) for v in section[key])
@@ -274,13 +264,7 @@ def _run_calibrate(config: dict, args: argparse.Namespace, base: Path) -> dict:
         raise ConfigError(f"invalid calibration settings: {exc}") from exc
     result = calibrate(quotes, z0, curve, recovery, cal_config)
     return {
-        "params": {
-            "lambda0": result.params.lambda0,
-            "sigma": result.params.sigma,
-            "beta": result.params.beta,
-            "z0": result.params.z0,
-            "lambda_cap": result.params.lambda_cap,
-        },
+        "params": dataclasses.asdict(result.params),
         "fit": result.report.to_dict(),
         "recovery": recovery,
         "config": _config_echo("calibrate", cal_config.steps_per_year),
@@ -316,8 +300,7 @@ def _run_validate_tree(config: dict, args: argparse.Namespace, base: Path) -> di
     spy = _steps_per_year(config, args)
     grid_section = _section(config, "grid", required=False)
     if "maturity" in grid_section:
-        maturity = float(grid_section["maturity"])
-        grid = build_time_grid(maturity, spy)
+        grid = build_time_grid(_finite_number(grid_section["maturity"]), spy)
     elif "bond" in config:
         grid = bond_grid(_build_bond(config), spy)
     else:

@@ -5,9 +5,9 @@ lambda(z) = lambda0 * (z / z0)^(2*beta) with beta < 0, so falling equity means
 rising default risk.  Pricing lattices and simulations do not work on the
 stock level directly: a power-law change of variable maps it to a coordinate
 with unit diffusion, where equally spaced lattice nodes are natural.  This
-module holds the parameter set, the intensity map, the coordinate change,
-the drift of the transformed process, and :func:`x_state`, the one map from a
-coordinate to what the lattice and the simulation need there.
+module holds the parameter set, the intensity map, the coordinate change
+and :func:`x_state`, the one map from a coordinate to the stock level,
+intensity and drift that the lattice and the simulation need there.
 """
 
 from __future__ import annotations
@@ -97,24 +97,14 @@ def inverse_transform(params: JDCEVParams, x: ArrayLike) -> ArrayLike:
     return _maybe_scalar(z, scalar)
 
 
-def bessel_drift(params: JDCEVParams, x: ArrayLike) -> ArrayLike:
-    """Ito drift of the unit-diffusion coordinate.
+def _drift(params: JDCEVParams, z: np.ndarray, lam: ArrayLike) -> np.ndarray:
+    """Ito drift nu(x) of the unit-diffusion coordinate at level z > 0 with intensity lam.
 
-    With z = inverse_transform(x), the stock diffusion dZ = lambda(Z) Z dt
-    + sigma Z^(beta+1) dW maps to dx = nu(x) dt + dW with
+    The stock diffusion dZ = lambda(Z) Z dt + sigma Z^(beta+1) dW maps to
+    dx = nu(x) dt + dW with
 
         nu(x) = lambda(z) * z^(-beta) / sigma + 0.5 * (-beta - 1) * sigma * z^beta.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    if np.any(arr <= 0.0):
-        raise ValueError("transformed coordinate must be positive")
-    z = inverse_transform(params, arr)
-    return _maybe_scalar(_drift(params, z, intensity(params, z)), scalar)
-
-
-def _drift(params: JDCEVParams, z: np.ndarray, lam: ArrayLike) -> np.ndarray:
-    """nu(x) from the stock level z > 0 and its intensity lam."""
     drift = lam * z ** (-params.beta) / params.sigma
     return drift + 0.5 * (-params.beta - 1.0) * params.sigma * z ** params.beta
 

@@ -65,13 +65,6 @@ class TimeGrid:
             return best
         raise ValueError(f"time {t!r} is not a grid date")
 
-    def has_time(self, t: float, *, atol: float = 1e-9) -> bool:
-        try:
-            self.index_of(t, atol=atol)
-            return True
-        except ValueError:
-            return False
-
 
 def build_time_grid(
     maturity: float,
@@ -91,6 +84,8 @@ def build_time_grid(
     if int(steps_per_year) != steps_per_year or steps_per_year < 1:
         raise ValueError("steps_per_year must be a positive integer")
     steps_per_year = int(steps_per_year)
+    if not math.isfinite(maturity * steps_per_year):
+        raise ValueError(f"maturity {maturity!r} at {steps_per_year} steps per year is not a finite step count")
 
     events = _validated_events(event_dates, maturity)
 
@@ -178,12 +173,6 @@ class DiscountCurve:
     def shifted(self, spread: float) -> "DiscountCurve":
         """The same pillars with every forward rate raised by ``spread``."""
         return DiscountCurve(self.pillar_times, tuple(r + spread for r in self.pillar_rates))
-
-    def forward_rate(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError("curve evaluation requires t >= 0")
-        i = bisect.bisect_right(self.pillar_times, t) - 1
-        return self.pillar_rates[i]
 
     def forward_rates(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)

@@ -6,7 +6,8 @@ intensity and drift from :func:`sinkbond.jdcev.x_state`, the map the lattice
 builds its nodes with.  Default is decided exactly as on the lattice: the
 running sum of left-endpoint intensities times step widths is compared
 against an independent unit-mean exponential draw per path.  A fixed
-schedule's cashflows come from :func:`sinkbond.pricer.schedule_cashflows`,
+schedule is "max", "min" or a date-to-fraction map (anything else raises
+ValueError); its cashflows come from :func:`sinkbond.pricer.schedule_cashflows`,
 the same ones the lattice weights by its survival curve.  Randomness is
 counter based -- path i draws from a generator keyed by (seed, i) -- so path
 i is bitwise identical no matter how many paths are requested.

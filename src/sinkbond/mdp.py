@@ -201,18 +201,6 @@ def backward_induction(
     return MDPSolution(tuple(reversed(values)), tuple(reversed(policy)), initial_index)
 
 
-def as_policy_fn(policy: PolicyLike) -> PolicyFn:
-    """Policy callable from a callable, per-stage tables or an engine solution."""
-    if callable(policy):
-        return policy
-    tables = policy.policy if isinstance(policy, MDPSolution) else policy
-
-    def lookup(stage: int, s_index: int):
-        return tables[stage][s_index]
-
-    return lookup
-
-
 def evaluate_policy(
     stages: Sequence[StageProblem],
     nominal_steps: int,
@@ -227,7 +215,13 @@ def evaluate_policy(
     """
     if initial_index is None:
         initial_index = nominal_steps
-    fn = as_policy_fn(policy)
+    if callable(policy):
+        fn = policy
+    else:
+        tables = policy.policy if isinstance(policy, MDPSolution) else policy
+
+        def fn(stage: int, s_index: int):
+            return tables[stage][s_index]
 
     # forward pass: policy-reachable rows and the actions taken there, kept as
     # per-row broadcast views so one stage's (R, m) action array exists at a time

@@ -1,9 +1,10 @@
 """Bond valuations on the intensity lattice.
 
 Zero-coupon and vanilla coupon bonds run as backward recursions, sinking
-bonds through the decision engine.  A fixed redemption schedule sets the
-nominal path in advance, so its cashflows are weighted by the survival curve
-the lattice recorded while building, with no engine run.  Spreads are the
+bonds through the decision engine.  A fixed redemption schedule -- "max",
+"min" or a date-to-fraction map, nothing else -- sets the nominal path in
+advance, so its cashflows are weighted by the survival curve the lattice
+recorded while building, with no engine run.  Spreads are the
 default-free cases: z enters as a parallel shift of the forward curve
 (:meth:`DiscountCurve.shifted`); the z-spread prices the bond on a zero-intensity
 chain against it, and the worst-case quote discounts its cashflows on it.
@@ -17,7 +18,6 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from . import mdp
 from .instruments import SinkingBondSpec, action_table, coupons_on_grid, redemption_stages
 from .market_data import DiscountCurve, TimeGrid, discount_factors, step_discounts
 from .mdp import MDPSolution, StageProblem, backward_induction
@@ -32,7 +32,7 @@ class UnattainablePriceError(ValueError):
     """The target price lies outside the range the spread bracket can reach."""
 
 
-ScheduleLike = Union[str, Mapping[float, float], mdp.PolicyLike]
+ScheduleLike = Union[str, Mapping[float, float]]
 
 
 def _require_augmented(tree: IntensityTree) -> None:
@@ -125,65 +125,49 @@ def price_sinking_bond(
     return SinkingBondPrice(price=solution.root_value, solution=solution)
 
 
-def schedule_policy(spec: SinkingBondSpec, grid: TimeGrid, schedule: ScheduleLike):
-    """Normalize a redemption schedule into a policy function.
+def schedule_cashflows(
+    spec: SinkingBondSpec, grid: TimeGrid, schedule: ScheduleLike
+) -> tuple[np.ndarray, np.ndarray]:
+    """Survival cashflows and nominal path of a fixed redemption schedule.
 
-    Accepts the extreme rules "max"/"min", a mapping from redemption date to
-    the installment fraction chosen there (every redemption date must be
-    listed), an engine solution, or any policy callable/table.
+    ``schedule`` is the rule "max" or "min" (any case) or a map from every
+    redemption date to the installment fraction chosen there; anything else
+    raises ValueError, as does an inadmissible action.  ``cash[n]`` is paid
+    at t_n per unit notional; ``nominal[n]`` is the nominal index held over
+    step n.
     """
+    if not isinstance(schedule, (str, Mapping)):
+        raise ValueError(f"a fixed schedule is 'max', 'min' or a date-to-fraction map, not {type(schedule).__name__}")
+    actions = action_table(spec, grid)
     if isinstance(schedule, str):
         rule = schedule.lower()
         if rule not in ("max", "min"):
             raise ValueError(f"unknown schedule rule {schedule!r}")
         pick = max if rule == "max" else min
-        actions = action_table(spec, grid)
 
-        def extreme(n: int, s_index: int) -> int:
+        def choose(n: int, s_index: int) -> int:
             return pick(actions(n, s_index))
 
-        return extreme
-
-    if isinstance(schedule, Mapping):
-        stage_actions: dict[int, int] = {}
-        for date, fraction in schedule.items():
-            stage_actions[grid.index_of(float(date))] = spec.fraction_to_index(float(fraction))
+    else:
+        stage_actions = {
+            grid.index_of(float(date)): spec.fraction_to_index(float(fraction))
+            for date, fraction in schedule.items()
+        }
         missing = redemption_stages(spec, grid) - set(stage_actions)
         if missing:
             raise ValueError(
                 f"schedule does not cover the redemption dates at stages {sorted(missing)}"
             )
 
-        def scheduled(n: int, s_index: int) -> int:
-            if n == grid.n_steps - 1:
-                return s_index
-            return stage_actions.get(n, 0)
+        def choose(n: int, s_index: int) -> int:
+            return s_index if n == grid.n_steps - 1 else stage_actions.get(n, 0)
 
-        return scheduled
-
-    return mdp.as_policy_fn(schedule)
-
-
-def schedule_cashflows(
-    spec: SinkingBondSpec, grid: TimeGrid, schedule: ScheduleLike
-) -> tuple[np.ndarray, np.ndarray]:
-    """Survival cashflows and nominal path of a node-independent schedule.
-
-    ``cash[n]`` is paid at t_n per unit notional; ``nominal[n]`` is the
-    nominal index held over step n.  A stage whose action varies by node or
-    is not admissible raises ValueError.
-    """
-    policy = schedule_policy(spec, grid, schedule)
-    actions = action_table(spec, grid)
     coupons = coupons_on_grid(spec, grid)
     cash = np.zeros(grid.n_steps + 1)
     nominal = np.full(grid.n_steps + 1, float(spec.nominal_steps))
     for n in range(grid.n_steps):
         s_index = int(nominal[n])
-        chosen = np.unique(policy(n, s_index))
-        if chosen.size != 1:
-            raise ValueError(f"stage {n}: a fixed schedule must take one action at every node")
-        action = int(chosen[0])
+        action = choose(n, s_index)
         if action not in actions(n, s_index):
             raise ValueError(f"stage {n}, nominal index {s_index}: action {action} not admissible")
         cash[n + 1] = (action + coupons[n + 1] * s_index) / spec.nominal_steps
@@ -194,9 +178,11 @@ def schedule_cashflows(
 def price_fixed_schedule(
     tree: IntensityTree, curve: DiscountCurve, spec: SinkingBondSpec, schedule: ScheduleLike
 ) -> float:
-    """Value of a node-independent redemption schedule from the survival curve.
+    """Value of a fixed redemption schedule from the survival curve.
 
-    Policies that vary by node belong to :func:`sinkbond.mdp.evaluate_policy`.
+    ``schedule`` is "max", "min" or a date-to-fraction map (see
+    :func:`schedule_cashflows`); policies that vary by node belong to
+    :func:`sinkbond.mdp.evaluate_policy`.
     """
     _require_augmented(tree)
     _check_same_horizon(tree, spec)

@@ -1,9 +1,11 @@
 """Policy generators for tests that probe the decision engine from outside."""
 
-from typing import Sequence
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from sinkbond.instruments import SinkingBondSpec
+from sinkbond.market_data import TimeGrid
 from sinkbond.mdp import StageProblem
 
 
@@ -35,3 +37,28 @@ def random_admissible_policy(
             table[s_index] = int(acts[rng.integers(len(acts))])
         tables.append(table)
     return tables
+
+
+def fixed_schedule_policy(
+    stages: Sequence[StageProblem],
+    spec: SinkingBondSpec,
+    grid: TimeGrid,
+    schedule: Union[str, Mapping[float, float]],
+):
+    """Engine policy (stage, nominal) -> action of a fixed schedule.
+
+    "max" / "min" take the extreme of each stage's admissible actions; a
+    date map redeems its fraction, in nominal-grid units, at the grid date
+    nearest each of its dates, nothing elsewhere, and the remainder at the
+    last stage.  Inadmissible choices are left for the engine to refuse.
+    """
+    if isinstance(schedule, str):
+        pick = {"max": max, "min": min}[schedule]
+        return lambda n, s_index: pick(stages[n].actions(s_index))
+    times = np.asarray(grid.times)
+    by_stage = {
+        int(np.argmin(np.abs(times - date))): round(fraction * 100.0 / spec.alpha * spec.nominal_steps)
+        for date, fraction in schedule.items()
+    }
+    last = len(stages) - 1
+    return lambda n, s_index: s_index if n == last else by_stage.get(n, 0)

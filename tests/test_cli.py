@@ -283,6 +283,15 @@ class TestMcCheckCommand:
         assert report["error"]["type"] == "config"
         assert "mc.n_paths" in report["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "schedule", [5, ["max"], None, True, {"1.0": None}], ids=["int", "list", "null", "bool", "null-fraction"]
+    )
+    def test_malformed_schedule_exits_2(self, tmp_path, schedule):
+        payload = dict(BASE, bond=sinking_bond_section(), mc={"n_paths": 100, "schedule": schedule})
+        code, report = run(tmp_path, "mc-check", payload)
+        assert code == 2
+        assert report["error"]["type"] == "config"
+
 
 class TestCalibrateCommand:
     def test_single_quote_fit(self, tmp_path):
@@ -318,6 +327,32 @@ class TestCalibrateCommand:
         code, report = run(tmp_path, "calibrate", payload)
         assert code == 2
         assert "quotes" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("price", "model", "lambda0", None),
+        ("worst", "worst", "spread", None),
+        ("validate-tree", "grid", "maturity", "inf"),
+        ("validate-tree", "grid", "maturity", 1e308),  # finite, but times 12 steps/yr is not
+        ("validate-tree", "grid", "maturity", None),
+        ("calibrate", "model", "z0", None),
+    ],
+    ids=["model-null", "worst-spread-null", "maturity-inf", "maturity-1e308", "maturity-null", "z0-null"],
+)
+def test_non_numbers_exit_2(tmp_path, command, section, key, value):
+    payload = dict(
+        BASE,
+        bond={"maturity": 2.0},
+        grid={"steps_per_year": 12},
+        worst={"spread": 0.01},
+        quotes=[{"tenor": 2.0, "spread": 0.003}],
+    )
+    payload[section] = dict(payload[section], **{key: value})
+    code, report = run(tmp_path, command, payload)
+    assert code == 2
+    assert report["error"]["type"] == "config"
 
 
 def test_stdout_when_no_out_file(tmp_path, capsys):

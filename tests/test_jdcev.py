@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sinkbond.jdcev import (
     JDCEVParams,
-    bessel_drift,
     intensity,
     inverse_transform,
     transform,
@@ -143,18 +142,14 @@ class TestBesselDrift:
             mu = ld(params.lambda0) * (z / ld(params.z0)) ** (2 * beta) * z
             diffusion_sq = sigma**2 * z ** (2 * beta + 2)
             expected = float(first * mu + 0.5 * second * diffusion_sq)
-            x = transform(params, float(z))
-            assert bessel_drift(params, x) == pytest.approx(expected, rel=1e-5)
+            x = transform(params, np.array([float(z)]))  # lambda <= 200, far below the cap
+            assert x_state(params, x)[2][0] == pytest.approx(expected, rel=1e-5)
 
     def test_convexity_term_vanishes_at_beta_minus_one(self):
         params = JDCEVParams(lambda0=0.05, sigma=1.0, beta=-1.0, z0=2.0)
         z = 3.0
-        x = transform(params, z)
-        assert bessel_drift(params, x) == pytest.approx(intensity(params, z) * z, rel=1e-12)
-
-    def test_rejects_nonpositive(self, fitted_params):
-        with pytest.raises(ValueError):
-            bessel_drift(fitted_params, 0.0)
+        x = transform(params, np.array([z]))
+        assert x_state(params, x)[2][0] == pytest.approx(intensity(params, z) * z, rel=1e-12)
 
 
 def test_vectorized_calls_match_scalars(fitted_params):
@@ -164,9 +159,9 @@ def test_vectorized_calls_match_scalars(fitted_params):
     for i in range(len(z)):
         assert lam[i] == intensity(fitted_params, float(z[i]))
         assert x[i] == transform(fitted_params, float(z[i]))
-    drift = bessel_drift(fitted_params, x)
+    drift = x_state(fitted_params, x)[2]
     for i in range(len(z)):
-        assert drift[i] == bessel_drift(fitted_params, float(x[i]))
+        assert drift[i] == x_state(fitted_params, x[i:i + 1])[2][0]
 
 
 def test_x_state_boundary_and_cap_conventions(fitted_params):
@@ -176,5 +171,9 @@ def test_x_state_boundary_and_cap_conventions(fitted_params):
     assert np.array_equal(z[:2], [0.0, 0.0])
     assert np.array_equal(lam[:3], [fitted_params.lambda_cap] * 3)
     assert np.array_equal(drift[:3], [0.0, 0.0, 0.0])
-    assert np.array_equal(lam[3:], intensity(fitted_params, inverse_transform(fitted_params, x[3:])))
-    assert np.array_equal(drift[3:], bessel_drift(fitted_params, x[3:]))
+    level = inverse_transform(fitted_params, x[3:])
+    assert np.array_equal(lam[3:], intensity(fitted_params, level))
+    # below the cap: the Ito drift of the unit-diffusion coordinate
+    beta, sigma = fitted_params.beta, fitted_params.sigma
+    ito = lam[3:] * level ** (-beta) / sigma + 0.5 * (-beta - 1.0) * sigma * level**beta
+    assert drift[3:] == pytest.approx(ito, rel=1e-14)

@@ -49,6 +49,12 @@ class TestBuildTimeGrid:
         with pytest.raises(ValueError):
             build_time_grid(1.0, 0)
 
+    @pytest.mark.parametrize("maturity", [math.inf, 1e308])
+    def test_non_finite_step_count_rejected(self, maturity):
+        # 1e308 is finite, but 1e308 * 12 steps per year is not
+        with pytest.raises(ValueError, match="finite step count"):
+            build_time_grid(maturity, 12)
+
     @given(
         steps_per_year=st.integers(min_value=1, max_value=12),
         raw_events=st.lists(
@@ -84,7 +90,7 @@ class TestTimeGrid:
     def test_index_of(self):
         grid = build_time_grid(2.0, 2)
         assert grid.index_of(1.5) == 3
-        assert grid.has_time(1.0)
+        assert grid.index_of(1.0) == 2
         with pytest.raises(ValueError):
             grid.index_of(0.6)
 
@@ -100,12 +106,10 @@ class TestDiscountCurve:
 
     def test_piecewise_lookup_and_flat_extension(self):
         curve = DiscountCurve((0.0, 1.0, 2.0), (0.01, 0.02, 0.03))
-        assert curve.forward_rate(0.0) == 0.01
-        assert curve.forward_rate(0.999) == 0.01
-        assert curve.forward_rate(1.0) == 0.02
-        assert curve.forward_rate(10.0) == 0.03
+        rates = curve.forward_rates(np.array([0.0, 0.999, 1.0, 10.0]))
+        assert rates.tolist() == [0.01, 0.01, 0.02, 0.03]
         with pytest.raises(ValueError):
-            curve.forward_rate(-0.1)
+            curve.forward_rates(np.array([0.5, -0.1]))
 
     def test_from_pillars(self):
         curve = DiscountCurve.from_pillars([{"time": 0.0, "rate": 0.02}, {"time": 3.0, "rate": 0.025}])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import per_nominal_backward_induction, per_nominal_policy_value
-from policies import random_admissible_policy
+from policies import fixed_schedule_policy, random_admissible_policy
 
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.market_data import DiscountCurve, TimeGrid, build_time_grid
@@ -16,7 +16,7 @@ from sinkbond.mdp import (
     stage_cost,
     stage_values,
 )
-from sinkbond.pricer import build_stage_problems, price_zcb, schedule_policy
+from sinkbond.pricer import build_stage_problems, price_zcb
 from sinkbond.tree import augment_default, build_trinomial, deterministic_tree
 
 
@@ -251,6 +251,6 @@ def test_engine_equals_per_nominal_reference(spec, steps_per_year, fitted_params
         for s_index, row in policy[n].items():
             assert np.array_equal(solution.policy[n][s_index], row)
     for rule in ("max", "min"):
-        fn = schedule_policy(spec, grid, rule)
+        fn = fixed_schedule_policy(stages, spec, grid, rule)
         reference = per_nominal_policy_value(stages, spec.nominal_steps, fn, spec.nominal_steps)
         assert evaluate_policy(stages, spec.nominal_steps, fn).root_value == reference

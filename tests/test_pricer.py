@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import deterministic_bond_pv, mean_chain, zcb_closed_form
+from policies import fixed_schedule_policy
 
 from sinkbond.instruments import SinkingBondSpec, bond_grid, coupons_on_grid
 from sinkbond.jdcev import JDCEVParams
@@ -21,7 +22,7 @@ from sinkbond.pricer import (
     price_sinking_bond,
     price_vanilla_bond,
     price_zcb,
-    schedule_policy,
+    schedule_cashflows,
     worst_ansatz,
     z_spread,
 )
@@ -63,7 +64,7 @@ class TestPriceZcb:
         grid = build_time_grid(4.0, 6)
         tree = augment_default(mean_chain(fitted_params, grid))
         path = [float(layer.intensity[0]) for layer in tree.layers]
-        rates = [flat_curve.forward_rate(t) for t in grid.times[:-1]]
+        rates = flat_curve.forward_rates(grid.times_array[:-1]).tolist()
         expected = zcb_closed_form(grid.times, rates, path[:-1], 0.4)
         assert price_zcb(tree, flat_curve, 0.4) == pytest.approx(expected, abs=1e-12)
 
@@ -244,7 +245,7 @@ class TestFixedScheduleEqualsTheEngine:
     @pytest.mark.parametrize("rule", ["max", "min"])
     def test_extreme_rules(self, name, rule):
         spec, tree, curve, stages = fixed_schedule_case(name)
-        engine = evaluate_policy(stages, spec.nominal_steps, schedule_policy(spec, tree.grid, rule))
+        engine = evaluate_policy(stages, spec.nominal_steps, fixed_schedule_policy(stages, spec, tree.grid, rule))
         assert price_fixed_schedule(tree, curve, spec, rule) == pytest.approx(engine.root_value, abs=1e-13)
 
     @given(data=st.data())
@@ -253,7 +254,7 @@ class TestFixedScheduleEqualsTheEngine:
         spec, tree, curve, stages = fixed_schedule_case(name)
         choices = spec.admissible_fractions + ((0.0,) if spec.allow_skip else ())
         schedule = {d: data.draw(st.sampled_from(choices)) for d in spec.redemption_dates}
-        policy = schedule_policy(spec, tree.grid, schedule)
+        policy = fixed_schedule_policy(stages, spec, tree.grid, schedule)
         try:
             engine = evaluate_policy(stages, spec.nominal_steps, policy).root_value
         except ValueError:
@@ -264,10 +265,12 @@ class TestFixedScheduleEqualsTheEngine:
         assert price_fixed_schedule(tree, curve, spec, schedule) == pytest.approx(engine, abs=1e-13)
 
     def test_node_dependent_policy_rejected(self, name):
-        spec, tree, curve, _ = fixed_schedule_case(name)
+        spec, tree, curve, stages = fixed_schedule_case(name)
         solution = price_sinking_bond(tree, curve, spec).solution
-        with pytest.raises(ValueError, match="one action at every node"):
+        with pytest.raises(ValueError, match="not MDPSolution"):
             price_fixed_schedule(tree, curve, spec, solution)
+        with pytest.raises(ValueError, match="not function"):
+            price_fixed_schedule(tree, curve, spec, fixed_schedule_policy(stages, spec, tree.grid, "max"))
 
 
 class TestZSpread:
@@ -348,7 +351,7 @@ class TestWorstAnsatz:
         spec = callable_spec(3.0, 0.06, ())
         grid = bond_grid(spec, 4)
         price = worst_ansatz(spec, flat_curve, grid, 0.01)
-        rates = [flat_curve.forward_rate(t) for t in grid.times[:-1]]
+        rates = flat_curve.forward_rates(grid.times_array[:-1]).tolist()
         coupons = coupons_on_grid(spec, grid)
         expected = deterministic_bond_pv(grid.times, rates, 0.01, coupons, grid.n_steps - 1)
         assert price == pytest.approx(expected, abs=1e-12)
@@ -442,8 +445,10 @@ class TestPriceReport:
             assert entry["action_max"] == pytest.approx(smallest, abs=1e-15)
 
 
-def test_schedule_policy_rejects_unknown_rule(fitted_params, flat_curve):
+def test_schedule_cashflows_rejects_unknown_rule():
     spec = premium_spec()
     grid = bond_grid(spec, 4)
     with pytest.raises(ValueError, match="unknown schedule rule"):
-        schedule_policy(spec, grid, "sometimes")
+        schedule_cashflows(spec, grid, "sometimes")
+    cash, _ = schedule_cashflows(spec, grid, "MAX")
+    assert np.array_equal(cash, schedule_cashflows(spec, grid, "max")[0])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import mean_chain, push_pass_mass_curve
 
-from sinkbond.jdcev import JDCEVParams, bessel_drift, intensity, inverse_transform, transform
+from sinkbond.jdcev import JDCEVParams, intensity, inverse_transform, transform, x_state
 from sinkbond.market_data import build_time_grid
 from sinkbond.pricer import price_zcb
 from sinkbond.tree import (
@@ -35,7 +35,7 @@ class TestBuildTrinomial:
         tr = tree.transitions[0]
         assert tr.branch_probs.sum() == pytest.approx(1.0, abs=1e-14)
         x0 = float(tree.layers[0].x[0])
-        target = x0 + bessel_drift(fitted_params, x0) * 0.25
+        target = x0 + x_state(fitted_params, np.array([x0]))[2][0] * 0.25
         succ_x = tree.layers[1].x[tr.succ[:, 0]]
         assert float(np.dot(tr.branch_probs[:, 0], succ_x)) == pytest.approx(target, abs=1e-12)
 
@@ -83,10 +83,10 @@ class TestDeterministicTree:
         tree = mean_chain(fitted_params, grid)
         assert tree.layer_sizes() == tuple([1] * (grid.n_steps + 1))
         # side-by-side Euler iteration of the conditional mean
-        x = transform(fitted_params, fitted_params.z0)
+        x = transform(fitted_params, np.array([fitted_params.z0]))
         for n in range(grid.n_steps):
-            x = x + bessel_drift(fitted_params, x) * float(grid.steps[n])
-            expected = intensity(fitted_params, inverse_transform(fitted_params, x))
+            x = x + x_state(fitted_params, x)[2] * float(grid.steps[n])
+            expected = intensity(fitted_params, inverse_transform(fitted_params, float(x[0])))
             assert float(tree.layers[n + 1].intensity[0]) == pytest.approx(expected, rel=1e-14)
 
     def test_constant_path(self):
