@@ -89,6 +89,15 @@ def _finite_number(text: str | float) -> float:
     return value
 
 
+def _integer(value: Any, key: str) -> int:
+    """A whole-number config value; bools, non-numbers and fractions are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def load_config(path: str | Path) -> dict:
     """Parse and key-validate a run configuration.
 
@@ -164,9 +173,9 @@ def _build_bond(config: Mapping[str, Any]) -> SinkingBondSpec:
     if "maturity" not in section:
         raise ConfigError("bond section is missing key 'maturity'")
     kwargs = dict(section)
-    kwargs["redemption_dates"] = tuple(kwargs.get("redemption_dates", ()))
-    kwargs["admissible_fractions"] = tuple(kwargs.get("admissible_fractions", ()))
     try:
+        kwargs["redemption_dates"] = tuple(kwargs.get("redemption_dates", ()))
+        kwargs["admissible_fractions"] = tuple(kwargs.get("admissible_fractions", ()))
         return SinkingBondSpec(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid bond: {exc}") from exc
@@ -175,15 +184,18 @@ def _build_bond(config: Mapping[str, Any]) -> SinkingBondSpec:
 def _steps_per_year(config: Mapping[str, Any], args: argparse.Namespace) -> int:
     if args.steps_per_year is not None:
         return args.steps_per_year
-    return int(_section(config, "grid", required=False).get("steps_per_year", DEFAULT_STEPS_PER_YEAR))
+    section = _section(config, "grid", required=False)
+    return _integer(section.get("steps_per_year", DEFAULT_STEPS_PER_YEAR), "grid.steps_per_year")
 
 
 def _mc_settings(config: Mapping[str, Any], args: argparse.Namespace) -> tuple[int, int, Any]:
     section = _section(config, "mc", required=False)
-    n_paths = int(section.get("n_paths", DEFAULT_MC_PATHS))
+    n_paths = _integer(section.get("n_paths", DEFAULT_MC_PATHS), "mc.n_paths")
     if n_paths < 2:
         raise ConfigError(f"mc.n_paths must be at least 2 to estimate a standard error, got {n_paths}")
-    seed = args.seed if args.seed is not None else int(section.get("seed", DEFAULT_MC_SEED))
+    seed = args.seed
+    if seed is None:
+        seed = _integer(section.get("seed", DEFAULT_MC_SEED), "mc.seed")
     schedule = section.get("schedule", DEFAULT_MC_SCHEDULE)
     if isinstance(schedule, dict):
         schedule = {_finite_number(k): _finite_number(v) for k, v in schedule.items()}

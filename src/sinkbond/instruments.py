@@ -78,6 +78,9 @@ class SinkingBondSpec:
                 raise ValueError(f"duplicate admissible fraction {b!r}")
         if not 0.0 < self.alpha <= 100.0:
             raise ValueError("alpha must lie in (0, 100]")
+        for flag in ("allow_skip", "full_call"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ValueError(f"{flag} must be true or false, got {getattr(self, flag)!r}")
 
         if self.admissible_fractions:
             smallest = self.admissible_fractions[0] * 100.0

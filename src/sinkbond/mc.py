@@ -8,9 +8,11 @@ running sum of left-endpoint intensities times step widths is compared
 against an independent unit-mean exponential draw per path.  A fixed
 schedule is "max", "min" or a date-to-fraction map (anything else raises
 ValueError); its cashflows come from :func:`sinkbond.pricer.schedule_cashflows`,
-the same ones the lattice weights by its survival curve.  Randomness is
-counter based -- path i draws from a generator keyed by (seed, i) -- so path
-i is bitwise identical no matter how many paths are requested.
+the same ones the lattice weights by its survival curve.  All randomness is
+one seeded stream of standard normals read in path-major blocks -- path i
+owns normals i * (N + 2) through i * (N + 2) + N + 1 -- so the first k paths
+are bitwise identical no matter how many paths are requested.  Path i cannot
+be drawn without drawing the paths before it.
 """
 
 from __future__ import annotations
@@ -31,92 +33,60 @@ _CHUNK = 4096
 
 @dataclass(frozen=True)
 class PathSet:
-    """Simulated intensity paths plus each path's default step.
+    """The step in which each simulated path defaults.
 
-    intensities[i, n] is the (capped) intensity of path i at t_n;
-    default_step[i] is the step index m in 1..N when the default lands in
-    (t_{m-1}, t_m], or -1 if the path survives to maturity.
+    default_step[i] is the step index m in 1..N when path i defaults in
+    (t_{m-1}, t_m], or -1 if it survives to maturity.
     """
 
     grid: TimeGrid
-    intensities: np.ndarray
     default_step: np.ndarray
-    seed: int
 
     @property
     def n_paths(self) -> int:
-        return self.intensities.shape[0]
+        return self.default_step.shape[0]
 
 
 @dataclass(frozen=True)
 class MCEstimate:
     estimate: float
     std_error: float
-    n_paths: int
 
 
-def simulate_paths(
-    params: JDCEVParams,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    *,
-    zero_diffusion: bool = False,
-) -> PathSet:
-    """Simulate intensity paths and default steps on the given grid.
+def simulate_paths(params: JDCEVParams, grid: TimeGrid, n_paths: int, seed: int) -> PathSet:
+    """Simulate intensity paths on the grid and record each one's default step.
 
-    ``zero_diffusion`` drops the Brownian increments (the draws still happen,
-    preserving the substream layout), collapsing every path onto the
-    deterministic mean chain -- handy for exact-survival sanity checks.
+    One ``Generator(Philox(seed))`` supplies N + 2 standard normals per path,
+    in path order: the first two give the path's unit-mean exponential
+    threshold 0.5 * (z0**2 + z1**2), the other N its Euler shocks.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     if int(seed) != seed or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    seed = int(seed)
 
     n_steps = grid.n_steps
     steps = grid.steps
     sqrt_steps = np.sqrt(steps)
     x0 = float(transform(params, params.z0))
-
-    intensities = np.empty((n_paths, n_steps + 1))
+    gen = np.random.Generator(np.random.Philox(int(seed)))
     default_step = np.full(n_paths, -1, dtype=np.intp)
 
-    # one generator for all paths: resetting the bit generator to key
-    # (seed, i), counter 0 and an empty buffer starts path i's stream afresh
-    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bit_generator)
-    fresh = bit_generator.state
-
     for start in range(0, n_paths, _CHUNK):
-        stop = min(start + _CHUNK, n_paths)
-        size = stop - start
-        shocks = np.empty((size, n_steps))
-        thresholds = np.empty(size)
-        for i in range(size):
-            fresh["state"]["key"][1] = start + i
-            bit_generator.state = fresh
-            thresholds[i] = gen.standard_exponential()
-            shocks[i] = gen.standard_normal(n_steps)
-        if zero_diffusion:
-            shocks[:] = 0.0
-
+        size = min(_CHUNK, n_paths - start)
+        draws = gen.standard_normal((size, n_steps + 2))
+        thresholds = 0.5 * (draws[:, 0] ** 2 + draws[:, 1] ** 2)
+        chunk_step = default_step[start:start + size]  # a view: writes land in default_step
         x = np.full(size, x0)
         _, lam, drift = x_state(params, x)
-        intensities[start:stop, 0] = lam
         hazard_sum = np.zeros(size)
-        defaulted = np.zeros(size, dtype=bool)
         for n in range(n_steps):
             hazard_sum += lam * steps[n]
-            newly = (~defaulted) & (hazard_sum > thresholds)
-            default_step[start:stop][newly] = n + 1
-            defaulted |= newly
-            x = x + drift * steps[n] + sqrt_steps[n] * shocks[:, n]
+            chunk_step[(chunk_step < 0) & (hazard_sum > thresholds)] = n + 1
+            x = x + drift * steps[n] + sqrt_steps[n] * draws[:, n + 2]
             _, lam, drift = x_state(params, x)
-            intensities[start:stop, n + 1] = lam
 
-    return PathSet(grid=grid, intensities=intensities, default_step=default_step, seed=seed)
+    return PathSet(grid=grid, default_step=default_step)
 
 
 def mc_price_fixed_policy(
@@ -149,4 +119,4 @@ def mc_price_fixed_policy(
     d = paths.default_step
     payouts = np.where(d > 0, payout_by_step[np.maximum(d, 0)], survive_payout)
     std_error = float(np.std(payouts, ddof=1) / math.sqrt(paths.n_paths))
-    return MCEstimate(estimate=float(np.mean(payouts)), std_error=std_error, n_paths=paths.n_paths)
+    return MCEstimate(estimate=float(np.mean(payouts)), std_error=std_error)

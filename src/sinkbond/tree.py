@@ -49,10 +49,16 @@ _PROB_TOL = 1e-12
 _MASS_FLOOR = 1e-20
 #: Total truncated mass above which :func:`validate_tree` flags the lattice.
 _TRUNCATION_TOL = 1e-12
+#: Float spacing at x0, as a fraction of the smallest node spacing, above
+#: which :func:`build_trinomial` refuses the lattice: its nodes would collapse.
+_SPACING_TOL = 1e-4
+#: |branch variance - dt| / dt above which :func:`validate_tree` flags a layer.
+_VARIANCE_TOL = 1e-3
 
 
 class TreeConstructionError(RuntimeError):
-    """A branch probability left [0, 1]; the offending node is reported."""
+    """A branch probability left [0, 1] (the offending node is reported), or
+    the node spacing does not survive rounding at the root coordinate."""
 
 
 @dataclass(frozen=True)
@@ -203,9 +209,18 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
     spans the band's successors, and its own band is the contiguous run of
     nodes whose pushed reach mass exceeds ``_MASS_FLOOR`` (or its heaviest node
     when none does); the rest are leaves.  The last layer has no band: all its
-    nodes are kept.
+    nodes are kept.  A root coordinate so large that its float spacing exceeds
+    ``_SPACING_TOL`` times the smallest step's node spacing is refused: the
+    nodes would round onto each other.
     """
     x0 = float(transform(params, params.z0))
+    dx_min = math.sqrt(3.0 * float(np.min(grid.steps)))
+    ulp = float(np.spacing(x0))
+    if not ulp <= _SPACING_TOL * dx_min:
+        raise TreeConstructionError(
+            f"node spacing {dx_min!r} does not survive rounding at x0 = {x0!r} "
+            f"(float spacing {ulp!r}); the lattice nodes would collapse"
+        )
     root, drift = _layer_from_x(params, np.array([x0]))
     layers = [root]
     transitions: list[LayerTransition] = []
@@ -363,9 +378,10 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
     probabilities against the drift target and the step variance.  A tree
     without model parameters (a single chain from :func:`deterministic_tree`)
     has zero drift and, by design, zero variance, so its variance check is
-    skipped.  A forward pass of the reach mass gives each layer's truncated
-    mass (the mass arriving at its leaves); a total above ``_TRUNCATION_TOL``
-    is a violation.
+    skipped; otherwise a layer whose variance misses dt by more than
+    ``_VARIANCE_TOL * dt`` is a violation.  A forward pass of the reach mass
+    gives each layer's truncated mass (the mass arriving at its leaves); a
+    total above ``_TRUNCATION_TOL`` is a violation.
     """
     reports = []
     violations: list[str] = []
@@ -427,6 +443,8 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
             max_var_err = var_err if max_var_err is None else max(max_var_err, var_err)
             ratio = var_err / dt**2
             c_var = ratio if c_var is None else max(c_var, ratio)
+            if var_err > _VARIANCE_TOL * dt:
+                violations.append(f"layer {n}: branch variance misses dt = {dt!r} by {var_err!r}")
 
         truncated = float(mass[~live].sum())
         total_truncated += truncated

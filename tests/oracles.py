@@ -148,24 +148,25 @@ def per_nominal_policy_value(
     return float(values[initial_index][0])
 
 
-def per_path_generator_paths(params, grid, n_paths: int, seed: int):
-    """Reference Monte Carlo paths: a freshly built Generator(Philox(key=[seed, i])) per path.
+def path_major_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
+    """The Monte Carlo stream in one call: row i is path i's block of N + 2 normals."""
+    return np.random.Generator(np.random.Philox(seed)).standard_normal((n_paths, n_steps + 2))
 
-    The Euler stepping and default rule are those of ``sinkbond.mc``, over all
-    paths at once; returns (intensities, default_step).
+
+def one_call_default_steps(params, grid, n_paths: int, seed: int, *, zero_shock: bool = False):
+    """Reference Monte Carlo default steps: every path's normals drawn at once, no chunking.
+
+    The first two normals of a row make the path's threshold, the rest its
+    Euler shocks (all zero with ``zero_shock``, which puts every path on the
+    mean chain); the stepping and default rule are those of ``sinkbond.mc``.
     """
     from sinkbond.jdcev import transform, x_state
 
-    thresholds = np.empty(n_paths)
-    shocks = np.empty((n_paths, grid.n_steps))
-    for i in range(n_paths):
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        thresholds[i] = gen.standard_exponential()
-        shocks[i] = gen.standard_normal(grid.n_steps)
+    normals = path_major_normals(seed, n_paths, grid.n_steps)
+    thresholds = 0.5 * (normals[:, 0] ** 2 + normals[:, 1] ** 2)
+    shocks = np.zeros_like(normals[:, 2:]) if zero_shock else normals[:, 2:]
     x = np.full(n_paths, float(transform(params, params.z0)))
     _, lam, drift = x_state(params, x)
-    intensities = np.empty((n_paths, grid.n_steps + 1))
-    intensities[:, 0] = lam
     default_step = np.full(n_paths, -1, dtype=np.intp)
     hazard_sum = np.zeros(n_paths)
     for n, dt in enumerate(grid.steps):
@@ -174,8 +175,7 @@ def per_path_generator_paths(params, grid, n_paths: int, seed: int):
         default_step[newly] = n + 1
         x = x + drift * dt + np.sqrt(grid.steps)[n] * shocks[:, n]
         _, lam, drift = x_state(params, x)
-        intensities[:, n + 1] = lam
-    return intensities, default_step
+    return default_step
 
 
 def push_pass_mass_curve(tree):

@@ -36,26 +36,35 @@ def test_install_and_uninstall_restore_every_boundary(tracer_module):
         assert getattr(importlib.import_module(module), attr) is original
 
 
-def test_traced_price_run_counts_its_work(tracer_module, tmp_path):
+RUN_CONFIG = {
+    "curve": {"pillars": [{"time": 0.0, "rate": 0.02}]},
+    "model": {"lambda0": 0.004, "sigma": 2.8199, "beta": -0.6, "z0": 30.0},
+    "bond": {"maturity": 3.0, "coupon_rate": 0.08, "redemption_dates": [1, 2],
+             "admissible_fractions": [0.05, 0.10], "alpha": 75.0},
+    "mc": {"n_paths": 200, "seed": 1},
+}
+
+
+def traced_run(tracer_module, tmp_path, command):
+    """Run one CLI command at 4 steps/yr under the tracer; returns (span summary, counts)."""
     from sinkbond.cli import main
 
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({
-        "curve": {"pillars": [{"time": 0.0, "rate": 0.02}]},
-        "model": {"lambda0": 0.004, "sigma": 2.8199, "beta": -0.6, "z0": 30.0},
-        "bond": {"maturity": 3.0, "coupon_rate": 0.08, "redemption_dates": [1, 2],
-                 "admissible_fractions": [0.05, 0.10], "alpha": 75.0},
-    }))
+    config.write_text(json.dumps(RUN_CONFIG))
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        code = main(["price", "--config", str(config), "--out", str(tmp_path / "out.json"),
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out.json"),
                      "--steps-per-year", "4"])
     finally:
         tracer.uninstall()
     assert code == 0
     spans, counts = tracer.take()
-    summary = tracer_module.summarize(spans)
+    return tracer_module.summarize(spans), counts
+
+
+def test_traced_price_run_counts_its_work(tracer_module, tmp_path):
+    summary, counts = traced_run(tracer_module, tmp_path, "price")
     for name in ("tree.build_trinomial", "pricer.build_stage_problems"):
         assert summary[name]["calls"] >= 1
     # the forced schedules are survival-weighted cashflows: one engine solve
@@ -64,3 +73,10 @@ def test_traced_price_run_counts_its_work(tracer_module, tmp_path):
     assert counts["tree.builds"] == 1
     assert counts["tree.lattice_bytes"] > 0
     assert counts["mdp.states"] > 0 and counts["mdp.action_evals"] >= counts["mdp.state_nodes"] > 0
+
+
+def test_traced_mc_check_run_counts_its_paths(tracer_module, tmp_path):
+    summary, counts = traced_run(tracer_module, tmp_path, "mc-check")
+    for name in ("mc.simulate_paths", "mc.price_fixed_policy"):
+        assert summary[name]["calls"] == 1
+    assert counts["mc.paths"] == 200

@@ -241,6 +241,21 @@ class TestValidateTreeCommand:
             sum(layer["truncated_mass"] for layer in report["layers"]), abs=1e-300
         )
 
+    @pytest.mark.parametrize("command", ["price", "validate-tree"])
+    @pytest.mark.parametrize(
+        "model, maturity",
+        [({"sigma": 1e-3, "beta": -3.0, "z0": 1e5}, 10.0), ({"sigma": 1e-3, "beta": -2.0, "z0": 3e6}, 2.0)],
+        ids=["full", "partial"],
+    )
+    def test_collapsed_lattice_exits_3(self, tmp_path, command, model, maturity):
+        bond = dict(sinking_bond_section(), maturity=maturity,
+                    redemption_dates=[float(d) for d in range(1, int(maturity))])
+        payload = dict(BASE, model=dict(BASE["model"], **model), bond=bond, grid={"steps_per_year": 12})
+        code, report = run(tmp_path, command, payload)
+        assert code == 3
+        assert report["error"]["type"] == "numerical"
+        assert "does not survive rounding" in report["error"]["message"]
+
     def test_reports_are_byte_identical(self, tmp_path):
         payload = dict(BASE, grid={"steps_per_year": 12, "maturity": 5.0})
         config = write_config(tmp_path, payload)
@@ -338,8 +353,20 @@ class TestCalibrateCommand:
         ("validate-tree", "grid", "maturity", 1e308),  # finite, but times 12 steps/yr is not
         ("validate-tree", "grid", "maturity", None),
         ("calibrate", "model", "z0", None),
+        ("price", "grid", "steps_per_year", None),
+        ("price", "grid", "steps_per_year", 12.7),
+        ("price", "grid", "steps_per_year", True),
+        ("mc-check", "mc", "n_paths", None),
+        ("mc-check", "mc", "n_paths", 2.5),
+        ("mc-check", "mc", "seed", None),
+        ("price", "bond", "redemption_dates", 5),
+        ("price", "bond", "admissible_fractions", None),
+        ("price", "bond", "allow_skip", "no"),
+        ("price", "bond", "full_call", 1),
     ],
-    ids=["model-null", "worst-spread-null", "maturity-inf", "maturity-1e308", "maturity-null", "z0-null"],
+    ids=["model-null", "worst-spread-null", "maturity-inf", "maturity-1e308", "maturity-null", "z0-null",
+         "steps-null", "steps-fraction", "steps-bool", "n-paths-null", "n-paths-fraction", "seed-null",
+         "redemption-dates-number", "fractions-null", "allow-skip-string", "full-call-number"],
 )
 def test_non_numbers_exit_2(tmp_path, command, section, key, value):
     payload = dict(
@@ -348,6 +375,7 @@ def test_non_numbers_exit_2(tmp_path, command, section, key, value):
         grid={"steps_per_year": 12},
         worst={"spread": 0.01},
         quotes=[{"tenor": 2.0, "spread": 0.003}],
+        mc={"n_paths": 200, "seed": 1},
     )
     payload[section] = dict(payload[section], **{key: value})
     code, report = run(tmp_path, command, payload)

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from oracles import mean_chain, per_path_generator_paths
+from oracles import mean_chain, one_call_default_steps, path_major_normals
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams
 from sinkbond.market_data import build_time_grid
@@ -12,55 +13,62 @@ from sinkbond.pricer import price_fixed_schedule
 from sinkbond.tree import augment_default, build_trinomial
 
 
+@pytest.fixture
+def risky_params(fitted_params):
+    """lambda0 = 0.5: about a third of the paths default within a year at 12/yr."""
+    return dataclasses.replace(fitted_params, lambda0=0.5)
+
+
 class TestSimulatePaths:
-    def test_common_prefix_is_bitwise_identical(self, fitted_params):
-        grid = build_time_grid(2.0, 12)
-        small = simulate_paths(fitted_params, grid, 64, seed=7)
-        large = simulate_paths(fitted_params, grid, 256, seed=7)
-        assert np.array_equal(small.intensities, large.intensities[:64])
-        assert np.array_equal(small.default_step, large.default_step[:64])
+    # above _CHUNK (4096), so a chunk boundary and a partial chunk fall in the prefix
+    PREFIX, FULL = 4_100, 5_000
+
+    def test_common_prefix_is_bitwise_identical(self, risky_params):
+        grid = build_time_grid(1.0, 12)
+        small = simulate_paths(risky_params, grid, self.PREFIX, seed=7)
+        large = simulate_paths(risky_params, grid, self.FULL, seed=7)
+        assert np.array_equal(small.default_step, large.default_step[: self.PREFIX])
+        assert small.n_paths == self.PREFIX
 
     @pytest.mark.parametrize("seed", [7, 20270615])
-    def test_reused_generator_matches_per_path_construction(self, fitted_params, seed):
-        grid = build_time_grid(2.0, 12)
-        paths = simulate_paths(fitted_params, grid, 300, seed=seed)
-        intensities, default_step = per_path_generator_paths(fitted_params, grid, 300, seed)
-        assert np.all(paths.intensities == intensities)
-        assert np.all(paths.default_step == default_step)
-        assert np.any(default_step > 0)
-
-    def test_same_seed_same_paths(self, fitted_params):
+    def test_chunked_stream_matches_the_one_call_reference(self, risky_params, seed):
         grid = build_time_grid(1.0, 12)
-        a = simulate_paths(fitted_params, grid, 128, seed=3)
-        b = simulate_paths(fitted_params, grid, 128, seed=3)
-        assert np.array_equal(a.intensities, b.intensities)
-        c = simulate_paths(fitted_params, grid, 128, seed=4)
-        assert not np.array_equal(a.intensities, c.intensities)
+        paths = simulate_paths(risky_params, grid, self.PREFIX, seed=seed)
+        default_step = one_call_default_steps(risky_params, grid, self.PREFIX, seed)
+        assert np.array_equal(paths.default_step, default_step)
+        assert 0.2 < np.mean(default_step > 0) < 0.5
+
+    def test_same_seed_same_paths(self, risky_params):
+        grid = build_time_grid(1.0, 12)
+        a = simulate_paths(risky_params, grid, self.PREFIX, seed=3)
+        b = simulate_paths(risky_params, grid, self.PREFIX, seed=3)
+        assert np.array_equal(a.default_step, b.default_step)
+        c = simulate_paths(risky_params, grid, self.PREFIX, seed=4)
+        assert not np.array_equal(a.default_step, c.default_step)
 
     def test_zero_lambda0_never_defaults(self):
         params = JDCEVParams(lambda0=0.0, sigma=1.0, beta=-0.5, z0=25.0)
         grid = build_time_grid(3.0, 4)
         paths = simulate_paths(params, grid, 500, seed=1)
         assert np.all(paths.default_step == -1)
-        assert np.all(paths.intensities == 0.0)
 
     def test_zero_diffusion_survival_matches_the_mean_chain(self, fitted_params):
         grid = build_time_grid(3.0, 12)
-        n_paths = 20_000
-        paths = simulate_paths(fitted_params, grid, n_paths, seed=11, zero_diffusion=True)
+        n_paths, seed = 20_000, 11
+        default_step = one_call_default_steps(fitted_params, grid, n_paths, seed, zero_shock=True)
         chain = mean_chain(fitted_params, grid)
-        hazard = sum(
-            float(chain.layers[n].intensity[0]) * float(grid.steps[n])
-            for n in range(grid.n_steps)
-        )
-        expected = math.exp(-hazard)
-        observed = float(np.mean(paths.default_step == -1))
+        # the chain's cumulative hazard through each step, summed in step order
+        hazard = np.cumsum([float(chain.layers[n].intensity[0]) * float(grid.steps[n])
+                            for n in range(grid.n_steps)])
+        normals = path_major_normals(seed, n_paths, grid.n_steps)
+        thresholds = 0.5 * (normals[:, 0] ** 2 + normals[:, 1] ** 2)
+        # a path defaults in the first step whose cumulative hazard exceeds its threshold
+        first = np.searchsorted(hazard, thresholds, side="right") + 1
+        assert np.array_equal(default_step, np.where(first <= grid.n_steps, first, -1))
+        expected = math.exp(-hazard[-1])
+        observed = float(np.mean(default_step == -1))
         se = math.sqrt(expected * (1.0 - expected) / n_paths)
         assert abs(observed - expected) <= 3.0 * se
-        # the simulated intensity path IS the chain, path by path
-        assert paths.intensities[0] == pytest.approx(
-            [float(layer.intensity[0]) for layer in chain.layers], rel=1e-12
-        )
 
     def test_input_validation(self, fitted_params):
         grid = build_time_grid(1.0, 4)
@@ -87,7 +95,7 @@ class TestMcPriceFixedPolicy:
         params = JDCEVParams(lambda0=0.0, sigma=1.0, beta=-0.5, z0=25.0)
         spec = sinking_spec()
         grid = bond_grid(spec, 4)
-        paths = simulate_paths(params, grid, 200, seed=2, zero_diffusion=True)
+        paths = simulate_paths(params, grid, 200, seed=2)
         estimate = mc_price_fixed_policy(paths, spec, "max", zero_curve)
         # deterministic cashflows: 6% coupons on the amortizing nominal plus
         # the redemptions themselves, undiscounted

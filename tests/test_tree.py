@@ -13,6 +13,7 @@ from sinkbond.jdcev import JDCEVParams, intensity, inverse_transform, transform,
 from sinkbond.market_data import build_time_grid
 from sinkbond.pricer import price_zcb
 from sinkbond.tree import (
+    TreeConstructionError,
     augment_default,
     build_trinomial,
     deterministic_tree,
@@ -305,6 +306,28 @@ def test_out_of_range_probability_is_a_hard_failure():
     probs = np.array([[0.2, -0.4], [0.6, 1.0], [0.2, 0.4]])
     with pytest.raises(TreeConstructionError, match="layer 3 node 1"):
         _check_branch_probs(probs, 3)
+
+
+# x0 = 3.3e17: x0 +- dx rounds onto x0, so layers hold coincident nodes
+COLLAPSED = (JDCEVParams(lambda0=0.004, sigma=1e-3, beta=-3.0, z0=1e5), 10.0)
+# x0 = 4.5e15: nodes survive at x0 but drift into a coarser binade
+PARTLY_COLLAPSED = (JDCEVParams(lambda0=0.004, sigma=1e-3, beta=-2.0, z0=3e6), 2.0)
+
+
+class TestCollapsedLattice:
+    @pytest.mark.parametrize("params, maturity", [COLLAPSED, PARTLY_COLLAPSED], ids=["full", "partial"])
+    def test_construction_refuses_it(self, params, maturity):
+        with pytest.raises(TreeConstructionError, match="does not survive rounding"):
+            build_trinomial(params, build_time_grid(maturity, 12))
+
+    @pytest.mark.parametrize("params, maturity", [COLLAPSED, PARTLY_COLLAPSED], ids=["full", "partial"])
+    def test_validation_flags_its_variance(self, monkeypatch, params, maturity):
+        import sinkbond.tree
+
+        monkeypatch.setattr(sinkbond.tree, "_SPACING_TOL", math.inf)
+        diag = validate_tree(augment_default(build_trinomial(params, build_time_grid(maturity, 12))))
+        assert not diag.ok
+        assert any("branch variance misses dt" in v for v in diag.violations)
 
 
 def test_root_node_arrays(fitted_params):
