@@ -46,7 +46,6 @@ from .pricer import (
     price_fixed_schedule,
     price_report,
     price_sinking_bond,
-    price_vanilla_bond,
     price_zcb,
     worst_ansatz,
     z_spread,
@@ -57,7 +56,6 @@ from .tree import (
     augment_default,
     build_trinomial,
     deterministic_tree,
-    survival_probabilities,
     validate_tree,
 )
 
@@ -98,11 +96,9 @@ __all__ = [
     "price_fixed_schedule",
     "price_report",
     "price_sinking_bond",
-    "price_vanilla_bond",
     "price_zcb",
     "simulate_paths",
     "stage_cost",
-    "survival_probabilities",
     "transform",
     "validate_tree",
     "worst_ansatz",

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jdcev import JDCEVParams
+from .jdcev import DEFAULT_INTENSITY_CAP, JDCEVParams
 from .market_data import DiscountCurve, TimeGrid, _merge_close_dates, build_time_grid, discount_factors
 from .tree import IntensityTree, augment_default, build_trinomial
 
@@ -55,7 +55,7 @@ class CalibrationConfig:
 
     steps_per_year: int = 4
     premium_frequency: int = 4
-    lambda_cap: float = 1e4
+    lambda_cap: float = DEFAULT_INTENSITY_CAP
     lambda0_bounds: tuple[float, float] = (1e-6, 2.0)
     sigma_bounds: tuple[float, float] = (1e-3, 50.0)
     beta_bounds: tuple[float, float] = (-5.0, -1e-3)

@@ -30,6 +30,7 @@ from .jdcev import JDCEVParams
 from .market_data import DiscountCurve, build_time_grid
 from .mc import mc_price_fixed_policy, simulate_paths
 from .pricer import (
+    DEFAULT_Z_SPREAD_BRACKET,
     UnattainablePriceError,
     price_fixed_schedule,
     price_report,
@@ -96,6 +97,13 @@ def _integer(value: Any, key: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _number_list(value: Any, key: str) -> tuple[float, ...]:
+    """A JSON list of finite numbers; strings, bools and nulls are rejected, inside it too."""
+    if not isinstance(value, list) or any(v is None or isinstance(v, (str, bool)) for v in value):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(_finite_number(v) for v in value)
 
 
 def load_config(path: str | Path) -> dict:
@@ -173,9 +181,9 @@ def _build_bond(config: Mapping[str, Any]) -> SinkingBondSpec:
     if "maturity" not in section:
         raise ConfigError("bond section is missing key 'maturity'")
     kwargs = dict(section)
+    for key in ("redemption_dates", "admissible_fractions"):
+        kwargs[key] = _number_list(kwargs.get(key, []), "bond." + key)
     try:
-        kwargs["redemption_dates"] = tuple(kwargs.get("redemption_dates", ()))
-        kwargs["admissible_fractions"] = tuple(kwargs.get("admissible_fractions", ()))
         return SinkingBondSpec(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid bond: {exc}") from exc
@@ -227,8 +235,8 @@ def _run_zspread(config: dict, args: argparse.Namespace, base: Path) -> dict:
         raise ConfigError("zspread section is missing key 'market_price'")
     market_price = _finite_number(section["market_price"])
     bracket = (
-        _finite_number(section.get("bracket_low", -0.05)),
-        _finite_number(section.get("bracket_high", 5.0)),
+        _finite_number(section.get("bracket_low", DEFAULT_Z_SPREAD_BRACKET[0])),
+        _finite_number(section.get("bracket_high", DEFAULT_Z_SPREAD_BRACKET[1])),
     )
     spy = _steps_per_year(config, args)
     grid = bond_grid(spec, spy)
@@ -267,13 +275,19 @@ def _run_calibrate(config: dict, args: argparse.Namespace, base: Path) -> dict:
         raise ConfigError(f"invalid quote: {exc}") from exc
     section = dict(_section(config, "calibration", required=False))
     recovery = _finite_number(section.pop("recovery", 0.4))
-    for key in ("lambda0_grid", "sigma_grid", "beta_grid"):
-        if key in section and section[key] is not None:
-            section[key] = tuple(float(v) for v in section[key])
-    try:
-        cal_config = CalibrationConfig(**section)
-    except TypeError as exc:
-        raise ConfigError(f"invalid calibration settings: {exc}") from exc
+    for key, value in section.items():
+        if key in ("steps_per_year", "premium_frequency", "max_iterations"):
+            section[key] = _integer(value, "calibration." + key)
+        elif value is None and key in ("lambda0_grid", "fixed_sigma", "fixed_beta"):
+            continue  # null is these keys' default
+        elif key.endswith("_grid"):
+            section[key] = _number_list(value, "calibration." + key)
+        else:
+            try:
+                section[key] = _finite_number(value)
+            except ValueError as exc:
+                raise ConfigError(f"calibration.{key}: {exc}") from exc
+    cal_config = CalibrationConfig(**section)
     result = calibrate(quotes, z0, curve, recovery, cal_config)
     return {
         "params": dataclasses.asdict(result.params),

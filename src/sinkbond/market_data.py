@@ -17,6 +17,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 
+#: Years within which :meth:`TimeGrid.index_of` matches a grid date.
+_DATE_TOL = 1e-9
+#: Step count above which :func:`build_time_grid` refuses to build: far past
+#: any lattice that fits in memory (2,520 steps already hold 0.5 M nodes).
+_MAX_STEPS = 10**6
+
+
 def _atol(scale: float) -> float:
     return 1e-12 * max(1.0, abs(scale))
 
@@ -56,12 +63,12 @@ class TimeGrid:
         arr.flags.writeable = False
         return arr
 
-    def index_of(self, t: float, *, atol: float = 1e-9) -> int:
-        """Index of the grid date matching ``t`` within ``atol`` years."""
+    def index_of(self, t: float) -> int:
+        """Index of the grid date matching ``t`` within ``_DATE_TOL`` years."""
         i = bisect.bisect_left(self.times, t)
         candidates = [j for j in (i - 1, i, i + 1) if 0 <= j < len(self.times)]
         best = min(candidates, key=lambda j: abs(self.times[j] - t))
-        if abs(self.times[best] - t) <= atol:
+        if abs(self.times[best] - t) <= _DATE_TOL:
             return best
         raise ValueError(f"time {t!r} is not a grid date")
 
@@ -77,15 +84,19 @@ def build_time_grid(
     any interior uniform point closer than half a step to an event is dropped
     in its favour, so the grid stays free of degenerate steps while every
     event remains a bit-exact grid date.  Event dates within rounding
-    tolerance of the maturity are served by the maturity point itself.
+    tolerance of the maturity are served by the maturity point itself.  More
+    than ``_MAX_STEPS`` uniform steps are refused before any is built.
     """
     if not maturity > 0.0:
         raise ValueError("maturity must be positive")
     if int(steps_per_year) != steps_per_year or steps_per_year < 1:
         raise ValueError("steps_per_year must be a positive integer")
     steps_per_year = int(steps_per_year)
-    if not math.isfinite(maturity * steps_per_year):
-        raise ValueError(f"maturity {maturity!r} at {steps_per_year} steps per year is not a finite step count")
+    if not maturity * steps_per_year <= _MAX_STEPS:
+        raise ValueError(
+            f"maturity {maturity!r} at {steps_per_year} steps per year is not a finite step count "
+            f"of at most {_MAX_STEPS}"
+        )
 
     events = _validated_events(event_dates, maturity)
 

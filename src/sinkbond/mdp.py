@@ -73,17 +73,6 @@ class MDPSolution:
     def root_value(self) -> float:
         return float(self.values[0][self.initial_index][0])
 
-    def policy_records(self) -> list[dict]:
-        """Flat dump: one record per (stage, nominal, node)."""
-        records = []
-        for n, table in enumerate(self.policy):
-            for s_index in sorted(table):
-                for node, action in enumerate(table[s_index]):
-                    records.append(
-                        {"stage": n, "nominal_index": s_index, "node": node, "action": int(action)}
-                    )
-        return records
-
 
 @dataclass(frozen=True)
 class PolicyValue:
@@ -161,21 +150,16 @@ def _next_rows(rows: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.bincount((rows[:, None] - actions).ravel()))
 
 
-def backward_induction(
-    stages: Sequence[StageProblem],
-    nominal_steps: int,
-    initial_index: int | None = None,
-) -> MDPSolution:
+def backward_induction(stages: Sequence[StageProblem], nominal_steps: int) -> MDPSolution:
     """Solve the decision problem; the root value is the instrument's price.
 
     A forward pass collects the reachable rows and action grids; the
     backward pass evaluates the kernel once per action column, descending,
     and only a strictly smaller value replaces the running best, so exact
-    ties go to the largest redemption.
+    ties go to the largest redemption.  The root row is the full notional,
+    ``nominal_steps``.
     """
-    if initial_index is None:
-        initial_index = nominal_steps
-    rows = [np.array([initial_index])]
+    rows = [np.array([nominal_steps])]
     grids = []
     for n, stage in enumerate(stages):
         grids.append(_action_grid(stage, rows[n], n))
@@ -198,23 +182,21 @@ def backward_induction(
         values.append({s: row.copy() for s, row in zip(rows[n].tolist(), best)})
         policy.append({s: row.copy() for s, row in zip(rows[n].tolist(), chosen)})
         nxt = best
-    return MDPSolution(tuple(reversed(values)), tuple(reversed(policy)), initial_index)
+    return MDPSolution(tuple(reversed(values)), tuple(reversed(policy)), nominal_steps)
 
 
 def evaluate_policy(
     stages: Sequence[StageProblem],
     nominal_steps: int,
     policy: PolicyLike,
-    initial_index: int | None = None,
 ) -> PolicyValue:
     """Expected discounted cost of a fixed admissible policy.
 
     Only states the policy can actually visit are materialized, so schedule
     maps need not be defined away from their own trajectory.  Inadmissible
-    actions raise, naming the offending state.
+    actions raise, naming the offending state.  The root row is the full
+    notional, ``nominal_steps``.
     """
-    if initial_index is None:
-        initial_index = nominal_steps
     if callable(policy):
         fn = policy
     else:
@@ -225,7 +207,7 @@ def evaluate_policy(
 
     # forward pass: policy-reachable rows and the actions taken there, kept as
     # per-row broadcast views so one stage's (R, m) action array exists at a time
-    rows = [np.array([initial_index])]
+    rows = [np.array([nominal_steps])]
     taken = []
     for n, stage in enumerate(stages):
         acts = []

@@ -1,20 +1,21 @@
 """Bond valuations on the intensity lattice.
 
-Zero-coupon and vanilla coupon bonds run as backward recursions, sinking
-bonds through the decision engine.  A fixed redemption schedule -- "max",
-"min" or a date-to-fraction map, nothing else -- sets the nominal path in
-advance, so its cashflows are weighted by the survival curve the lattice
-recorded while building, with no engine run.  Spreads are the
-default-free cases: z enters as a parallel shift of the forward curve
-(:meth:`DiscountCurve.shifted`); the z-spread prices the bond on a zero-intensity
-chain against it, and the worst-case quote discounts its cashflows on it.
+Zero-coupon bonds run as a backward recursion, sinking bonds through the
+decision engine; a plain coupon bond is a spec without redemption dates.
+A fixed redemption schedule -- "max", "min" or a date-to-fraction map,
+nothing else -- sets the nominal path in advance, so its cashflows are
+weighted by the survival curve the lattice recorded while building, with no
+engine run.  Spreads are the default-free cases: z enters as a parallel
+shift of the forward curve (:meth:`DiscountCurve.shifted`); the z-spread
+prices the bond on a zero-intensity chain against it, and the worst-case
+quote discounts its cashflows on it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .tree import IntensityTree, augment_default, deterministic_tree
 
 
 _Z_SPREAD_TOL = 1e-10  # bracket width at which z_spread stops bisecting
+#: Spread range :func:`z_spread` searches unless told otherwise.
+DEFAULT_Z_SPREAD_BRACKET = (-0.05, 5.0)
 
 
 class UnattainablePriceError(ValueError):
@@ -61,30 +64,6 @@ def price_zcb(tree: IntensityTree, curve: DiscountCurve, recovery: float) -> flo
     for n in range(tree.n_steps - 1, -1, -1):
         tr = tree.transitions[n]
         values = disc[n] * (tr.default_prob * recovery + tr.expect(values))
-    return float(values[0])
-
-
-def price_vanilla_bond(
-    tree: IntensityTree,
-    curve: DiscountCurve,
-    coupons: Sequence[float],
-    recovery: float,
-) -> float:
-    """Coupon bond without redemption options, one backward pass.
-
-    ``coupons[n]`` is paid at t_n on survival (index 0 is ignored); the
-    principal is repaid at maturity.
-    """
-    _require_augmented(tree)
-    coupons = np.asarray(coupons, dtype=float)
-    if coupons.shape != (tree.n_steps + 1,):
-        raise ValueError("need one coupon entry per grid date")
-    disc = step_discounts(curve, tree.grid)
-    values = np.zeros(tree.layers[-1].size)
-    for n in range(tree.n_steps - 1, -1, -1):
-        tr = tree.transitions[n]
-        cash = coupons[n + 1] + (1.0 if n + 1 == tree.n_steps else 0.0)
-        values = disc[n] * (cash * tr.survival + tr.default_prob * recovery + tr.expect(values))
     return float(values[0])
 
 
@@ -210,7 +189,7 @@ def z_spread(
     grid: TimeGrid,
     market_price: float,
     *,
-    bracket: tuple[float, float] = (-0.05, 5.0),
+    bracket: tuple[float, float] = DEFAULT_Z_SPREAD_BRACKET,
 ) -> float:
     """Constant spread over the curve that reproduces a market price.
 

@@ -8,8 +8,8 @@ successors are centred on its drift; all three come from
 :func:`sinkbond.jdcev.x_state`, the map the Monte Carlo paths use too.
 Every node also gets a one-step default probability 1 - exp(-intensity * dt),
 and its diffusion branches scaled by the matching survival factor sum with
-it to one; :func:`augment_default` checks this and marks the tree ready for
-pricing, with the jump leading to the absorbing default state.
+it to one; :func:`augment_default` marks the tree ready for pricing, with
+the jump leading to the absorbing default state.
 
 A step's :class:`LayerTransition` is the one lattice operator: ``expect``
 takes next-layer values back to the current layer (every backward recursion
@@ -134,10 +134,6 @@ class IntensityTree:
     @property
     def n_steps(self) -> int:
         return len(self.transitions)
-
-    @property
-    def root_intensity(self) -> float:
-        return float(self.layers[0].intensity[0])
 
     def layer_sizes(self) -> tuple[int, ...]:
         return tuple(layer.size for layer in self.layers)
@@ -323,15 +319,12 @@ def deterministic_tree(grid: TimeGrid, intensities: Union[float, Sequence[float]
 def augment_default(tree: IntensityTree) -> IntensityTree:
     """Mark the tree ready for pricing, with its default branch attached.
 
-    Construction already scales the branches by survival; this checks that
-    every live node's diffusion branches sum to one.
+    Construction already scales the branches by survival, and
+    :func:`build_trinomial` checks that every live node's diffusion branches
+    sum to one (a chain's branch is exactly [0, 1, 0]).
     """
     if tree.augmented:
         raise ValueError("tree is already default-augmented")
-    for n, tr in enumerate(tree.transitions):
-        sums = tr.branch_probs[:, tr.live].sum(axis=0)
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise ValueError(f"layer {n}: pre-default branch probabilities do not sum to 1")
     return dataclasses.replace(tree, augmented=True)
 
 
@@ -373,12 +366,12 @@ class TreeDiagnostics:
 def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
     """Re-check probability normalization and moment matching, node by node.
 
-    Sums and moments are checked on live nodes; leaves must carry no
-    probability at all.  Moment errors are measured on the pre-default branch
-    probabilities against the drift target and the step variance.  A tree
-    without model parameters (a single chain from :func:`deterministic_tree`)
-    has zero drift and, by design, zero variance, so its variance check is
-    skipped; otherwise a layer whose variance misses dt by more than
+    Sums (survival-scaled branches plus default) and moments are checked on
+    live nodes; leaves must carry no probability at all.  Moment errors are
+    measured on the pre-default branch probabilities against the drift
+    target and the step variance.  A tree without model parameters (a
+    single chain from :func:`deterministic_tree`) has zero drift and, by
+    design, zero variance, so its variance check is skipped; otherwise a layer whose variance misses dt by more than
     ``_VARIANCE_TOL * dt`` is a violation.  A forward pass of the reach mass
     gives each layer's truncated mass (the mass arriving at its leaves); a
     total above ``_TRUNCATION_TOL`` is a violation.
@@ -398,13 +391,8 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
         next_layer = tree.layers[n + 1]
         live = tr.live
 
-        effective = tr.probs if tree.augmented else tr.branch_probs
-        if tree.augmented:
-            sums = effective.sum(axis=0) + tr.default_prob
-            all_probs = np.vstack([effective, tr.default_prob])
-        else:
-            sums = effective.sum(axis=0)
-            all_probs = effective
+        sums = tr.probs.sum(axis=0) + tr.default_prob
+        all_probs = np.vstack([tr.probs, tr.default_prob])
         sum_errs = np.where(live, np.abs(sums - 1.0), 0.0)
         worst = int(np.argmax(sum_errs))
         sum_err = float(sum_errs[worst])
@@ -455,8 +443,8 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
                 layer=n,
                 size=layer.size,
                 prob_sum_error=sum_err,
-                min_branch_prob=float(effective[:, live].min()),
-                max_branch_prob=float(effective[:, live].max()),
+                min_branch_prob=float(tr.probs[:, live].min()),
+                max_branch_prob=float(tr.probs[:, live].max()),
                 mean_error=mean_err,
                 variance_error=var_err,
                 truncated_mass=truncated,
@@ -476,13 +464,3 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
         total_truncated_mass=total_truncated,
     )
 
-
-def survival_probabilities(tree: IntensityTree) -> np.ndarray:
-    """P(no default by t_n) for every grid date: the curve recorded at construction.
-
-    Mass reaching a leaf counts as surviving to the leaf's date and is lost
-    after it; :func:`validate_tree` reports that truncated mass.
-    """
-    if not tree.augmented:
-        raise ValueError("survival probabilities need a default-augmented tree")
-    return tree.survival

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,16 @@ class TestValidateTreeCommand:
         assert report["error"]["type"] == "numerical"
         assert "does not survive rounding" in report["error"]["message"]
 
+    def test_oversized_grid_is_refused_before_it_is_built(self, tmp_path):
+        # 1.2e8 steps: listing the uniform points alone would exhaust memory
+        payload = dict(BASE, grid={"steps_per_year": 12, "maturity": 1e7})
+        start = time.perf_counter()
+        code, report = run(tmp_path, "validate-tree", payload)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert "step count" in report["error"]["message"]
+
     def test_reports_are_byte_identical(self, tmp_path):
         payload = dict(BASE, grid={"steps_per_year": 12, "maturity": 5.0})
         config = write_config(tmp_path, payload)
@@ -363,10 +374,23 @@ class TestCalibrateCommand:
         ("price", "bond", "admissible_fractions", None),
         ("price", "bond", "allow_skip", "no"),
         ("price", "bond", "full_call", 1),
+        ("price", "bond", "redemption_dates", "1"),
+        ("price", "bond", "redemption_dates", ["1"]),
+        ("price", "bond", "redemption_dates", [None]),
+        ("price", "bond", "admissible_fractions", {"0.05": 1, "0.1": 2}),
+        ("price", "bond", "admissible_fractions", [True]),
+        ("calibrate", "calibration", "penalty_weight", None),
+        ("calibrate", "calibration", "steps_per_year", None),
+        ("calibrate", "calibration", "function_tolerance", None),
+        ("calibrate", "calibration", "max_iterations", "x"),
+        ("calibrate", "calibration", "sigma_grid", [None]),
     ],
     ids=["model-null", "worst-spread-null", "maturity-inf", "maturity-1e308", "maturity-null", "z0-null",
          "steps-null", "steps-fraction", "steps-bool", "n-paths-null", "n-paths-fraction", "seed-null",
-         "redemption-dates-number", "fractions-null", "allow-skip-string", "full-call-number"],
+         "redemption-dates-number", "fractions-null", "allow-skip-string", "full-call-number",
+         "redemption-dates-string", "redemption-date-string", "redemption-date-null", "fractions-map",
+         "fraction-bool", "penalty-null", "calibration-steps-null", "tolerance-null", "iterations-string",
+         "sigma-grid-null"],
 )
 def test_non_numbers_exit_2(tmp_path, command, section, key, value):
     payload = dict(
@@ -376,6 +400,7 @@ def test_non_numbers_exit_2(tmp_path, command, section, key, value):
         worst={"spread": 0.01},
         quotes=[{"tenor": 2.0, "spread": 0.003}],
         mc={"n_paths": 200, "seed": 1},
+        calibration={},
     )
     payload[section] = dict(payload[section], **{key: value})
     code, report = run(tmp_path, command, payload)

@@ -201,14 +201,6 @@ class TestActionRichness:
         assert v_rich <= v_base + 1e-12
 
 
-def test_policy_records_layout(fitted_params, flat_curve):
-    spec, stages = sinking_instance(fitted_params, flat_curve)
-    solution = backward_induction(stages, spec.nominal_steps)
-    records = solution.policy_records()
-    assert {"stage", "nominal_index", "node", "action"} == set(records[0])
-    assert any(r["action"] > 0 for r in records)
-
-
 README_BOND = SinkingBondSpec(
     maturity=10.0,
     coupon_rate=0.08,

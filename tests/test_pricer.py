@@ -20,7 +20,6 @@ from sinkbond.pricer import (
     price_fixed_schedule,
     price_report,
     price_sinking_bond,
-    price_vanilla_bond,
     price_zcb,
     schedule_cashflows,
     worst_ansatz,
@@ -84,32 +83,40 @@ class TestPriceZcb:
 
 
 class TestPriceVanillaBond:
+    """A plain coupon bond is a spec without redemption dates; both the
+    forced-schedule sum and the decision engine value it."""
+
+    @staticmethod
+    def prices(tree, curve, spec):
+        return (
+            price_fixed_schedule(tree, curve, spec, "max"),
+            price_sinking_bond(tree, curve, spec).price,
+        )
+
     def test_zero_coupons_reduce_to_zcb(self, fitted_params, flat_curve):
         tree = stochastic_tree(fitted_params, 2.0, 6)
-        coupons = np.zeros(tree.n_steps + 1)
-        assert price_vanilla_bond(tree, flat_curve, coupons, 0.4) == pytest.approx(
-            price_zcb(tree, flat_curve, 0.4), abs=1e-14
-        )
+        spec = SinkingBondSpec(maturity=2.0, recovery=0.4)
+        for price in self.prices(tree, flat_curve, spec):
+            assert price == pytest.approx(price_zcb(tree, flat_curve, 0.4), abs=1e-14)
 
     def test_riskless_annual_coupon(self, zero_curve):
         grid = build_time_grid(1.0, 4)
         tree = augment_default(deterministic_tree(grid, 0.0))
-        spec = SinkingBondSpec(maturity=1.0, coupon_rate=0.05, coupon_frequency=1)
-        coupons = coupons_on_grid(spec, grid)
-        assert price_vanilla_bond(tree, zero_curve, coupons, 0.0) == pytest.approx(1.05, abs=1e-14)
+        spec = SinkingBondSpec(maturity=1.0, coupon_rate=0.05, coupon_frequency=1, recovery=0.0)
+        for price in self.prices(tree, zero_curve, spec):
+            assert price == pytest.approx(1.05, abs=1e-14)
 
     def test_linearity_in_coupons(self, fitted_params, flat_curve):
         tree = stochastic_tree(fitted_params, 2.0, 4)
         rng = np.random.default_rng(5)
-        a = np.concatenate(([0.0], rng.uniform(0.0, 0.05, tree.n_steps)))
-        b = np.concatenate(([0.0], rng.uniform(0.0, 0.05, tree.n_steps)))
-        lhs = price_vanilla_bond(tree, flat_curve, a + b, 0.4)
-        rhs = (
-            price_vanilla_bond(tree, flat_curve, a, 0.4)
-            + price_vanilla_bond(tree, flat_curve, b, 0.4)
-            - price_zcb(tree, flat_curve, 0.4)
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+        a, b = rng.uniform(0.0, 0.05, 2)
+
+        def prices(rate):
+            return self.prices(tree, flat_curve, SinkingBondSpec(maturity=2.0, coupon_rate=rate, recovery=0.4))
+
+        zcb = price_zcb(tree, flat_curve, 0.4)
+        for lhs, pa, pb in zip(prices(a + b), prices(a), prices(b)):
+            assert lhs == pytest.approx(pa + pb - zcb, abs=1e-12)
 
 
 def premium_spec(**overrides):

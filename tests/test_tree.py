@@ -17,7 +17,6 @@ from sinkbond.tree import (
     augment_default,
     build_trinomial,
     deterministic_tree,
-    survival_probabilities,
     validate_tree,
 )
 
@@ -232,7 +231,7 @@ class TestMassBand:
         for tr in tree.transitions:
             defaulted += float(np.sum(mass * tr.default_prob))
             mass = tr.push(mass)
-        survived = survival_probabilities(tree)[-1]
+        survived = tree.survival[-1]
         truncated = validate_tree(tree).total_truncated_mass
         assert 0.0 < truncated <= 1e-12
         assert survived + defaulted + truncated == pytest.approx(1.0, abs=1e-14)
@@ -259,7 +258,7 @@ class TestSurvival:
         grid = build_time_grid(2.0, 4)
         path = [0.01 + 0.002 * n for n in range(grid.n_steps + 1)]
         tree = augment_default(deterministic_tree(grid, path))
-        survival = survival_probabilities(tree)
+        survival = tree.survival
         expected = 1.0
         for n in range(grid.n_steps):
             expected *= math.exp(-path[n] * float(grid.steps[n]))
@@ -271,7 +270,7 @@ class TestSurvival:
         values = []
         for spy in (4, 16, 32, 64, 128):
             tree = augment_default(build_trinomial(fitted_params, build_time_grid(3.0, spy)))
-            values.append(survival_probabilities(tree)[-1])
+            values.append(tree.survival[-1])
         gaps = np.abs(np.diff(values))
         assert gaps[2] < gaps[1]
         assert gaps[3] < gaps[2]
@@ -291,11 +290,6 @@ class TestSurvival:
         survival, default_mass = push_pass_mass_curve(tree)
         assert np.array_equal(tree.survival, survival)
         assert np.array_equal(tree.default_mass, default_mass)
-
-    def test_requires_augmentation(self, fitted_params):
-        tree = build_trinomial(fitted_params, build_time_grid(1.0, 4))
-        with pytest.raises(ValueError):
-            survival_probabilities(tree)
 
 
 def test_out_of_range_probability_is_a_hard_failure():
@@ -338,7 +332,6 @@ def test_root_node_arrays(fitted_params):
     assert np.all((0 <= root.succ[:, 0]) & (root.succ[:, 0] < tree.layers[1].size))
     assert root.default_prob[0] > 0.0
     assert len(tree.layers) == tree.n_steps + 1
-    assert tree.root_intensity == tree.layers[0].intensity[0]
 
 
 @functools.lru_cache(maxsize=1)
