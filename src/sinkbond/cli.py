@@ -85,9 +85,23 @@ def _finite_number(text: str | float) -> float:
         value = float(text)
     except TypeError as exc:
         raise ConfigError(f"expected a number, got {type(text).__name__}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"number {text} is too large for a float") from exc
     if not math.isfinite(value):
         raise ConfigError(f"non-finite number {text} is not allowed")
     return value
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer literal, kept an int; one too large for a float is rejected."""
+    value = int(text)
+    _finite_number(value)
+    return value
+
+
+def _parse_json(text: str) -> Any:
+    """JSON with every number finite; NaN, Infinity and float-overflowing integers are rejected."""
+    return json.loads(text, parse_float=_finite_number, parse_int=_json_int, parse_constant=_finite_number)
 
 
 def _integer(value: Any, key: str) -> int:
@@ -116,7 +130,7 @@ def load_config(path: str | Path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        raw = json.loads(path.read_text(), parse_float=_finite_number, parse_constant=_finite_number)
+        raw = _parse_json(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -159,7 +173,7 @@ def _build_curve(config: Mapping[str, Any], base: Path) -> DiscountCurve:
         curve_path = base / section["file"]
         if not curve_path.exists():
             raise ConfigError(f"curve file {curve_path} does not exist")
-        pillars = json.loads(curve_path.read_text(), parse_float=_finite_number, parse_constant=_finite_number)
+        pillars = _parse_json(curve_path.read_text())
     else:
         raise ConfigError("curve section needs either 'pillars' or 'file'")
     try:

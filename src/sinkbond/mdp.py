@@ -43,14 +43,15 @@ class StageProblem:
     transition: the lattice step t_n -> t_{n+1}.
     coupon: coupon rate C_{n+1} paid at t_{n+1} per unit of remaining nominal.
     recovery: fraction of the remaining nominal paid once upon default.
-    discount: riskless discount factor from t_{n+1} back to t_n.
+    discount: riskless discount factor from t_{n+1} back to t_n, a float
+        or an (m,) array of one factor per node.
     """
 
     actions: ActionProvider
     transition: LayerTransition
     coupon: float
     recovery: float
-    discount: float
+    discount: Union[float, np.ndarray]
 
     @property
     def size(self) -> int:

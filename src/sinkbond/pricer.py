@@ -6,16 +6,18 @@ A fixed redemption schedule -- "max", "min" or a date-to-fraction map,
 nothing else -- sets the nominal path in advance, so its cashflows are
 weighted by the survival curve the lattice recorded while building, with no
 engine run.  Spreads are the default-free cases: z enters as a parallel
-shift of the forward curve (:meth:`DiscountCurve.shifted`); the z-spread
-prices the bond on a zero-intensity chain against it, and the worst-case
-quote discounts its cashflows on it.
+shift of the forward curve (:meth:`DiscountCurve.shifted`).  With no default
+the engine's node axis is free, so :func:`spread_prices` runs it over a fan
+of trial spreads with one discount factor per node, and the z-spread narrows
+its bracket one fan per solve; the worst-case quote discounts its cashflows
+on the shifted curve.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -23,10 +25,12 @@ from .instruments import SinkingBondSpec, action_table, coupons_on_grid, redempt
 from .market_data import DiscountCurve, TimeGrid, discount_factors, step_discounts
 from .mdp import MDPSolution, StageProblem, backward_induction
 from .mdp import evaluate_policy  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
-from .tree import IntensityTree, augment_default, deterministic_tree
+from .tree import IntensityTree, LayerTransition
+from .tree import augment_default, deterministic_tree  # noqa: F401 -- unused; perfbench/tracer.py wraps these names
 
 
-_Z_SPREAD_TOL = 1e-10  # bracket width at which z_spread stops bisecting
+_Z_SPREAD_TOL = 1e-10  # bracket width at which z_spread stops searching
+_FAN_WIDTH = 64  # trial spreads z_spread prices per engine solve
 #: Spread range :func:`z_spread` searches unless told otherwise.
 DEFAULT_Z_SPREAD_BRACKET = (-0.05, 5.0)
 
@@ -43,10 +47,10 @@ def _require_augmented(tree: IntensityTree) -> None:
         raise ValueError("pricing requires a default-augmented tree")
 
 
-def _check_same_horizon(tree: IntensityTree, spec: SinkingBondSpec) -> None:
-    if abs(tree.grid.maturity - spec.maturity) > 1e-9:
+def _check_same_horizon(grid: TimeGrid, spec: SinkingBondSpec) -> None:
+    if abs(grid.maturity - spec.maturity) > 1e-9:
         raise ValueError(
-            f"tree horizon {tree.grid.maturity!r} does not match the bond maturity {spec.maturity!r}"
+            f"grid horizon {grid.maturity!r} does not match the bond maturity {spec.maturity!r}"
         )
 
 
@@ -72,20 +76,31 @@ def build_stage_problems(
 ) -> list[StageProblem]:
     """Assemble one decision stage per grid step from tree, curve and contract."""
     _require_augmented(tree)
-    _check_same_horizon(tree, spec)
+    _check_same_horizon(tree.grid, spec)
     grid = tree.grid
-    coupons = coupons_on_grid(spec, grid)
-    actions = action_table(spec, grid)
-    disc = step_discounts(curve, grid)
+    return _stages(
+        spec, coupons_on_grid(spec, grid), action_table(spec, grid), tree.transitions,
+        step_discounts(curve, grid).tolist(),
+    )
+
+
+def _stages(
+    spec: SinkingBondSpec,
+    coupons: np.ndarray,
+    actions: Callable[[int, int], Sequence[int]],
+    transitions: Sequence[LayerTransition],
+    discounts: Sequence[Union[float, np.ndarray]],
+) -> list[StageProblem]:
+    """One decision stage per step; ``discounts[n]`` is a float or one factor per node."""
     return [
         StageProblem(
             actions=functools.partial(actions, n),
-            transition=tree.transitions[n],
+            transition=tr,
             coupon=float(coupons[n + 1]),
             recovery=spec.recovery,
-            discount=float(disc[n]),
+            discount=discounts[n],
         )
-        for n in range(grid.n_steps)
+        for n, tr in enumerate(transitions)
     ]
 
 
@@ -164,23 +179,63 @@ def price_fixed_schedule(
     :func:`sinkbond.mdp.evaluate_policy`.
     """
     _require_augmented(tree)
-    _check_same_horizon(tree, spec)
+    _check_same_horizon(tree.grid, spec)
     cash, nominal = schedule_cashflows(spec, tree.grid, schedule)
     df = discount_factors(curve, tree.grid)
     recovered = spec.recovery * nominal[:-1] / spec.nominal_steps
     return float(df[1:] @ (cash[1:] * tree.survival[1:] + recovered * tree.default_mass))
 
 
+def _fan(width: int) -> LayerTransition:
+    """Read-only default-free step carrying each of ``width`` nodes to itself."""
+    branch = np.broadcast_to([[0.0], [1.0], [0.0]], (3, width))
+    return LayerTransition(
+        succ=np.broadcast_to(np.arange(width), (3, width)),
+        branch_probs=branch,
+        survival=np.broadcast_to(1.0, (width,)),
+        default_prob=np.broadcast_to(0.0, (width,)),
+        probs=branch,
+        live=np.broadcast_to(True, (width,)),
+        next_size=width,
+    )
+
+
+def _spread_pricer(
+    spec: SinkingBondSpec, curve: DiscountCurve, grid: TimeGrid
+) -> Callable[[Sequence[float]], np.ndarray]:
+    """:func:`spread_prices` for one bond, with its coupons and action table built once."""
+    _check_same_horizon(grid, spec)
+    coupons = coupons_on_grid(spec, grid)
+    actions = action_table(spec, grid)
+
+    def prices(spreads: Sequence[float]) -> np.ndarray:
+        spreads = [float(z) for z in spreads]
+        disc = np.stack([step_discounts(curve.shifted(z), grid) for z in spreads], axis=1)
+        stages = _stages(spec, coupons, actions, [_fan(len(spreads))] * grid.n_steps, disc)
+        return backward_induction(stages, spec.nominal_steps).values[0][spec.nominal_steps]
+
+    return prices
+
+
+def spread_prices(
+    spec: SinkingBondSpec, curve: DiscountCurve, grid: TimeGrid, spreads: Sequence[float]
+) -> np.ndarray:
+    """Optimal-schedule prices of the default-free bond, one per spread, in one engine solve.
+
+    The engine's node axis runs over the spreads: every stage shares one
+    identity step (survival 1, no default, so the recovery term is exactly
+    zero) and node j discounts on the curve shifted by ``spreads[j]``.  Each
+    node's arithmetic is that of a one-node solve, so a price does not
+    depend on the other spreads in the fan.
+    """
+    return _spread_pricer(spec, curve, grid)(spreads)
+
+
 def deterministic_spread_price(
     spec: SinkingBondSpec, curve: DiscountCurve, grid: TimeGrid, spread: float
 ) -> float:
-    """Optimal-schedule price of the default-free bond discounted at r + ``spread``.
-
-    The bond is priced on a zero-intensity chain against the shifted curve;
-    with no default, its recovery term is exactly zero.
-    """
-    chain = augment_default(deterministic_tree(grid, 0.0))
-    return price_sinking_bond(chain, curve.shifted(spread), spec).price
+    """Optimal-schedule price of the default-free bond discounted at r + ``spread``."""
+    return float(spread_prices(spec, curve, grid, [spread])[0])
 
 
 def z_spread(
@@ -193,32 +248,34 @@ def z_spread(
 ) -> float:
     """Constant spread over the curve that reproduces a market price.
 
-    Each trial is :func:`deterministic_spread_price` on one chain built per
-    call, so bonds with optional sinking features are re-optimized at each
-    trial spread.  The price is strictly decreasing in the spread; plain
-    bisection on the bracket is therefore safe.
+    Each round prices a fan of ``_FAN_WIDTH`` evenly spaced spreads across
+    the bracket in one :func:`spread_prices` solve, so bonds with optional
+    sinking features are re-optimized at every trial spread, and narrows the
+    bracket to the cell where the price crosses the market price.  The price
+    is strictly decreasing in the spread, so that cell holds the root; the
+    search stops when the bracket is narrower than ``_Z_SPREAD_TOL``.
     """
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("bracket must be increasing")
-    chain = augment_default(deterministic_tree(grid, 0.0))
-
-    def price(spread: float) -> float:
-        return price_sinking_bond(chain, curve.shifted(spread), spec).price
-
-    price_lo, price_hi = price(lo), price(hi)
+    prices = _spread_pricer(spec, curve, grid)
+    fan = np.linspace(lo, hi, _FAN_WIDTH)
+    trial = prices(fan)
+    price_lo, price_hi = float(trial[0]), float(trial[-1])
     if not (price_hi <= market_price <= price_lo):
         raise UnattainablePriceError(
             f"market price {market_price!r} outside the attainable range "
             f"[{price_hi!r}, {price_lo!r}] for spreads in [{lo!r}, {hi!r}]"
         )
-    while hi - lo > _Z_SPREAD_TOL:
-        mid = 0.5 * (lo + hi)
-        if price(mid) >= market_price:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    while True:
+        # trial[0] >= market_price; the first trial below it closes the cell
+        below = np.flatnonzero(trial < market_price)
+        k = int(below[0]) if below.size else _FAN_WIDTH - 1
+        lo, hi = float(fan[k - 1]), float(fan[k])
+        if hi - lo <= _Z_SPREAD_TOL:
+            return 0.5 * (lo + hi)
+        fan = np.linspace(lo, hi, _FAN_WIDTH)
+        trial = prices(fan)
 
 
 def worst_ansatz(

@@ -42,6 +42,7 @@ RUN_CONFIG = {
     "bond": {"maturity": 3.0, "coupon_rate": 0.08, "redemption_dates": [1, 2],
              "admissible_fractions": [0.05, 0.10], "alpha": 75.0},
     "mc": {"n_paths": 200, "seed": 1},
+    "zspread": {"market_price": 0.9},
 }
 
 
@@ -80,3 +81,11 @@ def test_traced_mc_check_run_counts_its_paths(tracer_module, tmp_path):
     for name in ("mc.simulate_paths", "mc.price_fixed_policy"):
         assert summary[name]["calls"] == 1
     assert counts["mc.paths"] == 200
+
+
+def test_traced_zspread_run_solves_a_few_fans(tracer_module, tmp_path):
+    summary, counts = traced_run(tracer_module, tmp_path, "zspread")
+    assert summary["pricer.z_spread"]["calls"] == 1
+    # each solve prices a fan of trial spreads: 6 solves cover the default bracket
+    assert 1 <= summary["mdp.backward_induction"]["calls"] <= 6 * summary["pricer.z_spread"]["calls"]
+    assert counts["mdp.states"] > 0

@@ -408,6 +408,41 @@ def test_non_numbers_exit_2(tmp_path, command, section, key, value):
     assert report["error"]["type"] == "config"
 
 
+HUGE = 10**400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("zspread", "bond", "coupon_rate", HUGE),
+        ("price", "bond", "redemption_dates", [HUGE]),
+        ("calibrate", "calibration", "sigma_grid", [2.0, HUGE]),
+    ],
+    ids=["bond-field", "bond-list", "calibration-grid"],
+)
+def test_integers_too_large_for_a_float_exit_2(tmp_path, command, section, key, value):
+    payload = dict(
+        BASE,
+        bond={"maturity": 2.0},
+        zspread={"market_price": 0.9},
+        quotes=[{"tenor": 2.0, "spread": 0.003}],
+        calibration={},
+    )
+    payload[section] = dict(payload[section], **{key: value})
+    code, report = run(tmp_path, command, payload)
+    assert code == 2
+    assert report["error"]["type"] == "config"
+    assert "too large for a float" in report["error"]["message"]
+
+
+def test_curve_file_integer_too_large_for_a_float_exits_2(tmp_path):
+    (tmp_path / "curve.json").write_text(json.dumps([{"time": 0.0, "rate": HUGE}]))
+    payload = dict(BASE, curve={"file": "curve.json"}, bond={"maturity": 2.0})
+    code, report = run(tmp_path, "price", payload)
+    assert code == 2
+    assert "too large for a float" in report["error"]["message"]
+
+
 def test_stdout_when_no_out_file(tmp_path, capsys):
     payload = dict(BASE, bond={"maturity": 1.0}, grid={"steps_per_year": 4})
     config = write_config(tmp_path, payload)

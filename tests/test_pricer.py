@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from oracles import deterministic_bond_pv, mean_chain, zcb_closed_form
 from policies import fixed_schedule_policy
 
-from sinkbond.instruments import SinkingBondSpec, bond_grid, coupons_on_grid
+from sinkbond.instruments import SinkingBondSpec, action_table, bond_grid, coupons_on_grid
 from sinkbond.jdcev import JDCEVParams
 from sinkbond.market_data import DiscountCurve, build_time_grid, discount_factor
-from sinkbond.mdp import evaluate_policy
+from sinkbond.mdp import backward_induction, evaluate_policy
 from sinkbond.pricer import (
     UnattainablePriceError,
     build_stage_problems,
@@ -22,6 +22,7 @@ from sinkbond.pricer import (
     price_sinking_bond,
     price_zcb,
     schedule_cashflows,
+    spread_prices,
     worst_ansatz,
     z_spread,
 )
@@ -327,18 +328,84 @@ class TestZSpread:
         with pytest.raises(UnattainablePriceError):
             z_spread(spec, flat_curve, grid, 2.0)
 
-    def test_one_chain_per_call(self, flat_curve, monkeypatch):
-        built = []
+    def test_six_solves_and_one_action_table_per_call(self, flat_curve, monkeypatch):
+        import sinkbond.pricer as pricer
 
-        def counting_tree(grid, intensities):
-            built.append(intensities)
-            return deterministic_tree(grid, intensities)
+        solves, tables = [], []
 
-        monkeypatch.setattr("sinkbond.pricer.deterministic_tree", counting_tree)
+        def counting_solve(stages, nominal_steps):
+            solves.append(len(stages))
+            return backward_induction(stages, nominal_steps)
+
+        def counting_table(spec, grid):
+            tables.append(grid.n_steps)
+            return action_table(spec, grid)
+
+        monkeypatch.setattr(pricer, "backward_induction", counting_solve)
+        monkeypatch.setattr(pricer, "action_table", counting_table)
         spec = premium_spec()
         grid = bond_grid(spec, 4)
         z_spread(spec, flat_curve, grid, 1.0)
-        assert built == [0.0]
+        assert 1 <= len(solves) <= 6
+        assert tables == [grid.n_steps]
+
+
+#: (admissible fractions, alpha) pairs of the desk book: K = alpha / (smallest installment * 100) runs from 5 to 20.
+FAN_SHAPES = (
+    ((0.05, 0.10), 25.0),  # K 5
+    ((0.10, 0.20), 50.0),  # K 5
+    ((0.10, 0.20), 100.0),  # K 10
+    ((0.05, 0.10, 0.15), 75.0),  # K 15
+    ((0.05, 0.10), 100.0),  # K 20
+)
+
+
+@st.composite
+def fan_cases(draw):
+    """A desk-like sinking bond on a 4 or 12/yr grid, a sloped curve with interior pillars, a spread fan."""
+    maturity = draw(st.integers(min_value=2, max_value=6))
+    fractions, alpha = draw(st.sampled_from(FAN_SHAPES))
+    spec = SinkingBondSpec(
+        maturity=float(maturity),
+        coupon_rate=draw(st.floats(min_value=0.0, max_value=0.09)),
+        coupon_frequency=draw(st.sampled_from([1, 2])),
+        redemption_dates=tuple(float(y) for y in range(1, maturity)),
+        admissible_fractions=fractions,
+        alpha=alpha,
+        recovery=0.4,
+        allow_skip=draw(st.booleans()),
+        full_call=draw(st.booleans()),
+    )
+    inner = draw(st.lists(st.floats(min_value=0.01, max_value=maturity - 0.01), min_size=1, max_size=4, unique=True))
+    times = (0.0, *sorted(inner))
+    rates = tuple(draw(st.floats(min_value=-0.01, max_value=0.06)) for _ in times)
+    spreads = sorted(draw(st.lists(st.floats(min_value=-0.05, max_value=0.3), min_size=2, max_size=6, unique=True)))
+    return spec, DiscountCurve(times, rates), bond_grid(spec, draw(st.sampled_from([4, 12]))), spreads
+
+
+class TestSpreadFan:
+    @given(case=fan_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_fan_matches_single_spreads_bit_for_bit(self, case):
+        spec, curve, grid, spreads = case
+        fan = spread_prices(spec, curve, grid, spreads)
+        assert fan.tolist() == [deterministic_spread_price(spec, curve, grid, z) for z in spreads]
+
+    @given(case=fan_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_fan_prices_fall_as_the_spread_rises(self, case):
+        spec, curve, grid, spreads = case
+        spreads = [z for z, nxt in zip(spreads, spreads[1:] + [math.inf]) if nxt - z > 1e-6]
+        fan = spread_prices(spec, curve, grid, spreads)
+        assert np.all(np.diff(fan) < 0.0)
+
+    @given(case=fan_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_z_spread_reprices_the_market(self, case):
+        spec, curve, grid, spreads = case
+        market = deterministic_spread_price(spec, curve, grid, spreads[0])
+        found = z_spread(spec, curve, grid, market)
+        assert deterministic_spread_price(spec, curve, grid, found) == pytest.approx(market, abs=1e-8)
 
 
 def callable_spec(maturity, coupon_rate, call_dates):
