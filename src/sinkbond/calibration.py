@@ -68,6 +68,11 @@ class CalibrationConfig:
     function_tolerance: float = 1e-8
     max_iterations: int = 500
 
+    def __post_init__(self) -> None:
+        for key in ("lambda0_grid", "sigma_grid", "beta_grid"):
+            if getattr(self, key) is not None and len(getattr(self, key)) == 0:
+                raise ValueError(f"calibration.{key} must hold at least one value")
+
 
 @dataclass(frozen=True)
 class FitReport:

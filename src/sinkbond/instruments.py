@@ -5,7 +5,8 @@ CURRENTLY outstanding notional.  Redemption installments are quoted as
 fractions of the ORIGINAL issue size; with alpha percent of the issue still
 outstanding, an installment f rescales to f * 100 / alpha per unit held.  K
 defaults to alpha / (smallest installment * 100), the coarsest grid on which
-every rescaled installment is exact.
+every rescaled installment is exact; K may not exceed 10^6.  What may be
+redeemed depends only on s and the kind of date: see :func:`action_table`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import TimeGrid, _merge_close_dates, build_time_grid
+from .market_data import _MAX_NOMINAL_STEPS, TimeGrid, _merge_close_dates, build_time_grid
 
 
 @dataclass(frozen=True)
@@ -98,28 +99,22 @@ class SinkingBondSpec:
         steps = self.nominal_steps if self.nominal_steps is not None else default_steps
         if int(steps) != steps or steps < 1:
             raise ValueError("nominal_steps must be a positive integer")
-        steps = int(steps)
+        if steps > _MAX_NOMINAL_STEPS:
+            raise ValueError(f"nominal grid of {steps} steps exceeds the limit of {_MAX_NOMINAL_STEPS}")
+        object.__setattr__(self, "nominal_steps", int(steps))
         for f in self.admissible_fractions:
-            units = f * 100.0 / self.alpha * steps
-            if abs(units - round(units)) > 1e-9:
-                raise ValueError(
-                    f"installment {f!r} is not exact on a nominal grid of {steps} steps"
-                )
-        object.__setattr__(self, "nominal_steps", steps)
+            self.fraction_to_index(f)
 
     @property
     def redemption_indices(self) -> tuple[int, ...]:
         """Installment sizes in nominal-grid units, smallest first."""
-        return tuple(
-            int(round(f * 100.0 / self.alpha * self.nominal_steps))
-            for f in self.admissible_fractions
-        )
+        return tuple(map(self.fraction_to_index, self.admissible_fractions))
 
     def fraction_to_index(self, fraction: float) -> int:
         """Installment size (fraction of the original issue) in grid units."""
         units = fraction * 100.0 / self.alpha * self.nominal_steps
         if abs(units - round(units)) > 1e-9:
-            raise ValueError(f"fraction {fraction!r} is not exact on the nominal grid")
+            raise ValueError(f"installment {fraction!r} is not exact on a nominal grid of {self.nominal_steps} steps")
         return int(round(units))
 
 
@@ -134,38 +129,35 @@ def redemption_stages(spec: SinkingBondSpec, grid: TimeGrid) -> frozenset[int]:
     return frozenset(stages)
 
 
-def action_table(spec: SinkingBondSpec, grid: TimeGrid):
-    """Callable (stage n, nominal index s) -> admissible redemption amounts (grid units).
+def action_table(spec: SinkingBondSpec, grid: TimeGrid) -> tuple[np.ndarray, ...]:
+    """One read-only (K+1, A) table of admissible redemption amounts (grid units) per stage.
 
-    The terminal stage forces full redemption.  At a redemption date the set
-    is the installments not exceeding the remaining nominal, extended by 0
-    (allow_skip) and by the full remainder (full_call); if nothing remains
-    admissible the leftover stub itself is redeemed.  Everywhere else the
-    only action is 0.  The redemption stages are looked up once, here.
+    Row s lists the amounts admissible at nominal index s, largest first; a
+    shorter row repeats its smallest amount.  Three tables exist, shared by
+    all stages: the final stage redeems s, even on a redemption date; a
+    redemption date offers the installments not exceeding s plus 0
+    (allow_skip) and s (full_call), or the stub s when none of these exist;
+    any other date redeems nothing.  The dtype is the smallest that holds K.
     """
+    k = spec.nominal_steps
+    s = np.arange(k + 1, dtype=np.min_scalar_type(k))[:, None]
+    final, hold = s, 0 * s
+    # candidates largest first: installments above K never fit (nor may the
+    # dtype hold them), and the trailing stub column fits only where nothing else does
+    installments = [np.full_like(s, a) for a in spec.redemption_indices[::-1] if a <= k]
+    cand = np.hstack([s] * spec.full_call + installments + [hold] * spec.allow_skip + [s])
+    fits = cand <= s
+    fits[:, -1] = ~fits[:, :-1].any(axis=1)
+    # the misfits, installments above s, form one block after the full_call
+    # column: skip it, and pad each row with its last (smallest) fit
+    n_fit = fits.sum(axis=1, keepdims=True)
+    col = np.minimum(np.arange(n_fit.max()), n_fit - 1)
+    col = np.where(col < spec.full_call, col, col + (~fits[:, :-1]).sum(axis=1, keepdims=True))
+    redeem = np.take_along_axis(cand, col, axis=1)
+    for table in (final, redeem, hold):
+        table.flags.writeable = False
     stages = redemption_stages(spec, grid)
-    installments = spec.redemption_indices
-    n_steps = grid.n_steps
-
-    def lookup(n: int, s_index: int) -> tuple[int, ...]:
-        if not 0 <= s_index <= spec.nominal_steps:
-            raise ValueError(f"nominal index {s_index} outside the grid 0..{spec.nominal_steps}")
-        if not 0 <= n < n_steps:
-            raise ValueError(f"stage {n} outside 0..{n_steps - 1}")
-        if n == n_steps - 1:
-            return (s_index,)
-        if n not in stages:
-            return (0,)
-        acts = {a for a in installments if a <= s_index}
-        if spec.full_call:
-            acts.add(s_index)
-        if spec.allow_skip:
-            acts.add(0)
-        if not acts:
-            return (s_index,)
-        return tuple(sorted(acts))
-
-    return lookup
+    return tuple(redeem if n in stages else hold for n in range(grid.n_steps - 1)) + (final,)
 
 
 def coupon_dates(spec: SinkingBondSpec) -> tuple[float, ...]:

@@ -22,6 +22,8 @@ _DATE_TOL = 1e-9
 #: Step count above which :func:`build_time_grid` refuses to build: far past
 #: any lattice that fits in memory (2,520 steps already hold 0.5 M nodes).
 _MAX_STEPS = 10**6
+#: Nominal grid size K above which a bond is refused: action tables hold K + 1 rows.
+_MAX_NOMINAL_STEPS = 10**6
 
 
 def _atol(scale: float) -> float:

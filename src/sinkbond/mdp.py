@@ -14,8 +14,10 @@ default is worth zero.
 
 Action sets are keyed by the remaining nominal alone (the intensity node
 never restricts what an issuer may redeem), so a stage's admissible actions
-form a small (R, A) grid and the minimization is one kernel call per column.
-Ties are broken toward the largest redemption so policies are reproducible.
+are one lookup ``stage.actions(rows)`` returning an (R, A) grid, largest
+amount first, and the minimization is one kernel call per column.  Ties are
+broken toward the largest redemption so policies are reproducible, and a
+policy is stored in the grid's dtype.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 from .tree import LayerTransition
 
-ActionProvider = Callable[[int], Sequence[int]]
 #: Policies map (stage, nominal index) to either a single action index or a
 #: per-node vector of action indices.
 PolicyFn = Callable[[int, int], Union[int, np.ndarray]]
@@ -38,8 +39,11 @@ PolicyLike = Union[PolicyFn, Sequence[Mapping[int, Union[int, np.ndarray]]], "MD
 class StageProblem:
     """One decision stage t_n -> t_{n+1}.
 
-    actions: admissible redemption amounts (in nominal-grid units) per
-        remaining-nominal index; must be nonempty for every reachable nominal.
+    actions: admissible redemption amounts (nominal-grid units), vectorised:
+        a nominal index gives its row, an index array the (R, A) rows, each
+        largest first and padded with its smallest amount.  A callable (an
+        action table's ``__getitem__``) because callers outside the engine,
+        such as ``perfbench/tracer.py``, ask for ``stage.actions(s_index)``.
     transition: the lattice step t_n -> t_{n+1}.
     coupon: coupon rate C_{n+1} paid at t_{n+1} per unit of remaining nominal.
     recovery: fraction of the remaining nominal paid once upon default.
@@ -47,7 +51,7 @@ class StageProblem:
         or an (m,) array of one factor per node.
     """
 
-    actions: ActionProvider
+    actions: Callable[[Union[int, np.ndarray]], np.ndarray]
     transition: LayerTransition
     coupon: float
     recovery: float
@@ -128,22 +132,13 @@ def stage_values(
     return stage_cost(stage, rows[:, None], actions, nominal_steps) + cont[pos, np.arange(stage.size)]
 
 
-def _action_grid(stage: StageProblem, rows: np.ndarray, n: int) -> np.ndarray:
-    """(R, A) admissible actions per row in descending order.
-
-    Rows with fewer than A actions repeat their smallest one, which changes
-    no minimum.
-    """
-    sets = []
-    for s_index in rows.tolist():
-        acts = sorted(set(stage.actions(s_index)), reverse=True)
-        if not acts:
-            raise ValueError(f"stage {n}, nominal index {s_index}: empty action set")
-        if acts[0] > s_index:
-            raise ValueError(f"stage {n}, nominal index {s_index}: action {acts[0]} exceeds the nominal")
-        sets.append(acts)
-    width = max(map(len, sets))
-    return np.array([acts + acts[-1:] * (width - len(acts)) for acts in sets], dtype=np.intp)
+def _admissible(stage: StageProblem, rows: np.ndarray, n: int) -> np.ndarray:
+    """The stage's (R, A) action grid for ``rows``; no action may exceed its row."""
+    grid = stage.actions(rows)
+    over = np.flatnonzero((grid > rows[:, None]).any(axis=1))
+    if over.size:
+        raise ValueError(f"stage {n}, nominal index {rows[over[0]]}: action {grid[over[0]].max()} exceeds the nominal")
+    return grid
 
 
 def _next_rows(rows: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -163,7 +158,7 @@ def backward_induction(stages: Sequence[StageProblem], nominal_steps: int) -> MD
     rows = [np.array([nominal_steps])]
     grids = []
     for n, stage in enumerate(stages):
-        grids.append(_action_grid(stage, rows[n], n))
+        grids.append(_admissible(stage, rows[n], n))
         rows.append(_next_rows(rows[n], grids[n]))
 
     nxt = np.zeros((len(rows[-1]), stages[-1].transition.next_size))
@@ -249,7 +244,7 @@ def bellman_residual(
         next_rows, nxt = stacked(solution.values[n + 1])
         at_policy = stage_values(stage, rows, chosen, next_rows, nxt, nominal_steps)
         fixed_point = max(fixed_point, float(np.max(np.abs(at_policy - stored))))
-        grid = _action_grid(stage, rows, n)
+        grid = _admissible(stage, rows, n)
         for col in range(grid.shape[1]):
             trial = stage_values(stage, rows, grid[:, col:col + 1], next_rows, nxt, nominal_steps)
             minimality = max(minimality, float(np.max(stored - trial)))

@@ -15,7 +15,6 @@ on the shifted curve.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
@@ -87,14 +86,14 @@ def build_stage_problems(
 def _stages(
     spec: SinkingBondSpec,
     coupons: np.ndarray,
-    actions: Callable[[int, int], Sequence[int]],
+    actions: Sequence[np.ndarray],
     transitions: Sequence[LayerTransition],
     discounts: Sequence[Union[float, np.ndarray]],
 ) -> list[StageProblem]:
     """One decision stage per step; ``discounts[n]`` is a float or one factor per node."""
     return [
         StageProblem(
-            actions=functools.partial(actions, n),
+            actions=actions[n].__getitem__,
             transition=tr,
             coupon=float(coupons[n + 1]),
             recovery=spec.recovery,
@@ -137,10 +136,10 @@ def schedule_cashflows(
         rule = schedule.lower()
         if rule not in ("max", "min"):
             raise ValueError(f"unknown schedule rule {schedule!r}")
-        pick = max if rule == "max" else min
+        col = 0 if rule == "max" else -1
 
         def choose(n: int, s_index: int) -> int:
-            return pick(actions(n, s_index))
+            return int(actions[n][s_index, col])
 
     else:
         stage_actions = {
@@ -162,7 +161,7 @@ def schedule_cashflows(
     for n in range(grid.n_steps):
         s_index = int(nominal[n])
         action = choose(n, s_index)
-        if action not in actions(n, s_index):
+        if action not in actions[n][s_index]:
             raise ValueError(f"stage {n}, nominal index {s_index}: action {action} not admissible")
         cash[n + 1] = (action + coupons[n + 1] * s_index) / spec.nominal_steps
         nominal[n + 1] = s_index - action
@@ -290,6 +289,7 @@ def worst_ansatz(
     """
     if not spec.full_call:
         raise ValueError("the worst-case quote needs a callable-style bond (full_call)")
+    _check_same_horizon(grid, spec)
     dfz = discount_factors(curve.shifted(spread), grid)
     coupon_pv = np.cumsum(coupons_on_grid(spec, grid) * dfz)
 

@@ -77,6 +77,28 @@ def mean_chain(params, grid):
     return deterministic_tree(grid, path)
 
 
+def reference_actions(spec, grid, n: int, s_index: int) -> set[int]:
+    """Admissible redemption amounts at stage n and nominal index s_index, one call at a time.
+
+    The final stage redeems everything; a redemption date offers the
+    installments not exceeding s_index, plus 0 (allow_skip) and s_index
+    itself (full_call), or the stub s_index when none of these exist; any
+    other date redeems nothing.
+    """
+    from sinkbond.instruments import redemption_stages
+
+    if n == grid.n_steps - 1:
+        return {s_index}
+    if n not in redemption_stages(spec, grid):
+        return {0}
+    acts = {a for a in spec.redemption_indices if a <= s_index}
+    if spec.full_call:
+        acts.add(s_index)
+    if spec.allow_skip:
+        acts.add(0)
+    return acts or {s_index}
+
+
 def _row_cost(stage, s_index: int, action, nominal_steps: int) -> np.ndarray:
     s = s_index / nominal_steps
     a = np.asarray(action, dtype=float) / nominal_steps

@@ -147,6 +147,20 @@ class TestPriceCommand:
         assert code == 2
         assert "bond.recoverey" in report["error"]["message"]
 
+    def test_oversized_nominal_grid_is_refused_before_any_table(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a table or lattice for a refused bond")
+
+        for module, name in (("cli", "build_trinomial"), ("pricer", "action_table")):
+            monkeypatch.setattr(f"sinkbond.{module}.{name}", refuse)
+        payload = dict(BASE, bond=dict(sinking_bond_section(), nominal_steps=10**6 + 1))
+        start = time.perf_counter()
+        code, report = run(tmp_path, "price", payload)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert "exceeds the limit" in report["error"]["message"]
+
     def test_reports_are_byte_identical(self, tmp_path):
         payload = dict(BASE, bond=sinking_bond_section(), grid={"steps_per_year": 4})
         config = write_config(tmp_path, payload)
@@ -347,6 +361,14 @@ class TestCalibrateCommand:
         }
         code, report = run(tmp_path, "calibrate", payload)
         assert code == 0
+
+    @pytest.mark.parametrize("key", ["lambda0_grid", "sigma_grid", "beta_grid"])
+    def test_empty_parameter_grid_exits_2(self, tmp_path, key):
+        payload = dict(BASE, quotes=[{"tenor": 2.0, "spread": 0.002}], calibration={key: []})
+        code, report = run(tmp_path, "calibrate", payload)
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert f"calibration.{key}" in report["error"]["message"]
 
     def test_missing_quotes_exits_2(self, tmp_path):
         payload = dict(BASE)

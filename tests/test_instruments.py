@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_actions
 
 from sinkbond.instruments import (
     SinkingBondSpec,
@@ -72,29 +73,34 @@ class TestSpecValidation:
             SinkingBondSpec(maturity=1.3, coupon_rate=0.05, coupon_frequency=1)
 
 
+def admissible(spec, grid, n, s_index):
+    """Stage n's admissible amounts at nominal index s_index, as a set."""
+    return set(action_table(spec, grid)[n][s_index].tolist())
+
+
 class TestActionSet:
     def test_full_nominal_at_redemption_date(self):
         spec = two_installment_bond()
         grid = bond_grid(spec, 4)
         n = grid.index_of(1.0)
-        assert action_table(spec, grid)(n, 15) == (1, 2)  # 5/75 and 10/75 in 15ths
+        assert admissible(spec, grid, n, 15) == {1, 2}  # 5/75 and 10/75 in 15ths
 
     def test_small_remainder_restricts_the_set(self):
         spec = two_installment_bond()
         grid = bond_grid(spec, 4)
         n = grid.index_of(2.0)
-        assert action_table(spec, grid)(n, 1) == (1,)
+        assert admissible(spec, grid, n, 1) == {1}
 
     def test_non_redemption_dates_allow_nothing(self):
         spec = two_installment_bond()
         grid = bond_grid(spec, 4)
         n = grid.index_of(1.25)
-        assert action_table(spec, grid)(n, 15) == (0,)
+        assert admissible(spec, grid, n, 15) == {0}
 
     def test_terminal_stage_forces_full_redemption(self):
         spec = two_installment_bond()
         grid = bond_grid(spec, 4)
-        assert action_table(spec, grid)(grid.n_steps - 1, 7) == (7,)
+        assert admissible(spec, grid, grid.n_steps - 1, 7) == {7}
 
     def test_leftover_stub_is_redeemed_when_nothing_else_fits(self):
         # on a refined nominal grid the installment spans 2 units, so a
@@ -108,14 +114,14 @@ class TestActionSet:
         )
         grid = bond_grid(spec, 2)
         n = grid.index_of(2.0)
-        assert action_table(spec, grid)(n, 8) == (2,)
-        assert action_table(spec, grid)(n, 1) == (1,)
+        assert admissible(spec, grid, n, 8) == {2}
+        assert admissible(spec, grid, n, 1) == {1}
 
     def test_allow_skip_adds_zero(self):
         spec = two_installment_bond(allow_skip=True)
         grid = bond_grid(spec, 4)
         n = grid.index_of(3.0)
-        assert action_table(spec, grid)(n, 15) == (0, 1, 2)
+        assert admissible(spec, grid, n, 15) == {0, 1, 2}
 
     def test_full_call_adds_the_remainder(self):
         spec = SinkingBondSpec(
@@ -128,23 +134,57 @@ class TestActionSet:
         grid = bond_grid(spec, 4)
         n = grid.index_of(2.0)
         assert spec.nominal_steps == 1
-        assert action_table(spec, grid)(n, 1) == (0, 1)
-        assert action_table(spec, grid)(n, 0) == (0,)
+        assert admissible(spec, grid, n, 1) == {0, 1}
+        assert admissible(spec, grid, n, 0) == {0}
 
     def test_bad_indices_rejected(self):
         spec = two_installment_bond()
         grid = bond_grid(spec, 4)
-        with pytest.raises(ValueError, match="nominal index"):
-            action_table(spec, grid)(0, 16)
-        with pytest.raises(ValueError, match="stage"):
-            action_table(spec, grid)(grid.n_steps, 1)
+        with pytest.raises(IndexError):
+            admissible(spec, grid, 0, 16)
+        with pytest.raises(IndexError):
+            admissible(spec, grid, grid.n_steps, 1)
+
+    def test_nominal_grid_cap(self):
+        at_cap = SinkingBondSpec(
+            maturity=3.0, redemption_dates=(1.0, 2.0), admissible_fractions=(0.05, 0.10),
+            nominal_steps=10**6, allow_skip=True, full_call=True,
+        )
+        tables = {id(t): t for t in action_table(at_cap, bond_grid(at_cap, 1))}
+        assert len(tables) == 3
+        assert sum(t.nbytes for t in tables.values()) <= 64 * 2**20
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            SinkingBondSpec(maturity=3.0, nominal_steps=10**6 + 1)
+
+    def test_installment_above_the_nominal_grid_never_fits(self):
+        # 100% of the issue is 800 units of a 200-step grid when 25% is outstanding
+        spec = SinkingBondSpec(
+            maturity=3.0, redemption_dates=(1.0,), admissible_fractions=(0.125, 1.0), alpha=25.0,
+            nominal_steps=200,
+        )
+        grid = bond_grid(spec, 1)
+        assert spec.redemption_indices == (100, 800)
+        assert action_table(spec, grid)[0].dtype == np.uint8
+        assert admissible(spec, grid, 1, 200) == {100}
+        assert admissible(spec, grid, 1, 99) == {99}
+
+    def test_three_read_only_tables_shared_by_all_stages(self):
+        spec = two_installment_bond()
+        grid = bond_grid(spec, 4)
+        tables = action_table(spec, grid)
+        assert len(tables) == grid.n_steps
+        assert len({id(t) for t in tables}) == 3
+        for table in tables:
+            assert table.shape[0] == spec.nominal_steps + 1
+            assert not table.flags.writeable
+        assert tables[0].dtype == np.uint8
 
     @given(s_index=st.integers(min_value=0, max_value=15), stage=st.integers(min_value=0, max_value=39))
     @settings(max_examples=200, deadline=None)
     def test_actions_always_admissible_and_nonempty(self, s_index, stage):
         spec = two_installment_bond()
         grid = bond_grid(spec, 4)
-        acts = action_table(spec, grid)(stage, s_index)
+        acts = admissible(spec, grid, stage, s_index)
         assert acts
         for a in acts:
             assert 0 <= a <= s_index
@@ -157,9 +197,58 @@ class TestActionSet:
         for _ in range(50):
             s = spec.nominal_steps
             for n in range(grid.n_steps):
-                acts = table(n, s)
-                s -= acts[rng.integers(len(acts))]
+                acts = table[n][s]
+                s -= int(acts[rng.integers(len(acts))])
             assert s == 0
+
+
+@st.composite
+def action_specs(draw):
+    """A bond and grid drawn so that stub rows, both flags and a redemption
+    date at t_(N-1) all occur; installments are drawn in nominal units."""
+    k = draw(st.integers(min_value=1, max_value=40))
+    alpha = draw(st.sampled_from([100.0, 50.0, 25.0]))
+    top = int(100 * k / alpha)  # the largest installment the contract allows, in units
+    # the smallest installment divides k; without an override it is one unit,
+    # so the default nominal grid is k, and with one rows below it are stubs
+    override = draw(st.booleans())
+    smallest = draw(st.sampled_from([d for d in range(1, k + 1) if k % d == 0])) if override else 1
+    units = set()
+    if draw(st.booleans()) or not override:
+        units = {smallest} | draw(st.sets(st.integers(min_value=smallest, max_value=top), max_size=3))
+    spy = draw(st.integers(min_value=1, max_value=4))
+    years = draw(st.integers(min_value=1, max_value=4))
+    dates = draw(st.sets(st.integers(min_value=1, max_value=4 * 4), max_size=6))
+    dates = {j for j in dates if j < years * spy}
+    spec = SinkingBondSpec(
+        maturity=float(years),
+        redemption_dates=tuple(j / spy for j in dates),
+        admissible_fractions=tuple(u * alpha / (100.0 * k) for u in units),
+        alpha=alpha,
+        nominal_steps=k if override else None,
+        allow_skip=draw(st.booleans()),
+        full_call=draw(st.booleans()),
+    )
+    assert spec.nominal_steps == k
+    return spec, bond_grid(spec, spy)
+
+
+@given(action_specs())
+@settings(max_examples=150, deadline=None)
+def test_action_table_matches_the_per_call_rule(drawn):
+    spec, grid = drawn
+    k = spec.nominal_steps
+    tables = action_table(spec, grid)
+    assert len(tables) == grid.n_steps
+    for n, table in enumerate(tables):
+        assert table.shape[0] == k + 1
+        assert np.iinfo(table.dtype).max >= k
+        for s_index, row in enumerate(table.tolist()):
+            expected = reference_actions(spec, grid, n, s_index)
+            assert set(row) == expected
+            # largest first, so a shorter row's padding repeats its minimum
+            assert row == sorted(row, reverse=True)
+            assert row[-1] == min(expected)
 
 
 class TestCoupons:

@@ -21,10 +21,19 @@ from sinkbond.tree import augment_default, build_trinomial, deterministic_tree
 
 
 def chain_stage(actions_map, intensity, dt, rate, coupon, recovery):
-    """Single-node stage with a constant intensity, for closed-form checks."""
+    """Single-node stage with a constant intensity, for closed-form checks.
+
+    ``actions_map`` becomes an action table: each row largest first, padded
+    with its smallest amount; nominals the map leaves out redeem nothing.
+    """
     chain = deterministic_tree(TimeGrid((0.0, dt)), intensity)
+    width = max(map(len, actions_map.values()))
+    table = np.zeros((max(actions_map) + 1, width), dtype=np.intp)
+    for s, acts in actions_map.items():
+        acts = sorted(acts, reverse=True)
+        table[s] = acts + acts[-1:] * (width - len(acts))
     return StageProblem(
-        actions=lambda s: actions_map[s],
+        actions=table.__getitem__,
         transition=chain.transitions[0],
         coupon=coupon,
         recovery=recovery,
@@ -93,6 +102,17 @@ class TestBellmanStep:
         stage = chain_stage({1: (1,)}, intensity=0.0, dt=1.0, rate=0.0, coupon=0.0, recovery=0.0)
         with pytest.raises(ValueError, match="missing continuation"):
             stage_values(stage, one_row(1), np.array([[1]]), one_row(1), np.zeros((1, 1)), 1)
+
+    def test_action_above_its_row_rejected(self):
+        first = chain_stage({2: (1,)}, intensity=0.0, dt=1.0, rate=0.0, coupon=0.0, recovery=0.0)
+        last = chain_stage({1: (1,)}, intensity=0.0, dt=1.0, rate=0.0, coupon=0.0, recovery=0.0)
+        greedy = chain_stage({1: (2,)}, intensity=0.0, dt=1.0, rate=0.0, coupon=0.0, recovery=0.0)
+        message = "stage 1, nominal index 1: action 2 exceeds the nominal"
+        with pytest.raises(ValueError, match=message):
+            backward_induction([first, greedy], 2)
+        solution = backward_induction([first, last], 2)
+        with pytest.raises(ValueError, match=message):
+            bellman_residual([first, greedy], 2, solution)
 
     def test_largest_action_wins_ties(self):
         # redeeming now pays 1 immediately; waiting hands over a continuation

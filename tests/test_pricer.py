@@ -471,6 +471,14 @@ class TestWorstAnsatz:
         with pytest.raises(ValueError, match="callable"):
             worst_ansatz(spec, flat_curve, grid, 0.01)
 
+    def test_mismatched_grid_rejected(self, flat_curve):
+        # a 10 y grid holds every date of the 5 y bond, so only the horizon check can catch it
+        spec = callable_spec(5.0, 0.06, (1.0, 2.0, 3.0, 4.0))
+        grid = build_time_grid(10.0, 4, [1.0, 2.0, 3.0, 4.0, 5.0])
+        for pricer_fn in (worst_ansatz, deterministic_spread_price):
+            with pytest.raises(ValueError, match="grid horizon 10.0 does not match"):
+                pricer_fn(spec, flat_curve, grid, 0.01)
+
 
 class TestPriceReport:
     def test_report_fields_and_option_value(self, fitted_params, flat_curve):
