@@ -19,8 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from .jdcev import DEFAULT_INTENSITY_CAP, JDCEVParams
-from .market_data import DiscountCurve, TimeGrid, _merge_close_dates, build_time_grid, discount_factors
+from .market_data import _MAX_STEPS, DiscountCurve, TimeGrid, _merge_close_dates, build_time_grid, discount_factors
 from .tree import IntensityTree, augment_default, build_trinomial
+
+
+#: The search box of (lambda0, sigma, beta): fitted values are clamped into
+#: it, and the objective charges a penalty for probes outside it.
+LAMBDA0_BOUNDS, SIGMA_BOUNDS, BETA_BOUNDS = (1e-6, 2.0), (1e-3, 50.0), (-5.0, -1e-3)
 
 
 class CalibrationError(RuntimeError):
@@ -56,9 +61,6 @@ class CalibrationConfig:
     steps_per_year: int = 4
     premium_frequency: int = 4
     lambda_cap: float = DEFAULT_INTENSITY_CAP
-    lambda0_bounds: tuple[float, float] = (1e-6, 2.0)
-    sigma_bounds: tuple[float, float] = (1e-3, 50.0)
-    beta_bounds: tuple[float, float] = (-5.0, -1e-3)
     penalty_weight: float = 10.0
     lambda0_grid: tuple[float, ...] | None = None
     sigma_grid: tuple[float, ...] = (0.5, 1.5, 3.0, 6.0)
@@ -69,9 +71,23 @@ class CalibrationConfig:
     max_iterations: int = 500
 
     def __post_init__(self) -> None:
-        for key in ("lambda0_grid", "sigma_grid", "beta_grid"):
-            if getattr(self, key) is not None and len(getattr(self, key)) == 0:
+        for key in ("steps_per_year", "premium_frequency", "max_iterations"):
+            if not getattr(self, key) >= 1:
+                raise ValueError(f"calibration.{key} must be at least 1, got {getattr(self, key)!r}")
+        for key in ("function_tolerance", "penalty_weight"):
+            if not getattr(self, key) >= 0.0:
+                raise ValueError(f"calibration.{key} must be nonnegative, got {getattr(self, key)!r}")
+        # the simplex takes logs of lambda0 and sigma; beta < 0 is the model's domain
+        for key in ("lambda0_grid", "sigma_grid", "fixed_sigma", "beta_grid", "fixed_beta"):
+            value = getattr(self, key)
+            if value is None:
+                continue
+            values = (value,) if key.startswith("fixed") else value
+            if len(values) == 0:
                 raise ValueError(f"calibration.{key} must hold at least one value")
+            if not all((v < 0.0) if "beta" in key else (v > 0.0) for v in values):
+                sign = "negative" if "beta" in key else "positive"
+                raise ValueError(f"calibration.{key} must be {sign}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,10 +128,11 @@ class CalibrationResult:
 
 
 def premium_dates(tenor: float, premium_frequency: int) -> tuple[float, ...]:
-    n_periods = round(tenor * premium_frequency)
-    if abs(n_periods - tenor * premium_frequency) > 1e-9 or n_periods < 1:
+    periods = tenor * premium_frequency
+    n_periods = round(periods) if periods <= _MAX_STEPS else 0  # every premium date is a grid date
+    if abs(n_periods - periods) > 1e-9 or n_periods < 1:
         raise ValueError(
-            f"tenor {tenor!r} is not a whole number of premium periods "
+            f"tenor {tenor!r} is not a whole number of premium periods, at most {_MAX_STEPS}, "
             f"at frequency {premium_frequency}"
         )
     return tuple(j / premium_frequency for j in range(1, n_periods + 1))
@@ -210,7 +227,7 @@ def calibration_error(
     """
     config = config or CalibrationConfig()
     lam0, sigma, beta = (float(v) for v in values)
-    boxes = (config.lambda0_bounds, config.sigma_bounds, config.beta_bounds)
+    boxes = (LAMBDA0_BOUNDS, SIGMA_BOUNDS, BETA_BOUNDS)
     clamped = tuple(_clamp(v, box) for v, box in zip((lam0, sigma, beta), boxes))
     penalty = 0.0
     for v, c, box in zip((lam0, sigma, beta), clamped, boxes):
@@ -257,6 +274,8 @@ def calibrate(
 
     if not quotes:
         raise ValueError("calibration needs at least one quote")
+    if not 0.0 <= recovery <= 1.0:
+        raise ValueError(f"calibration.recovery must lie in [0, 1], got {recovery!r}")
     quotes = tuple(quotes)
     config = config or CalibrationConfig()
 
@@ -264,7 +283,7 @@ def calibrate(
         lam_grid = config.lambda0_grid
     else:
         seed = _spread_seed(quotes, recovery)
-        lam_grid = tuple(_clamp(seed * f, config.lambda0_bounds) for f in (0.25, 1.0, 4.0))
+        lam_grid = tuple(_clamp(seed * f, LAMBDA0_BOUNDS) for f in (0.25, 1.0, 4.0))
     sigma_grid = (config.fixed_sigma,) if config.fixed_sigma is not None else config.sigma_grid
     beta_grid = (config.fixed_beta,) if config.fixed_beta is not None else config.beta_grid
 
@@ -320,9 +339,9 @@ def calibrate(
     )
     lam0, sigma, beta = unpack(result.x)
     fitted = JDCEVParams(
-        lambda0=_clamp(lam0, config.lambda0_bounds),
-        sigma=_clamp(sigma, config.sigma_bounds),
-        beta=_clamp(beta, config.beta_bounds),
+        lambda0=_clamp(lam0, LAMBDA0_BOUNDS),
+        sigma=_clamp(sigma, SIGMA_BOUNDS),
+        beta=_clamp(beta, BETA_BOUNDS),
         z0=z0,
         lambda_cap=config.lambda_cap,
     )

@@ -1,10 +1,15 @@
 """Batch front door: one JSON config in, one JSON report out.
 
 A config holds named sections (grid, curve, model, bond, quotes, mc,
-zspread, worst, calibration); each command reads the sections it needs and
-ignores the rest, but unknown keys anywhere are rejected by name so typos
-cannot silently fall back to defaults.  Reports are deterministic byte for
-byte given the same config and seed.
+zspread, worst, calibration); each command reads the sections it needs.
+:func:`load_config` types every value once, by one rule: a number is a
+finite JSON number or a string holding one, an integer is a JSON number
+without a fractional part, a flag is JSON ``true`` or ``false``, a number
+list is a JSON list of JSON numbers, and ``null`` is allowed only where the
+default is ``null``; a boolean is never a number.  Unknown keys are rejected
+by name in every record (sections, quotes, curve pillars), and a malformed
+value anywhere exits 2 with its key path in the error.  Reports are
+deterministic byte for byte given the same config and seed.
 
 Exit codes: 0 success, 2 malformed config, 3 numerical failure.
 """
@@ -16,8 +21,11 @@ import dataclasses
 import json
 import math
 import sys
+import types
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .calibration import (
     CalibrationConfig,
@@ -44,34 +52,21 @@ DEFAULT_MC_PATHS = 100_000
 DEFAULT_MC_SEED = 0
 DEFAULT_MC_SCHEDULE = "max"
 
+_PILLAR = {"time": float, "rate": float}
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
-_SECTION_KEYS: dict[str, set[str]] = {
-    "grid": {"steps_per_year", "maturity"},
-    "curve": {"pillars", "file"},
-    "model": _field_names(JDCEVParams),
-    "bond": _field_names(SinkingBondSpec),
-    "mc": {"n_paths", "seed", "schedule"},
-    "zspread": {"market_price", "bracket_low", "bracket_high"},
-    "worst": {"spread"},
-    "calibration": {
-        "recovery",
-        "steps_per_year",
-        "premium_frequency",
-        "lambda_cap",
-        "lambda0_grid",
-        "sigma_grid",
-        "beta_grid",
-        "fixed_sigma",
-        "fixed_beta",
-        "function_tolerance",
-        "max_iterations",
-        "penalty_weight",
-    },
-    "quotes": _field_names(CDSQuote),  # keys of each element of the list
+#: The kind of every config value by section and key, typed where a section
+#: builds a dataclass; a dict is a record and a one-element list a list of
+#: such records.
+_KINDS: dict[str, Any] = {
+    "grid": {"steps_per_year": int, "maturity": float},
+    "curve": {"pillars": [_PILLAR], "file": str},
+    "model": get_type_hints(JDCEVParams),
+    "bond": get_type_hints(SinkingBondSpec),
+    "quotes": [get_type_hints(CDSQuote)],
+    "mc": {"n_paths": int, "seed": int, "schedule": str | dict[float, float]},
+    "zspread": dict.fromkeys(("market_price", "bracket_low", "bracket_high"), float),
+    "worst": {"spread": float},
+    "calibration": {**get_type_hints(CalibrationConfig), "recovery": float},
 }
 
 
@@ -79,82 +74,87 @@ class ConfigError(ValueError):
     """The config file is missing, malformed, or carries unknown/invalid keys."""
 
 
-def _finite_number(text: str | float) -> float:
-    """A JSON number literal or config value as a float; non-numbers, NaN and infinities are rejected."""
-    try:
-        value = float(text)
-    except TypeError as exc:
-        raise ConfigError(f"expected a number, got {type(text).__name__}") from exc
-    except OverflowError as exc:
-        raise ConfigError(f"number {text} is too large for a float") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"non-finite number {text} is not allowed")
-    return value
-
-
-def _json_int(text: str) -> int:
-    """A JSON integer literal, kept an int; one too large for a float is rejected."""
-    value = int(text)
-    _finite_number(value)
-    return value
-
-
-def _parse_json(text: str) -> Any:
-    """JSON with every number finite; NaN, Infinity and float-overflowing integers are rejected."""
-    return json.loads(text, parse_float=_finite_number, parse_int=_json_int, parse_constant=_finite_number)
-
-
-def _integer(value: Any, key: str) -> int:
-    """A whole-number config value; bools, non-numbers and fractions are rejected."""
-    if isinstance(value, int) and not isinstance(value, bool):
+def _value(kind: Any, value: Any, path: str) -> Any:
+    """``value`` read as ``kind`` by the module's rule; a misfit raises a ConfigError naming ``path``."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be a JSON object, got {value!r}")
+        for key in value:
+            if key not in kind:
+                raise ConfigError(f"unknown key {path + '.' + key!r}")
+        return {key: _value(kind[key], v, f"{path}.{key}") for key, v in value.items()}
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        return [_value(kind[0], v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if isinstance(kind, types.UnionType):  # X | None, or a schedule's rule | map
+        members = get_args(kind)
+        if value is None and types.NoneType in members:
+            return None
+        kind = members[-1] if isinstance(value, dict) and get_origin(members[-1]) is dict else members[0]
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list) or any(isinstance(v, str) for v in value):
+            raise ConfigError(f"{path} must be a list of numbers, got {value!r}")
+        return tuple(_value(float, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if get_origin(kind) is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be a JSON object, got {value!r}")
+        return {_value(float, k, f"{path} key"): _value(float, v, f"{path}[{k!r}]") for k, v in value.items()}
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{path} must be {'true or false' if kind is bool else 'a string'}, got {value!r}")
         return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{key} must be an integer, got {value!r}")
+    name = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)) or kind is int and isinstance(value, str):
+        raise ConfigError(f"{path} must be {name}, got {value!r}")
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"{path} must be {name}, got {value!r}") from None
+    except OverflowError:
+        raise ConfigError(f"{path} must be finite, got number {value} too large for a float") from None
+    if not math.isfinite(number):
+        text = value if isinstance(value, str) else json.dumps(value)
+        raise ConfigError(f"{path} must be finite, got non-finite number {text}")
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _number_list(value: Any, key: str) -> tuple[float, ...]:
-    """A JSON list of finite numbers; strings, bools and nulls are rejected, inside it too."""
-    if not isinstance(value, list) or any(v is None or isinstance(v, (str, bool)) for v in value):
-        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
-    return tuple(_finite_number(v) for v in value)
+def _read_json(path: Path, what: str) -> Any:
+    if not path.exists():
+        raise ConfigError(f"{what} {path} does not exist")
+    try:
+        text = path.read_text()
+    except (OSError, ValueError) as exc:  # a directory, no permission, not UTF-8
+        raise ConfigError(f"{what} {path} cannot be read: {exc}") from None
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def load_config(path: str | Path) -> dict:
-    """Parse and key-validate a run configuration.
+    """Read a run configuration with every value typed by the module's rule.
 
-    Returns the raw section mapping; values are validated where they are
-    consumed so errors can cite both the key path and the broken constraint.
+    A curve file, named relative to the config's folder, is read here too:
+    its records become the curve section's ``pillars`` unless it has some.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    try:
-        raw = _parse_json(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    raw = _read_json(path, "config file")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    for section, content in raw.items():
-        if section not in _SECTION_KEYS:
+    for section in raw:
+        if section not in _KINDS:
             raise ConfigError(f"unknown config section {section!r}")
-        if section == "quotes":
-            continue
-        if not isinstance(content, dict):
-            raise ConfigError(f"section {section!r} must be a JSON object")
-        for key in content:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"unknown key {section + '.' + key!r}")
-    if "quotes" in raw:
-        if not isinstance(raw["quotes"], list):
-            raise ConfigError("section 'quotes' must be a list")
-        for i, quote in enumerate(raw["quotes"]):
-            if not isinstance(quote, dict):
-                raise ConfigError(f"quotes[{i}] must be a JSON object")
-            for key in quote:
-                if key not in _SECTION_KEYS["quotes"]:
-                    raise ConfigError(f"unknown key 'quotes[{i}].{key}'")
-    return raw
+    config = {section: _value(_KINDS[section], content, section) for section, content in raw.items()}
+    curve = config.get("curve", {})
+    if "file" in curve and "pillars" not in curve:
+        records = _read_json(path.parent / curve["file"], "curve.file")
+        curve["pillars"] = _value(_KINDS["curve"]["pillars"], records, "curve.file")
+    return config
 
 
 def _section(config: Mapping[str, Any], name: str, *, required: bool = True) -> dict:
@@ -165,73 +165,54 @@ def _section(config: Mapping[str, Any], name: str, *, required: bool = True) -> 
     return config[name]
 
 
-def _build_curve(config: Mapping[str, Any], base: Path) -> DiscountCurve:
+def _required(config: Mapping[str, Any], name: str, key: str) -> Any:
+    section = _section(config, name)
+    if key not in section:
+        raise ConfigError(f"{name} section is missing key {key!r}")
+    return section[key]
+
+
+def _build(cls, section: Mapping[str, Any], name: str):
+    """``cls(**section)``, with its refusal as a config error naming ``name``."""
+    try:
+        return cls(**section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from exc
+
+
+def _build_curve(config: Mapping[str, Any]) -> DiscountCurve:
     section = _section(config, "curve")
-    if "pillars" in section:
-        pillars = section["pillars"]
-    elif "file" in section:
-        curve_path = base / section["file"]
-        if not curve_path.exists():
-            raise ConfigError(f"curve file {curve_path} does not exist")
-        pillars = _parse_json(curve_path.read_text())
-    else:
+    if "pillars" not in section:
         raise ConfigError("curve section needs either 'pillars' or 'file'")
     try:
-        return DiscountCurve.from_pillars(pillars)
-    except (ValueError, KeyError, TypeError) as exc:
+        return DiscountCurve.from_pillars(section["pillars"])
+    except (ValueError, KeyError) as exc:
         raise ConfigError(f"invalid curve: {exc}") from exc
-
-
-def _build_model(config: Mapping[str, Any]) -> JDCEVParams:
-    section = _section(config, "model")
-    try:
-        return JDCEVParams(**{key: float(value) for key, value in section.items()})
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid model parameters: {exc}") from exc
-
-
-def _build_bond(config: Mapping[str, Any]) -> SinkingBondSpec:
-    section = _section(config, "bond")
-    if "maturity" not in section:
-        raise ConfigError("bond section is missing key 'maturity'")
-    kwargs = dict(section)
-    for key in ("redemption_dates", "admissible_fractions"):
-        kwargs[key] = _number_list(kwargs.get(key, []), "bond." + key)
-    try:
-        return SinkingBondSpec(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid bond: {exc}") from exc
 
 
 def _steps_per_year(config: Mapping[str, Any], args: argparse.Namespace) -> int:
     if args.steps_per_year is not None:
         return args.steps_per_year
-    section = _section(config, "grid", required=False)
-    return _integer(section.get("steps_per_year", DEFAULT_STEPS_PER_YEAR), "grid.steps_per_year")
+    return _section(config, "grid", required=False).get("steps_per_year", DEFAULT_STEPS_PER_YEAR)
 
 
 def _mc_settings(config: Mapping[str, Any], args: argparse.Namespace) -> tuple[int, int, Any]:
     section = _section(config, "mc", required=False)
-    n_paths = _integer(section.get("n_paths", DEFAULT_MC_PATHS), "mc.n_paths")
+    n_paths = section.get("n_paths", DEFAULT_MC_PATHS)
     if n_paths < 2:
         raise ConfigError(f"mc.n_paths must be at least 2 to estimate a standard error, got {n_paths}")
-    seed = args.seed
-    if seed is None:
-        seed = _integer(section.get("seed", DEFAULT_MC_SEED), "mc.seed")
-    schedule = section.get("schedule", DEFAULT_MC_SCHEDULE)
-    if isinstance(schedule, dict):
-        schedule = {_finite_number(k): _finite_number(v) for k, v in schedule.items()}
-    return n_paths, seed, schedule
+    seed = args.seed if args.seed is not None else section.get("seed", DEFAULT_MC_SEED)
+    return n_paths, seed, section.get("schedule", DEFAULT_MC_SCHEDULE)
 
 
 def _config_echo(command: str, steps_per_year: int, **extra) -> dict:
     return {"command": command, "steps_per_year": steps_per_year, **extra}
 
 
-def _run_price(config: dict, args: argparse.Namespace, base: Path) -> dict:
-    curve = _build_curve(config, base)
-    params = _build_model(config)
-    spec = _build_bond(config)
+def _run_price(config: dict, args: argparse.Namespace) -> dict:
+    curve = _build_curve(config)
+    params = _build(JDCEVParams, _section(config, "model"), "model")
+    spec = _build(SinkingBondSpec, _section(config, "bond"), "bond")
     spy = _steps_per_year(config, args)
     grid = bond_grid(spec, spy)
     tree = augment_default(build_trinomial(params, grid))
@@ -241,16 +222,14 @@ def _run_price(config: dict, args: argparse.Namespace, base: Path) -> dict:
     return report
 
 
-def _run_zspread(config: dict, args: argparse.Namespace, base: Path) -> dict:
-    curve = _build_curve(config, base)
-    spec = _build_bond(config)
-    section = _section(config, "zspread")
-    if "market_price" not in section:
-        raise ConfigError("zspread section is missing key 'market_price'")
-    market_price = _finite_number(section["market_price"])
+def _run_zspread(config: dict, args: argparse.Namespace) -> dict:
+    curve = _build_curve(config)
+    spec = _build(SinkingBondSpec, _section(config, "bond"), "bond")
+    market_price = _required(config, "zspread", "market_price")
+    section = config["zspread"]
     bracket = (
-        _finite_number(section.get("bracket_low", DEFAULT_Z_SPREAD_BRACKET[0])),
-        _finite_number(section.get("bracket_high", DEFAULT_Z_SPREAD_BRACKET[1])),
+        section.get("bracket_low", DEFAULT_Z_SPREAD_BRACKET[0]),
+        section.get("bracket_high", DEFAULT_Z_SPREAD_BRACKET[1]),
     )
     spy = _steps_per_year(config, args)
     grid = bond_grid(spec, spy)
@@ -262,46 +241,25 @@ def _run_zspread(config: dict, args: argparse.Namespace, base: Path) -> dict:
     }
 
 
-def _run_worst(config: dict, args: argparse.Namespace, base: Path) -> dict:
-    curve = _build_curve(config, base)
-    spec = _build_bond(config)
-    section = _section(config, "worst")
-    if "spread" not in section:
-        raise ConfigError("worst section is missing key 'spread'")
-    spread = _finite_number(section["spread"])
+def _run_worst(config: dict, args: argparse.Namespace) -> dict:
+    curve = _build_curve(config)
+    spec = _build(SinkingBondSpec, _section(config, "bond"), "bond")
+    spread = _required(config, "worst", "spread")
     spy = _steps_per_year(config, args)
     grid = bond_grid(spec, spy)
     price = worst_ansatz(spec, curve, grid, spread)
     return {"worst_price": price, "spread": spread, "config": _config_echo("worst", spy)}
 
 
-def _run_calibrate(config: dict, args: argparse.Namespace, base: Path) -> dict:
-    curve = _build_curve(config, base)
-    model_section = _section(config, "model")
-    if "z0" not in model_section:
-        raise ConfigError("model section is missing key 'z0'")
-    z0 = _finite_number(model_section["z0"])
-    if "quotes" not in config or not config["quotes"]:
+def _run_calibrate(config: dict, args: argparse.Namespace) -> dict:
+    curve = _build_curve(config)
+    z0 = _required(config, "model", "z0")
+    if not config.get("quotes"):
         raise ConfigError("config section 'quotes' is required for this command")
-    try:
-        quotes = [CDSQuote(**{k: (v if k == "side" else float(v)) for k, v in q.items()}) for q in config["quotes"]]
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid quote: {exc}") from exc
+    quotes = [_build(CDSQuote, quote, f"quotes[{i}]") for i, quote in enumerate(config["quotes"])]
     section = dict(_section(config, "calibration", required=False))
-    recovery = _finite_number(section.pop("recovery", 0.4))
-    for key, value in section.items():
-        if key in ("steps_per_year", "premium_frequency", "max_iterations"):
-            section[key] = _integer(value, "calibration." + key)
-        elif value is None and key in ("lambda0_grid", "fixed_sigma", "fixed_beta"):
-            continue  # null is these keys' default
-        elif key.endswith("_grid"):
-            section[key] = _number_list(value, "calibration." + key)
-        else:
-            try:
-                section[key] = _finite_number(value)
-            except ValueError as exc:
-                raise ConfigError(f"calibration.{key}: {exc}") from exc
-    cal_config = CalibrationConfig(**section)
+    recovery = section.pop("recovery", 0.4)
+    cal_config = _build(CalibrationConfig, section, "calibration")
     result = calibrate(quotes, z0, curve, recovery, cal_config)
     return {
         "params": dataclasses.asdict(result.params),
@@ -311,10 +269,10 @@ def _run_calibrate(config: dict, args: argparse.Namespace, base: Path) -> dict:
     }
 
 
-def _run_mc_check(config: dict, args: argparse.Namespace, base: Path) -> dict:
-    curve = _build_curve(config, base)
-    params = _build_model(config)
-    spec = _build_bond(config)
+def _run_mc_check(config: dict, args: argparse.Namespace) -> dict:
+    curve = _build_curve(config)
+    params = _build(JDCEVParams, _section(config, "model"), "model")
+    spec = _build(SinkingBondSpec, _section(config, "bond"), "bond")
     spy = _steps_per_year(config, args)
     n_paths, seed, schedule = _mc_settings(config, args)
     grid = bond_grid(spec, spy)
@@ -335,14 +293,14 @@ def _run_mc_check(config: dict, args: argparse.Namespace, base: Path) -> dict:
     }
 
 
-def _run_validate_tree(config: dict, args: argparse.Namespace, base: Path) -> dict:
-    params = _build_model(config)
+def _run_validate_tree(config: dict, args: argparse.Namespace) -> dict:
+    params = _build(JDCEVParams, _section(config, "model"), "model")
     spy = _steps_per_year(config, args)
     grid_section = _section(config, "grid", required=False)
     if "maturity" in grid_section:
-        grid = build_time_grid(_finite_number(grid_section["maturity"]), spy)
+        grid = build_time_grid(grid_section["maturity"], spy)
     elif "bond" in config:
-        grid = bond_grid(_build_bond(config), spy)
+        grid = bond_grid(_build(SinkingBondSpec, config["bond"], "bond"), spy)
     else:
         raise ConfigError("validate-tree needs grid.maturity or a bond section")
     tree = augment_default(build_trinomial(params, grid))
@@ -384,8 +342,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = load_config(args.config)
-        report = _COMMANDS[args.command](config, args, Path(args.config).parent)
-    except (TreeConstructionError, CalibrationError, UnattainablePriceError) as exc:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):  # no inf or NaN reaches a report
+            report = _COMMANDS[args.command](config, args)
+    except (TreeConstructionError, CalibrationError, UnattainablePriceError, ArithmeticError) as exc:
         _emit({"error": {"type": "numerical", "message": str(exc)}}, args.out)
         return 3
     except (ConfigError, ValueError) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import _MAX_NOMINAL_STEPS, TimeGrid, _merge_close_dates, build_time_grid
+from .market_data import _MAX_NOMINAL_STEPS, _MAX_STEPS, TimeGrid, _merge_close_dates, build_time_grid
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,8 @@ class SinkingBondSpec:
         object.__setattr__(self, "coupon_frequency", int(self.coupon_frequency))
         if self.coupon_rate > 0.0:
             periods = self.maturity * self.coupon_frequency
+            if not periods <= _MAX_STEPS:  # every coupon date is a grid date
+                raise ValueError(f"{periods!r} coupon periods exceed the grid limit of {_MAX_STEPS} steps")
             if abs(periods - round(periods)) > 1e-9:
                 raise ValueError("maturity must be a whole number of coupon periods")
         if not 0.0 <= self.recovery <= 1.0:

@@ -72,7 +72,8 @@ def intensity(params: JDCEVParams, z_level: ArrayLike) -> ArrayLike:
     scalar = z.ndim == 0
     boundary = params.lambda_cap if params.lambda0 > 0.0 else 0.0
     ratio = np.where(z > 0.0, z / params.z0, 1.0)
-    lam = params.lambda0 * ratio ** (2.0 * params.beta)
+    with np.errstate(divide="ignore", over="ignore"):  # a ratio underflowing to 0 diverges: capped below
+        lam = params.lambda0 * ratio ** (2.0 * params.beta)
     lam = np.where(z > 0.0, np.minimum(lam, params.lambda_cap), boundary)
     return _maybe_scalar(lam, scalar)
 

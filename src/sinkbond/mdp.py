@@ -41,9 +41,10 @@ class StageProblem:
 
     actions: admissible redemption amounts (nominal-grid units), vectorised:
         a nominal index gives its row, an index array the (R, A) rows, each
-        largest first and padded with its smallest amount.  A callable (an
-        action table's ``__getitem__``) because callers outside the engine,
-        such as ``perfbench/tracer.py``, ask for ``stage.actions(s_index)``.
+        largest first and padded with its smallest amount; a negative or
+        too-large index raises IndexError.  A callable (a lookup into an
+        action table) because callers outside the engine, such as
+        ``perfbench/tracer.py``, ask for ``stage.actions(s_index)``.
     transition: the lattice step t_n -> t_{n+1}.
     coupon: coupon rate C_{n+1} paid at t_{n+1} per unit of remaining nominal.
     recovery: fraction of the remaining nominal paid once upon default.

@@ -83,6 +83,17 @@ def build_stage_problems(
     )
 
 
+def _rows_of(table: np.ndarray) -> Callable[[Union[int, np.ndarray]], np.ndarray]:
+    """``table.__getitem__`` for nominal indices; a negative one raises IndexError instead of wrapping to row K."""
+
+    def rows_of(rows: Union[int, np.ndarray]) -> np.ndarray:
+        if (rows.min() if isinstance(rows, np.ndarray) else rows) < 0:
+            raise IndexError(f"negative nominal index in {rows}")
+        return table[rows]
+
+    return rows_of
+
+
 def _stages(
     spec: SinkingBondSpec,
     coupons: np.ndarray,
@@ -93,7 +104,7 @@ def _stages(
     """One decision stage per step; ``discounts[n]`` is a float or one factor per node."""
     return [
         StageProblem(
-            actions=actions[n].__getitem__,
+            actions=_rows_of(actions[n]),
             transition=tr,
             coupon=float(coupons[n + 1]),
             recovery=spec.recovery,

@@ -6,12 +6,14 @@ import pytest
 from oracles import forward_pass_par_spreads
 
 from sinkbond.calibration import (
+    BETA_BOUNDS,
     CalibrationConfig,
     CDSQuote,
     calibrate,
     calibration_error,
     cds_grid,
     model_spreads,
+    premium_dates,
     price_cds,
 )
 from sinkbond.jdcev import JDCEVParams
@@ -34,6 +36,13 @@ class TestQuoteValidation:
             CDSQuote(tenor=5.0, spread=-0.01)
         with pytest.raises(ValueError):
             CDSQuote(tenor=5.0, spread=0.01, side="offer")
+
+
+def test_premium_dates_must_fit_a_grid():
+    assert len(premium_dates(2.0, 500_000)) == 10**6
+    for tenor, frequency in ((2.0, 500_001), (1e300, 4), (1.0, 10**18)):
+        with pytest.raises(ValueError, match="premium periods"):
+            premium_dates(tenor, frequency)
 
 
 class TestPriceCds:
@@ -107,7 +116,7 @@ class TestErrorFunctional:
         quotes = self.make_quotes(fitted_params, flat_curve)
         args = (quotes, fitted_params.z0, flat_curve, 0.4, FAST)
         at_boundary = calibration_error(
-            (fitted_params.lambda0, fitted_params.sigma, FAST.beta_bounds[1]), *args
+            (fitted_params.lambda0, fitted_params.sigma, BETA_BOUNDS[1]), *args
         )
         outside = calibration_error((fitted_params.lambda0, fitted_params.sigma, 0.5), *args)
         assert outside > at_boundary

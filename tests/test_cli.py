@@ -332,6 +332,12 @@ class TestMcCheckCommand:
         assert code == 2
         assert report["error"]["type"] == "config"
 
+    def test_schedule_map_error_names_the_key(self, tmp_path):
+        payload = dict(BASE, bond=sinking_bond_section(), mc={"n_paths": 100, "schedule": {"1.0": None}})
+        code, report = run(tmp_path, "mc-check", payload)
+        assert code == 2
+        assert "mc.schedule" in report["error"]["message"]
+
 
 class TestCalibrateCommand:
     def test_single_quote_fit(self, tmp_path):
@@ -365,6 +371,30 @@ class TestCalibrateCommand:
     @pytest.mark.parametrize("key", ["lambda0_grid", "sigma_grid", "beta_grid"])
     def test_empty_parameter_grid_exits_2(self, tmp_path, key):
         payload = dict(BASE, quotes=[{"tenor": 2.0, "spread": 0.002}], calibration={key: []})
+        code, report = run(tmp_path, "calibrate", payload)
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert f"calibration.{key}" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("steps_per_year", 0),
+            ("premium_frequency", 0),
+            ("max_iterations", 0),
+            ("function_tolerance", -1e-8),
+            ("penalty_weight", -1.0),
+            ("lambda0_grid", [0.01, -1.0]),
+            ("sigma_grid", [0.0]),
+            ("beta_grid", [-0.5, 0.0]),
+            ("fixed_sigma", -1.0),
+            ("fixed_beta", 0.2),
+            ("recovery", 1.5),
+            ("recovery", -0.1),
+        ],
+    )
+    def test_unworkable_setting_exits_2(self, tmp_path, key, value):
+        payload = dict(BASE, quotes=[{"tenor": 2.0, "spread": 0.002}], calibration={key: value})
         code, report = run(tmp_path, "calibrate", payload)
         assert code == 2
         assert report["error"]["type"] == "config"
@@ -406,25 +436,49 @@ class TestCalibrateCommand:
         ("calibrate", "calibration", "function_tolerance", None),
         ("calibrate", "calibration", "max_iterations", "x"),
         ("calibrate", "calibration", "sigma_grid", [None]),
+        *(
+            case
+            for flag in (True, False)
+            for case in (
+                ("price", "model", "sigma", flag),
+                ("price", "bond", "maturity", flag),
+                ("price", "bond", "coupon_rate", flag),
+                ("price", "bond", "coupon_frequency", flag),
+                ("price", "bond", "nominal_steps", flag),
+                ("zspread", "zspread", "market_price", flag),
+                ("worst", "worst", "spread", flag),
+                ("validate-tree", "grid", "maturity", flag),
+                ("calibrate", "quotes", "tenor", flag),
+                ("price", "curve", "pillars", [{"time": 0.0, "rate": 0.02}, {"time": flag, "rate": 0.03}]),
+                ("calibrate", "calibration", "penalty_weight", flag),
+            )
+        ),
     ],
     ids=["model-null", "worst-spread-null", "maturity-inf", "maturity-1e308", "maturity-null", "z0-null",
          "steps-null", "steps-fraction", "steps-bool", "n-paths-null", "n-paths-fraction", "seed-null",
          "redemption-dates-number", "fractions-null", "allow-skip-string", "full-call-number",
          "redemption-dates-string", "redemption-date-string", "redemption-date-null", "fractions-map",
          "fraction-bool", "penalty-null", "calibration-steps-null", "tolerance-null", "iterations-string",
-         "sigma-grid-null"],
+         "sigma-grid-null",
+         *(f"{key}-{flag}" for flag in ("true", "false")
+           for key in ("sigma", "maturity", "coupon-rate", "coupon-frequency", "nominal-steps", "market-price",
+                       "worst-spread", "grid-maturity", "quote-tenor", "pillar-time", "penalty"))],
 )
 def test_non_numbers_exit_2(tmp_path, command, section, key, value):
     payload = dict(
         BASE,
-        bond={"maturity": 2.0},
+        bond={"maturity": 2.0, "full_call": True},
         grid={"steps_per_year": 12},
         worst={"spread": 0.01},
         quotes=[{"tenor": 2.0, "spread": 0.003}],
         mc={"n_paths": 200, "seed": 1},
         calibration={},
+        zspread={"market_price": 0.9},
     )
-    payload[section] = dict(payload[section], **{key: value})
+    if section == "quotes":
+        payload[section] = [dict(payload[section][0], **{key: value})]
+    else:
+        payload[section] = dict(payload[section], **{key: value})
     code, report = run(tmp_path, command, payload)
     assert code == 2
     assert report["error"]["type"] == "config"
@@ -463,6 +517,84 @@ def test_curve_file_integer_too_large_for_a_float_exits_2(tmp_path):
     code, report = run(tmp_path, "price", payload)
     assert code == 2
     assert "too large for a float" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["price", "mc-check", "validate-tree"])
+def test_capped_intensity_at_a_box_corner_prices(tmp_path, command):
+    # at beta = -1e-3 the lattice reaches levels whose z / z0 underflows to 0
+    model = {"lambda0": 0.004, "sigma": 50.0, "beta": -1e-3, "z0": 30.0}
+    payload = dict(BASE, model=model, bond=sinking_bond_section(), grid={"steps_per_year": 52, "maturity": 3.0},
+                   mc={"n_paths": 200})
+    code, report = run(tmp_path, command, payload)
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "command, section, value",
+    [
+        ("price", "curve", {"pillars": [{"time": 0.0, "rate": 1e308}]}),
+        ("price", "curve", {"pillars": [{"time": 0.0, "rate": -1e308}]}),
+        ("worst", "worst", {"spread": -1e308}),
+        ("zspread", "zspread", {"market_price": 0.9, "bracket_low": -1e308}),
+        ("price", "model", {"lambda0": 0.004, "sigma": 2.8, "beta": -0.6, "z0": 1e-300}),
+    ],
+    ids=["rate-overflow", "discount-overflow", "worst-spread", "bracket", "root-drift"],
+)
+def test_overflow_exits_3(tmp_path, command, section, value):
+    payload = dict(BASE, bond={"maturity": 2.0, "full_call": True})
+    payload[section] = value
+    code, report = run(tmp_path, command, payload)
+    assert code == 3
+    assert report["error"]["type"] == "numerical"
+
+
+class TestFiles:
+    def test_curve_file_must_be_a_string(self, tmp_path):
+        code, report = run(tmp_path, "price", dict(BASE, curve={"file": 5}, bond={"maturity": 2.0}))
+        assert code == 2
+        assert "curve.file must be a string" in report["error"]["message"]
+
+    def test_config_directory_exits_2(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["price", "--config", str(tmp_path), "--out", str(out)]) == 2
+        report = strict_json(out.read_text())
+        assert report["error"]["type"] == "config"
+        assert "cannot be read" in report["error"]["message"]
+
+    def test_curve_file_directory_exits_2(self, tmp_path):
+        (tmp_path / "curves").mkdir()
+        code, report = run(tmp_path, "price", dict(BASE, curve={"file": "curves"}, bond={"maturity": 2.0}))
+        assert code == 2
+        assert "curve.file" in report["error"]["message"]
+        assert "cannot be read" in report["error"]["message"]
+
+    @pytest.mark.parametrize("name", ["run.json", "curve.json"])
+    def test_unreadable_file_exits_2(self, tmp_path, monkeypatch, name):
+        # a permission check cannot be relied on (root reads anything), so refuse the read itself
+        read_text = Path.read_text
+
+        def refuse(path, *args, **kwargs):
+            if path.name == name:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        (tmp_path / "curve.json").write_text(json.dumps([{"time": 0.0, "rate": 0.01}]))
+        monkeypatch.setattr(Path, "read_text", refuse)
+        code, report = run(tmp_path, "price", dict(BASE, curve={"file": "curve.json"}, bond={"maturity": 2.0}))
+        assert code == 2
+        assert f"{name} cannot be read" in report["error"]["message"]
+
+    def test_unknown_pillar_key_exits_2(self, tmp_path):
+        curve = {"pillars": [{"time": 0, "rate": 0.02, "rte": 0.05}]}
+        code, report = run(tmp_path, "price", dict(BASE, curve=curve, bond={"maturity": 2.0}))
+        assert code == 2
+        assert "curve.pillars[0].rte" in report["error"]["message"]
+
+    def test_unknown_pillar_key_in_curve_file_exits_2(self, tmp_path):
+        (tmp_path / "curve.json").write_text(json.dumps([{"time": 0.0, "rate": 0.01}, {"time": 1.0, "rte": 0.02}]))
+        code, report = run(tmp_path, "price", dict(BASE, curve={"file": "curve.json"}, bond={"maturity": 2.0}))
+        assert code == 2
+        assert "curve.file[1].rte" in report["error"]["message"]
 
 
 def test_stdout_when_no_out_file(tmp_path, capsys):

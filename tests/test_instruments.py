@@ -40,6 +40,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="multiple of the smallest"):
             two_installment_bond(alpha=77.0)
 
+    def test_coupon_dates_must_fit_a_grid(self):
+        assert len(coupon_dates(SinkingBondSpec(maturity=2.0, coupon_rate=0.05, coupon_frequency=500_000))) == 10**6
+        for frequency in (500_001, 10**18):
+            with pytest.raises(ValueError, match="coupon periods exceed"):
+                SinkingBondSpec(maturity=2.0, coupon_rate=0.05, coupon_frequency=frequency)
+
     def test_explicit_nominal_steps_must_fit_installments(self):
         spec = two_installment_bond(alpha=100.0, nominal_steps=20)
         assert spec.redemption_indices == (1, 2)

@@ -72,6 +72,11 @@ class TestIntensity:
         assert intensity(fitted_params, 0.0) == fitted_params.lambda_cap
         assert intensity(fitted_params, -1.0) == fitted_params.lambda_cap
 
+    def test_level_whose_ratio_underflows_is_capped_quietly(self):
+        # z / z0 rounds to 0 for a subnormal z; the power then diverges, which the cap absorbs
+        params = JDCEVParams(lambda0=0.004, sigma=50.0, beta=-1e-3, z0=30.0)
+        assert intensity(params, 5e-324) == params.lambda_cap
+
     def test_custom_cap(self):
         params = JDCEVParams(lambda0=0.01, sigma=1.0, beta=-1.0, z0=1.0, lambda_cap=5.0)
         assert intensity(params, 1e-6) == 5.0

@@ -246,6 +246,16 @@ def fixed_schedule_case(name):
     return spec, tree, curve, build_stage_problems(tree, curve, spec)
 
 
+def test_stage_actions_refuse_indices_off_the_nominal_grid():
+    spec, _, _, stages = fixed_schedule_case("readme-12")
+    k = spec.nominal_steps
+    for stage in (stages[0], stages[-1]):
+        assert list(stage.actions(k)) == list(stage.actions(np.array([0, k]))[1])
+        for bad in (-1, k + 1, np.array([-1, k]), np.array([0, k + 1])):
+            with pytest.raises(IndexError):
+                stage.actions(bad)
+
+
 @pytest.mark.parametrize("name", sorted(FIXED_SCHEDULE_CASES))
 class TestFixedScheduleEqualsTheEngine:
     """Survival-weighted cashflows value a node-independent schedule as the engine does."""
