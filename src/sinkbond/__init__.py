@@ -30,7 +30,6 @@ from .market_data import (
     DiscountCurve,
     TimeGrid,
     build_time_grid,
-    discount_factor,
     discount_factors,
 )
 from .mc import MCEstimate, PathSet, mc_price_fixed_policy, simulate_paths
@@ -85,7 +84,6 @@ __all__ = [
     "calibration_error",
     "coupons_on_grid",
     "deterministic_tree",
-    "discount_factor",
     "discount_factors",
     "evaluate_policy",
     "intensity",

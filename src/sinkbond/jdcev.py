@@ -70,11 +70,12 @@ def intensity(params: JDCEVParams, z_level: ArrayLike) -> ArrayLike:
     """
     z = np.asarray(z_level, dtype=float)
     scalar = z.ndim == 0
-    boundary = params.lambda_cap if params.lambda0 > 0.0 else 0.0
+    if params.lambda0 == 0.0:
+        return _maybe_scalar(np.zeros_like(z), scalar)
     ratio = np.where(z > 0.0, z / params.z0, 1.0)
     with np.errstate(divide="ignore", over="ignore"):  # a ratio underflowing to 0 diverges: capped below
         lam = params.lambda0 * ratio ** (2.0 * params.beta)
-    lam = np.where(z > 0.0, np.minimum(lam, params.lambda_cap), boundary)
+    lam = np.where(z > 0.0, np.minimum(lam, params.lambda_cap), params.lambda_cap)
     return _maybe_scalar(lam, scalar)
 
 
@@ -114,10 +115,11 @@ def x_state(params: JDCEVParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     """Stock level, capped intensity and drift at the coordinates ``x``.
 
     x <= 0 is the default boundary: level 0 and the boundary intensity of
-    :func:`intensity`.  The drift is zero there and wherever the intensity is
-    capped: such states are numerically certain defaulters, and following the
-    diverging boundary drift would only stretch lattice layers (and move
-    simulated paths after their default) for mass of size exp(-cap * dt).
+    :func:`intensity`.  The drift is zero at level 0, which a positive x can
+    underflow to, and wherever the intensity is capped: with lambda0 > 0 such
+    states are numerically certain defaulters, and following the diverging
+    boundary drift would only stretch lattice layers (and move simulated
+    paths after their default) for mass of size exp(-cap * dt).
     """
     z = np.zeros_like(x)
     pos = x > 0.0
@@ -125,7 +127,7 @@ def x_state(params: JDCEVParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         z[pos] = inverse_transform(params, x[pos])
     lam = np.asarray(intensity(params, z), dtype=float)
     drift = np.zeros_like(x)
-    live = pos & (lam < params.lambda_cap)
+    live = (z > 0.0) & (lam < params.lambda_cap)
     if live.any():
         drift[live] = _drift(params, z[live], lam[live])
     return z, lam, drift

@@ -3,7 +3,9 @@
 Times are year fractions from the valuation date. Rates are continuously
 compounded instantaneous forwards, piecewise constant between pillars, so
 discounting over grid steps is an exact exponential sum rather than an
-interpolation artifact.
+interpolation artifact.  A spread z over the curve is an argument of the
+discount kernel, not a new curve: one spread or a vector of them, each
+integrated as r + z, so a fan of spreads costs one array expression.
 """
 
 from __future__ import annotations
@@ -183,10 +185,6 @@ class DiscountCurve:
         rates = tuple(r for _, r in pairs)
         return cls(times, rates)
 
-    def shifted(self, spread: float) -> "DiscountCurve":
-        """The same pillars with every forward rate raised by ``spread``."""
-        return DiscountCurve(self.pillar_times, tuple(r + spread for r in self.pillar_rates))
-
     def forward_rates(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         if np.any(ts < 0.0):
@@ -195,41 +193,43 @@ class DiscountCurve:
         return np.asarray(self.pillar_rates)[idx]
 
 
-def step_rate_integrals(curve: DiscountCurve, grid: TimeGrid) -> np.ndarray:
-    """Exact integral of the forward over each grid step, length n_steps.
+def step_rate_integrals(
+    curve: DiscountCurve, grid: TimeGrid, spread: float | np.ndarray = 0.0
+) -> np.ndarray:
+    """Exact integral of the forward plus ``spread`` over each grid step.
 
-    A step with no pillar strictly inside it integrates to r(t_n) * dt_n; a
-    step that pillars split sums rate times length over its pieces.
+    ``spread`` is one finite number, giving shape (n_steps,), or a 1-D array
+    of S of them, giving (n_steps, S) with column j at ``spread[j]``.  Every
+    piece is (r + z) * dt, the arithmetic of a curve whose pillar rates were
+    raised by z.  A step with no pillar strictly inside it is one piece; a
+    step that pillars split sums its pieces along a contiguous axis, so a
+    column's bits do not depend on the other spreads.
     """
+    z = np.asarray(spread, dtype=float)
+    if z.ndim > 1 or not np.all(np.isfinite(z)):
+        raise ValueError(f"spreads must be finite numbers in at most one axis, got {spread!r}")
+    zs = z.reshape(-1)
     times = grid.times_array
-    out = curve.forward_rates(times[:-1]) * grid.steps
+    out = (curve.forward_rates(times[:-1])[:, None] + zs) * grid.steps[:, None]
     pillars = np.asarray(curve.pillar_times)
     owner = np.searchsorted(times, pillars, side="right") - 1
     inside = (pillars > times[owner]) & (owner < grid.n_steps)
     for n in np.unique(owner[inside]):
         edges = np.concatenate(([times[n]], pillars[inside & (owner == n)], [times[n + 1]]))
-        out[n] = np.sum(curve.forward_rates(edges[:-1]) * np.diff(edges))
-    return out
+        out[n] = np.sum((curve.forward_rates(edges[:-1]) + zs[:, None]) * np.diff(edges), axis=1)
+    return out if z.ndim else out[:, 0]
 
 
-def rate_integrals(curve: DiscountCurve, grid: TimeGrid) -> np.ndarray:
-    """Cumulative forward integrals; entry m integrates from t_0 up to t_m."""
-    return np.concatenate(([0.0], np.cumsum(step_rate_integrals(curve, grid))))
+def step_discounts(
+    curve: DiscountCurve, grid: TimeGrid, spread: float | np.ndarray = 0.0
+) -> np.ndarray:
+    """One-step factors from t_{n+1} back to t_n at r + ``spread``, one row per step."""
+    return np.exp(-step_rate_integrals(curve, grid, spread))
 
 
-def step_discounts(curve: DiscountCurve, grid: TimeGrid) -> np.ndarray:
-    """One-step factors from t_{n+1} back to t_n, length n_steps."""
-    return np.exp(-step_rate_integrals(curve, grid))
-
-
-def discount_factors(curve: DiscountCurve, grid: TimeGrid) -> np.ndarray:
-    """Factors from t_0 to every grid date, length n_steps + 1."""
-    return np.exp(-rate_integrals(curve, grid))
-
-
-def discount_factor(curve: DiscountCurve, grid: TimeGrid, start: int, stop: int) -> float:
-    """exp(-integral of the forward from t_start to t_stop); 1 when start == stop."""
-    if not 0 <= start <= stop <= grid.n_steps:
-        raise ValueError(f"invalid index range ({start}, {stop}) for a grid with {grid.n_steps} steps")
-    integrals = rate_integrals(curve, grid)
-    return math.exp(-(integrals[stop] - integrals[start]))
+def discount_factors(
+    curve: DiscountCurve, grid: TimeGrid, spread: float | np.ndarray = 0.0
+) -> np.ndarray:
+    """Factors from t_0 to every grid date at r + ``spread``, one row per date."""
+    integrals = step_rate_integrals(curve, grid, spread)
+    return np.exp(-np.concatenate((np.zeros((1,) + integrals.shape[1:]), np.cumsum(integrals, axis=0))))

@@ -5,12 +5,12 @@ decision engine; a plain coupon bond is a spec without redemption dates.
 A fixed redemption schedule -- "max", "min" or a date-to-fraction map,
 nothing else -- sets the nominal path in advance, so its cashflows are
 weighted by the survival curve the lattice recorded while building, with no
-engine run.  Spreads are the default-free cases: z enters as a parallel
-shift of the forward curve (:meth:`DiscountCurve.shifted`).  With no default
-the engine's node axis is free, so :func:`spread_prices` runs it over a fan
-of trial spreads with one discount factor per node, and the z-spread narrows
-its bracket one fan per solve; the worst-case quote discounts its cashflows
-on the shifted curve.
+engine run.  Spreads are the default-free cases: the bond discounts at
+r + z, a spread argument of the discount kernel.  With no default the
+engine's node axis is free, so :func:`spread_prices` runs it over a fan of
+trial spreads, one column of step discounts per node, and the z-spread
+narrows its bracket one fan per solve; the worst-case quote discounts its
+cashflows at r + z in the same kernel.
 """
 
 from __future__ import annotations
@@ -210,23 +210,6 @@ def _fan(width: int) -> LayerTransition:
     )
 
 
-def _spread_pricer(
-    spec: SinkingBondSpec, curve: DiscountCurve, grid: TimeGrid
-) -> Callable[[Sequence[float]], np.ndarray]:
-    """:func:`spread_prices` for one bond, with its coupons and action table built once."""
-    _check_same_horizon(grid, spec)
-    coupons = coupons_on_grid(spec, grid)
-    actions = action_table(spec, grid)
-
-    def prices(spreads: Sequence[float]) -> np.ndarray:
-        spreads = [float(z) for z in spreads]
-        disc = np.stack([step_discounts(curve.shifted(z), grid) for z in spreads], axis=1)
-        stages = _stages(spec, coupons, actions, [_fan(len(spreads))] * grid.n_steps, disc)
-        return backward_induction(stages, spec.nominal_steps).values[0][spec.nominal_steps]
-
-    return prices
-
-
 def spread_prices(
     spec: SinkingBondSpec, curve: DiscountCurve, grid: TimeGrid, spreads: Sequence[float]
 ) -> np.ndarray:
@@ -234,11 +217,16 @@ def spread_prices(
 
     The engine's node axis runs over the spreads: every stage shares one
     identity step (survival 1, no default, so the recovery term is exactly
-    zero) and node j discounts on the curve shifted by ``spreads[j]``.  Each
-    node's arithmetic is that of a one-node solve, so a price does not
-    depend on the other spreads in the fan.
+    zero) and node j discounts at r + ``spreads[j]``, column j of one
+    :func:`step_discounts` call.  Each node's arithmetic is that of a
+    one-node solve, so a price does not depend on the other spreads in the fan.
     """
-    return _spread_pricer(spec, curve, grid)(spreads)
+    _check_same_horizon(grid, spec)
+    disc = step_discounts(curve, grid, spreads)
+    stages = _stages(
+        spec, coupons_on_grid(spec, grid), action_table(spec, grid), [_fan(disc.shape[1])] * grid.n_steps, disc
+    )
+    return backward_induction(stages, spec.nominal_steps).values[0][spec.nominal_steps]
 
 
 def deterministic_spread_price(
@@ -268,9 +256,8 @@ def z_spread(
     lo, hi = bracket
     if not lo < hi:
         raise ValueError("bracket must be increasing")
-    prices = _spread_pricer(spec, curve, grid)
     fan = np.linspace(lo, hi, _FAN_WIDTH)
-    trial = prices(fan)
+    trial = spread_prices(spec, curve, grid, fan)
     price_lo, price_hi = float(trial[0]), float(trial[-1])
     if not (price_hi <= market_price <= price_lo):
         raise UnattainablePriceError(
@@ -285,7 +272,7 @@ def z_spread(
         if hi - lo <= _Z_SPREAD_TOL:
             return 0.5 * (lo + hi)
         fan = np.linspace(lo, hi, _FAN_WIDTH)
-        trial = prices(fan)
+        trial = spread_prices(spec, curve, grid, fan)
 
 
 def worst_ansatz(
@@ -294,14 +281,14 @@ def worst_ansatz(
     """Callable-bond shortcut: minimum over call dates of the deterministic PV.
 
     For each admissible call stage (and maturity) the bond's cashflows up to
-    the redemption are discounted on the curve shifted by ``spread``; the
-    quote is the smallest of these values.  Payment timing matches the
-    decision engine: the amount chosen at t_n lands at t_{n+1}.
+    the redemption are discounted at r + ``spread``; the quote is the
+    smallest of these values.  Payment timing matches the decision engine:
+    the amount chosen at t_n lands at t_{n+1}.
     """
     if not spec.full_call:
         raise ValueError("the worst-case quote needs a callable-style bond (full_call)")
     _check_same_horizon(grid, spec)
-    dfz = discount_factors(curve.shifted(spread), grid)
+    dfz = discount_factors(curve, grid, spread)
     coupon_pv = np.cumsum(coupons_on_grid(spec, grid) * dfz)
 
     call_stages = sorted(set(redemption_stages(spec, grid)) | {grid.n_steps - 1})

@@ -57,6 +57,16 @@ def deterministic_bond_pv(
     return total + disc
 
 
+def discount_factor(curve, grid, start: int, stop: int) -> float:
+    """exp(-integral of the forward from t_start to t_stop); 1 when start == stop."""
+    from sinkbond.market_data import step_rate_integrals
+
+    if not 0 <= start <= stop <= grid.n_steps:
+        raise ValueError(f"invalid index range ({start}, {stop}) for a grid with {grid.n_steps} steps")
+    integrals = np.concatenate(([0.0], np.cumsum(step_rate_integrals(curve, grid))))
+    return math.exp(-(integrals[stop] - integrals[start]))
+
+
 def mean_chain(params, grid):
     """Single-chain lattice along the conditional-mean path x <- x + nu(x) * dt.
 

@@ -46,12 +46,12 @@ RUN_CONFIG = {
 }
 
 
-def traced_run(tracer_module, tmp_path, command):
+def traced_run(tracer_module, tmp_path, command, config_data=RUN_CONFIG):
     """Run one CLI command at 4 steps/yr under the tracer; returns (span summary, counts)."""
     from sinkbond.cli import main
 
     config = tmp_path / "run.json"
-    config.write_text(json.dumps(RUN_CONFIG))
+    config.write_text(json.dumps(config_data))
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -89,3 +89,19 @@ def test_traced_zspread_run_solves_a_few_fans(tracer_module, tmp_path):
     # each solve prices a fan of trial spreads: 6 solves cover the default bracket
     assert 1 <= summary["mdp.backward_induction"]["calls"] <= 6 * summary["pricer.z_spread"]["calls"]
     assert counts["mdp.states"] > 0
+
+
+def test_traced_worst_run_discounts_without_a_lattice(tracer_module, tmp_path):
+    callable_bond = dict(RUN_CONFIG["bond"], admissible_fractions=[], alpha=100.0, allow_skip=True, full_call=True)
+    config = dict(RUN_CONFIG, bond=callable_bond, worst={"spread": 0.01})
+    summary, counts = traced_run(tracer_module, tmp_path, "worst", config)
+    assert summary["pricer.worst_ansatz"]["calls"] == 1
+    assert "mdp.backward_induction" not in summary
+    assert counts["tree.builds"] == 0
+
+
+def test_traced_validate_tree_run_checks_one_lattice(tracer_module, tmp_path):
+    summary, counts = traced_run(tracer_module, tmp_path, "validate-tree")
+    assert summary["tree.validate_tree"]["calls"] == 1
+    assert summary["tree.build_trinomial"]["calls"] == 1
+    assert counts["tree.builds"] == 1

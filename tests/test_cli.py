@@ -12,7 +12,7 @@ from sinkbond.cli import load_config, main
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams
 from sinkbond.market_data import DiscountCurve
-from sinkbond.pricer import price_zcb
+from sinkbond.pricer import deterministic_spread_price, price_zcb
 from sinkbond.tree import augment_default, build_trinomial
 
 
@@ -527,6 +527,30 @@ def test_capped_intensity_at_a_box_corner_prices(tmp_path, command):
                    mc={"n_paths": 200})
     code, report = run(tmp_path, command, payload)
     assert code == 0
+
+
+@pytest.mark.parametrize("steps_per_year", [12, 52])
+def test_zero_intensity_at_a_box_corner_is_the_default_free_price(tmp_path, steps_per_year):
+    # lattice levels underflow to 0 here; with lambda0 = 0 they keep intensity 0 and drift 0
+    model = {"lambda0": 0.0, "sigma": 50.0, "beta": -1e-3, "z0": 30.0}
+    bond = dict(sinking_bond_section(), maturity=10.0, coupon_rate=0.08,
+                redemption_dates=[float(y) for y in range(1, 10)])
+    code, report = run(tmp_path, "price", dict(BASE, model=model, bond=bond), "--steps-per-year", str(steps_per_year))
+    assert code == 0
+    spec = SinkingBondSpec(**dict(bond, redemption_dates=tuple(bond["redemption_dates"]),
+                                  admissible_fractions=tuple(bond["admissible_fractions"])))
+    grid = bond_grid(spec, steps_per_year)
+    expected = deterministic_spread_price(spec, DiscountCurve.flat(0.02), grid, 0.0)
+    assert report["price"] == pytest.approx(expected, abs=1e-12)
+
+
+def test_spread_overflowing_the_curve_exits_3(tmp_path):
+    # r + z is inf: the arithmetic overflows, which is a numerical failure, not a malformed config
+    payload = dict(BASE, curve={"pillars": [{"time": 0.0, "rate": 1e308}]},
+                   bond={"maturity": 2.0, "full_call": True}, worst={"spread": 1e308})
+    code, report = run(tmp_path, "worst", payload)
+    assert code == 3
+    assert report["error"]["type"] == "numerical"
 
 
 @pytest.mark.parametrize(

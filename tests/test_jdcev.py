@@ -48,6 +48,16 @@ class TestParams:
         assert intensity(params, 0.0) == 0.0
         assert intensity(params, -1.0) == 0.0
 
+    def test_zero_lambda0_at_an_underflowed_level_is_zero_quietly(self):
+        # at beta = -1e-3 the power of a subnormal z / z0 diverges, and 0 * inf would be NaN
+        params = JDCEVParams(lambda0=0.0, sigma=50.0, beta=-1e-3, z0=30.0)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):  # as the CLI runs
+            assert np.array_equal(intensity(params, np.array([5e-324, 1e-300, 30.0])), [0.0, 0.0, 0.0])
+            x = np.array([1e-300, float(transform(params, 30.0))])
+            z, lam, drift = x_state(params, x)
+        assert z[0] == 0.0 and lam[0] == 0.0 and drift[0] == 0.0
+        assert z[1] > 0.0 and drift[1] != 0.0
+
 
 class TestIntensity:
     def test_at_initial_level(self, fitted_params):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import discount_factor
+
 from sinkbond.market_data import (
     DiscountCurve,
     TimeGrid,
     build_time_grid,
-    discount_factor,
     discount_factors,
-    rate_integrals,
+    step_discounts,
     step_rate_integrals,
 )
 
@@ -115,16 +116,16 @@ class TestDiscountCurve:
         curve = DiscountCurve.from_pillars([{"time": 0.0, "rate": 0.02}, {"time": 3.0, "rate": 0.025}])
         assert curve.pillar_rates == (0.02, 0.025)
 
-    def test_shifted_adds_the_spread_to_every_forward(self):
+    def test_spread_adds_to_every_forward(self):
         curve = DiscountCurve((0.0, 0.3, 1.0), (0.01, 0.03, 0.025))
-        shifted = curve.shifted(0.02)
-        assert shifted.pillar_times == curve.pillar_times
-        assert shifted.pillar_rates == pytest.approx((0.03, 0.05, 0.045), abs=1e-17)
         grid = build_time_grid(2.0, 12)
         expected = discount_factors(curve, grid) * np.exp(-0.02 * grid.times_array)
-        assert discount_factors(shifted, grid) == pytest.approx(expected, rel=1e-14)
-        with pytest.raises(ValueError, match="finite"):
-            curve.shifted(float("nan"))
+        assert discount_factors(curve, grid, 0.02) == pytest.approx(expected, rel=1e-14)
+        for bad in (float("nan"), math.inf, -math.inf, [0.01, float("nan")]):
+            with pytest.raises(ValueError, match="finite"):
+                step_rate_integrals(curve, grid, bad)
+        with pytest.raises(ValueError):
+            step_rate_integrals(curve, grid, np.zeros((2, 2)))
 
 
 class TestDiscountFactor:
@@ -173,9 +174,8 @@ class TestDiscountFactor:
         dfv = discount_factors(flat_curve, grid)
         for m in range(grid.n_steps + 1):
             assert dfv[m] == pytest.approx(discount_factor(flat_curve, grid, 0, m), rel=1e-15)
-        integrals = rate_integrals(flat_curve, grid)
-        assert integrals[0] == 0.0
-        assert np.all(np.diff(integrals) >= 0)
+        assert dfv[0] == 1.0
+        assert np.all(np.diff(dfv) <= 0)
 
 
 class TestExactStepDiscounting:
@@ -211,3 +211,50 @@ class TestExactStepDiscounting:
         assert np.array_equal(integrals[keep], left[keep])
         assert integrals[3] == pytest.approx(0.01 * 0.05 + 0.03 * (4 / 12 - 0.3), rel=1e-14)
         assert integrals[18] == pytest.approx(0.025 * 0.05 + 0.04 * (19 / 12 - 1.55), rel=1e-14)
+
+
+class TestSpreadAxis:
+    # pillars on quarterly grid dates (0.5, 1.0, 1.75), one inside the step (0.5, 0.75], and
+    # eight inside (1.25, 1.5]: enough pieces for NumPy's pairwise summation
+    # to differ from a plain running sum
+    TIMES = (0.0, 0.5, 0.6, 1.0, *(1.26 + 0.02 * i for i in range(8)), 1.75)
+    RATES = (0.011, 0.023, -0.004, 0.031, *(0.02 + 0.0037 * i for i in range(8)), 0.045)
+    SPREADS = np.concatenate((np.linspace(-0.05, 5.0, 64), [0.0, 1e-9, 0.0123456789]))
+
+    def shifted(self, z):
+        return DiscountCurve(self.TIMES, tuple(r + z for r in self.RATES))
+
+    def test_curve_splits_the_steps_it_is_meant_to(self):
+        grid = build_time_grid(2.0, 4)
+        owner = np.searchsorted(grid.times_array, self.TIMES, side="right") - 1
+        inside = np.asarray(self.TIMES) > grid.times_array[owner]
+        assert np.bincount(owner[inside]).tolist() == [0, 0, 1, 0, 0, 8]
+
+    @pytest.mark.parametrize("steps_per_year", [4, 12])
+    def test_columns_equal_hand_shifted_curves_bit_for_bit(self, steps_per_year):
+        curve = DiscountCurve(self.TIMES, self.RATES)
+        grid = build_time_grid(2.0, steps_per_year)
+        integrals = step_rate_integrals(curve, grid, self.SPREADS)
+        factors = discount_factors(curve, grid, self.SPREADS)
+        steps = step_discounts(curve, grid, self.SPREADS)
+        assert integrals.shape == steps.shape == (grid.n_steps, self.SPREADS.size)
+        assert factors.shape == (grid.n_steps + 1, self.SPREADS.size)
+        for j, z in enumerate(self.SPREADS):
+            shifted = self.shifted(float(z))
+            assert np.array_equal(integrals[:, j], step_rate_integrals(shifted, grid))
+            assert np.array_equal(steps[:, j], step_discounts(shifted, grid))
+            assert np.array_equal(factors[:, j], discount_factors(shifted, grid))
+
+    def test_one_spread_equals_its_hand_shifted_curve_bit_for_bit(self):
+        curve = DiscountCurve(self.TIMES, self.RATES)
+        grid = build_time_grid(2.0, 4)
+        for z in self.SPREADS:
+            shifted = self.shifted(float(z))
+            assert np.array_equal(step_rate_integrals(curve, grid, float(z)), step_rate_integrals(shifted, grid))
+            assert np.array_equal(discount_factors(curve, grid, float(z)), discount_factors(shifted, grid))
+
+    def test_zero_spread_leaves_the_curve_as_it_is(self):
+        curve = DiscountCurve(self.TIMES, self.RATES)
+        grid = build_time_grid(2.0, 12)
+        assert np.array_equal(step_discounts(curve, grid, 0.0), step_discounts(curve, grid))
+        assert np.array_equal(step_rate_integrals(curve, grid, [0.0])[:, 0], step_rate_integrals(curve, grid))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import deterministic_bond_pv, mean_chain, zcb_closed_form
+from oracles import deterministic_bond_pv, discount_factor, mean_chain, zcb_closed_form
 from policies import fixed_schedule_policy
 
 from sinkbond.instruments import SinkingBondSpec, action_table, bond_grid, coupons_on_grid
 from sinkbond.jdcev import JDCEVParams
-from sinkbond.market_data import DiscountCurve, build_time_grid, discount_factor
+from sinkbond.market_data import DiscountCurve, build_time_grid
 from sinkbond.mdp import backward_induction, evaluate_policy
 from sinkbond.pricer import (
     UnattainablePriceError,
@@ -338,7 +339,8 @@ class TestZSpread:
         with pytest.raises(UnattainablePriceError):
             z_spread(spec, flat_curve, grid, 2.0)
 
-    def test_six_solves_and_one_action_table_per_call(self, flat_curve, monkeypatch):
+    def test_six_solves_and_one_action_table_per_solve(self, flat_curve, monkeypatch):
+        # a fan's trial spreads share one table: the table is built per engine solve, never per spread
         import sinkbond.pricer as pricer
 
         solves, tables = [], []
@@ -357,7 +359,7 @@ class TestZSpread:
         grid = bond_grid(spec, 4)
         z_spread(spec, flat_curve, grid, 1.0)
         assert 1 <= len(solves) <= 6
-        assert tables == [grid.n_steps]
+        assert tables == [grid.n_steps] * len(solves)
 
 
 #: (admissible fractions, alpha) pairs of the desk book: K = alpha / (smallest installment * 100) runs from 5 to 20.
@@ -416,6 +418,14 @@ class TestSpreadFan:
         market = deterministic_spread_price(spec, curve, grid, spreads[0])
         found = z_spread(spec, curve, grid, market)
         assert deterministic_spread_price(spec, curve, grid, found) == pytest.approx(market, abs=1e-8)
+
+
+def test_readme_call_bond_quotes_are_pinned_to_the_bit(flat_curve):
+    # the README CLI bond (full_call) at 12/yr: z-spread at 0.95 and worst-case quote at 1 %
+    spec = dataclasses.replace(README_BOND, full_call=True)
+    grid = bond_grid(spec, 12)
+    assert z_spread(spec, flat_curve, grid, 0.95) == 0.06602168360989227
+    assert worst_ansatz(spec, flat_curve, grid, 0.01) == 1.0456580925151866
 
 
 def callable_spec(maturity, coupon_rate, call_dates):
