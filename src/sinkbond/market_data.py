@@ -113,16 +113,14 @@ def build_time_grid(
         pts.append(maturity)
 
     if events:
-        ev = np.asarray(events)
-        kept = [pts[0]]
-        for p in pts[1:-1]:
-            gap = float(np.min(np.abs(ev - p)))
-            if gap < 0.5 * h * (1.0 - 1e-12):
-                continue  # this uniform point snaps onto the nearby event
-            kept.append(p)
-        kept.append(pts[-1])
+        # ev - p rises with ev, so the nearest event is a neighbour in the sorted list
+        ev, inner = np.asarray(events), np.asarray(pts[1:-1])
+        right = np.searchsorted(ev, inner)
+        left = np.maximum(right - 1, 0)
+        gap = np.minimum(np.abs(ev[left] - inner), np.abs(ev[np.minimum(right, ev.size - 1)] - inner))
+        kept = inner[~(gap < 0.5 * h * (1.0 - 1e-12))].tolist()  # the rest snap onto a nearby event
         interior = [d for d in events if d < maturity - _atol(maturity)]
-        pts = sorted(kept + interior)
+        pts = sorted([pts[0], *kept, pts[-1], *interior])
 
     grid = TimeGrid(tuple(float(t) for t in pts))
     return grid

@@ -30,11 +30,18 @@ Layer width therefore grows like the square root of the step count instead
 of linearly.  Edge nodes are not given Hull-White shifted branching: its
 middle probability 2a - a^2 - 1/3 is negative whenever the mean offset
 satisfies |a| < 0.184 dx, the usual case for a drift without mean reversion.
+
+Layer n + 1 holds the nodes x0 + k * dx_n, dx_n = sqrt(3 * dt_n), so a node's
+state depends on (k, dx_n) and its branch triple, survival and default
+probability on (k, dx_n, dt_n+1).  The build evaluates each once, in a window
+of k per spacing and per (spacing, dt) that flags columns that overflowed,
+went non-finite or hold a triple outside [0, 1], and slices every layer.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -146,13 +153,6 @@ def _read_only(*arrays: np.ndarray) -> np.ndarray:
     return arrays[0]
 
 
-def _layer_from_x(params: JDCEVParams, x: np.ndarray) -> tuple[TreeLayer, np.ndarray]:
-    """Freeze the layer at coordinates ``x``; also returns the successor drift there."""
-    z, lam, drift = x_state(params, x)
-    _read_only(x, z, lam)
-    return TreeLayer(x=x, z_level=z, intensity=lam), drift
-
-
 def _check_branch_probs(probs: np.ndarray, layer: int, first: int = 0) -> None:
     """Abort on a column outside [0, 1] or not summing to one.
 
@@ -173,27 +173,63 @@ def _check_branch_probs(probs: np.ndarray, layer: int, first: int = 0) -> None:
         )
 
 
-def _transition(
-    succ: np.ndarray, branch: np.ndarray, lam: np.ndarray, dt: float, live: np.ndarray, next_size: int
-) -> LayerTransition:
-    """Freeze one step's branching, attaching survival and default probabilities.
-
-    Leaves (``live`` False) must come with zero ``branch`` columns; they also
-    get zero survival and default probability.
-    """
-    survival = np.where(live, np.exp(-lam * dt), 0.0)
-    default_prob = np.where(live, -np.expm1(-lam * dt), 0.0)
+def _transition(succ: np.ndarray, branch: np.ndarray, survival: np.ndarray, default_prob: np.ndarray,
+                live: np.ndarray, next_size: int) -> LayerTransition:
+    """Freeze one step's branching; leaves (``live`` False) carry all-zero columns."""
     probs = branch * survival
     _read_only(succ, branch, survival, default_prob, probs, live)
-    return LayerTransition(
-        succ=succ,
-        branch_probs=branch,
-        survival=survival,
-        default_prob=default_prob,
-        probs=probs,
-        live=live,
-        next_size=next_size,
-    )
+    return LayerTransition(succ, branch, survival, default_prob, probs, live, next_size)
+
+
+def _node_columns(params: JDCEVParams, x0: float, dx: float, k: np.ndarray):
+    """Node x0 + k * dx with its level, intensity and drift; clean where none can raise."""
+    x = x0 + k * dx
+    z, lam, drift = x_state(params, x)
+    with np.errstate(all="ignore"):  # z / z0, the intensity's ratio, overflows before z does
+        clean = np.isfinite(z / params.z0) & np.isfinite(drift)
+    return (x, z, lam, drift), clean
+
+
+def _branch_columns(params: JDCEVParams, x0: float, dx_prev: float, dt: float, k: np.ndarray):
+    """Successors, down/mid/up triple, survival and default probability of node k of a layer
+    spaced ``dx_prev`` over a step ``dt``; clean where the node is and the triple passes the check."""
+    (x, _, lam, drift), clean = _node_columns(params, x0, dx_prev, k)
+    mean = x + drift * dt
+    dx = math.sqrt(3.0 * dt)
+    center = np.rint((mean - x0) / dx).astype(np.intp)
+    offset = (mean - (x0 + center * dx)) / dx
+    up = 1.0 / 6.0 + 0.5 * (offset**2 + offset)
+    down = 1.0 / 6.0 + 0.5 * (offset**2 - offset)
+    # 2/3 - offset**2 in exact arithmetic; the complement keeps the
+    # triple's rounding from draining mass over thousands of steps
+    mid = 1.0 - (down + up)
+    branch = np.stack([down, mid, up])
+    with np.errstate(all="ignore"):
+        clean &= np.all((branch >= -_PROB_TOL) & (branch <= 1.0 + _PROB_TOL), axis=0)
+        clean &= np.abs(branch.sum(axis=0) - 1.0) <= 1e-9
+    return (np.stack([center - 1, center, center + 1]), branch, np.exp(-lam * dt), -np.expm1(-lam * dt)), clean
+
+
+class _Windows:
+    """Per key, the columns ``columns(*key, k)`` cached over a bounded run of node indices k."""
+
+    def __init__(self, columns) -> None:
+        self._columns, self._cached = columns, {}
+
+    def slice(self, key: tuple, a: int, b: int) -> tuple[tuple[np.ndarray, ...], bool]:
+        """Columns at k = a..b, and whether they came from the cache; see :func:`build_trinomial`."""
+        lo, hi, cols, unclean = self._cached.get(key, (0, -1, None, None))
+        if not (lo <= a and b <= hi):
+            w = b - a + 1
+            lo, hi = a - w, b + w
+            with np.errstate(all="ignore"):
+                cols, clean = self._columns(*key, np.arange(lo, hi + 1, dtype=float))
+            unclean = np.concatenate(([0], np.cumsum(~clean)))
+            self._cached[key] = lo, hi, cols, unclean
+        i, j = a - lo, b + 1 - lo
+        if unclean[i] != unclean[j]:
+            return self._columns(*key, np.arange(a, b + 1, dtype=float))[0], False
+        return tuple(col[..., i:j] for col in cols), True
 
 
 def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
@@ -208,6 +244,10 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
     nodes are kept.  A root coordinate so large that its float spacing exceeds
     ``_SPACING_TOL`` times the smallest step's node spacing is refused: the
     nodes would round onto each other.
+
+    Layers and bands are slices of the module docstring's windows: a miss refills
+    [a - w, b + w] for a run a..b of w nodes, errors suppressed, and a run with a
+    flagged column is evaluated alone, unsuppressed and checked, as a layer would be.
     """
     x0 = float(transform(params, params.z0))
     dx_min = math.sqrt(3.0 * float(np.min(grid.steps)))
@@ -217,8 +257,15 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
             f"node spacing {dx_min!r} does not survive rounding at x0 = {x0!r} "
             f"(float spacing {ulp!r}); the lattice nodes would collapse"
         )
-    root, drift = _layer_from_x(params, np.array([x0]))
-    layers = [root]
+    nodes = _Windows(functools.partial(_node_columns, params, x0))
+    branches = _Windows(functools.partial(_branch_columns, params, x0))
+
+    def layer(dx: float, lo: int, hi: int) -> TreeLayer:
+        (x, z, lam, _), _ = nodes.slice((dx,), lo, hi)
+        return TreeLayer(*(_read_only(arr.copy()) for arr in (x, z, lam)))
+
+    dx_prev, k_lo = math.sqrt(3.0 * float(grid.steps[0])), 0
+    layers = [layer(dx_prev, 0, 0)]
     transitions: list[LayerTransition] = []
     band = slice(0, 1)
     mass = np.ones(1)
@@ -226,35 +273,19 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
 
     for n in range(grid.n_steps):
         dt = float(grid.steps[n])
-        current = layers[n]
-        x = current.x[band]
-        mean = x + drift[band] * dt
-        dx = math.sqrt(3.0 * dt)
-        center = np.rint((mean - x0) / dx).astype(np.intp)
-        lo = int(center.min()) - 1
-        hi = int(center.max()) + 1
-        next_x = x0 + np.arange(lo, hi + 1, dtype=float) * dx
-        offset = (mean - (x0 + center * dx)) / dx
-        up = 1.0 / 6.0 + 0.5 * (offset**2 + offset)
-        down = 1.0 / 6.0 + 0.5 * (offset**2 - offset)
-        # 2/3 - offset**2 in exact arithmetic; the complement keeps the
-        # triple's rounding from draining mass over thousands of steps
-        mid = 1.0 - (down + up)
-        branch_band = np.stack([down, mid, up])
-        _check_branch_probs(branch_band, n, band.start)
-        ci = center - lo
-        succ_band = np.stack([ci - 1, ci, ci + 1])
-
-        live = np.zeros(current.size, dtype=bool)
-        live[band] = True
-        succ = np.zeros((3, current.size), dtype=np.intp)
-        succ[:, band] = succ_band
-        branch = np.zeros((3, current.size))
-        branch[:, band] = branch_band
-        tr = _transition(succ, branch, current.intensity, dt, live, next_x.size)
+        cols, cached = branches.slice((dx_prev, dt), k_lo + band.start, k_lo + band.stop - 1)
+        if not cached:
+            _check_branch_probs(cols[1], n, band.start)
+        lo, hi = int(cols[0][0].min()), int(cols[0][2].max())
+        # succ, branch, survival, default probability and live, zero off the band
+        band_cols = (cols[0] - lo, *cols[1:], np.ones(band.stop - band.start, dtype=bool))
+        padded = [np.zeros(col.shape[:-1] + (layers[n].size,), col.dtype) for col in band_cols]
+        for full, col in zip(padded, band_cols):
+            full[..., band] = col
+        tr = _transition(*padded, hi - lo + 1)
         transitions.append(tr)
-        layer, drift = _layer_from_x(params, next_x)
-        layers.append(layer)
+        dx_prev, k_lo = math.sqrt(3.0 * dt), lo
+        layers.append(layer(dx_prev, lo, hi))
 
         default_mass[n] = np.sum(mass * tr.default_prob)
         mass = tr.push(mass)
@@ -302,7 +333,8 @@ def deterministic_tree(grid: TimeGrid, intensities: Union[float, Sequence[float]
     _read_only(x, z, lam)
     layers = tuple(TreeLayer(x=x, z_level=z, intensity=lam[n]) for n in range(n_dates))
     transitions = tuple(
-        _transition(succ, branch, lam[n], float(grid.steps[n]), live, 1) for n in range(grid.n_steps)
+        _transition(succ, branch, np.exp(-lam[n] * dt), -np.expm1(-lam[n] * dt), live, 1)
+        for n, dt in enumerate(grid.steps)
     )
     # a chain's push multiplies its one mass by the step survival, bit for bit
     survival = np.cumprod([1.0] + [tr.survival[0] for tr in transitions])

@@ -250,3 +250,124 @@ def forward_pass_par_spreads(tree, curve, recovery: float, tenors, premium_frequ
             previous = date
         spreads.append(protection[end] / annuity)
     return np.array(spreads)
+
+
+def loop_grid_times(maturity: float, steps_per_year: int, events) -> tuple[float, ...]:
+    """Reference grid merge: each interior uniform point checked against every event date.
+
+    ``events`` are valid, sorted event dates; the uniform points and the
+    snapping rule are those of ``build_time_grid``.
+    """
+    h = 1.0 / steps_per_year
+    n_whole = int(math.floor(maturity * steps_per_year + 1e-9))
+    pts = [i / steps_per_year for i in range(n_whole + 1)]
+    tol = 1e-12 * max(1.0, abs(maturity))
+    if abs(pts[-1] - maturity) <= tol:
+        pts[-1] = maturity
+    else:
+        pts.append(maturity)
+    if not events:
+        return tuple(pts)
+    ev = np.asarray(events)
+    kept = [pts[0]]
+    for p in pts[1:-1]:
+        gap = float(np.min(np.abs(ev - p)))
+        if gap < 0.5 * h * (1.0 - 1e-12):
+            continue
+        kept.append(p)
+    kept.append(pts[-1])
+    return tuple(sorted(kept + [d for d in events if d < maturity - tol]))
+
+
+def per_step_build_trinomial(params, grid):
+    """Reference lattice build: ``x_state`` and the branch arithmetic run on every layer.
+
+    The library computes each node state and branch column once per step
+    length; this builds the same mass-banded lattice one step at a time.
+    ``x_state``, ``_check_branch_probs``, ``_SPACING_TOL`` and ``_MASS_FLOOR``
+    are read from ``sinkbond.tree`` when called, so a test that patches them
+    there patches both builds.
+    """
+    from sinkbond import tree
+    from sinkbond.jdcev import transform
+
+    def frozen_layer(x):
+        z, lam, drift = tree.x_state(params, x)
+        for arr in (x, z, lam):
+            arr.flags.writeable = False
+        return tree.TreeLayer(x=x, z_level=z, intensity=lam), drift
+
+    x0 = float(transform(params, params.z0))
+    dx_min = math.sqrt(3.0 * float(np.min(grid.steps)))
+    ulp = float(np.spacing(x0))
+    if not ulp <= tree._SPACING_TOL * dx_min:
+        raise tree.TreeConstructionError(
+            f"node spacing {dx_min!r} does not survive rounding at x0 = {x0!r} "
+            f"(float spacing {ulp!r}); the lattice nodes would collapse"
+        )
+    root, drift = frozen_layer(np.array([x0]))
+    layers = [root]
+    transitions = []
+    band = slice(0, 1)
+    mass = np.ones(1)
+    survival, default_mass = np.ones(grid.n_steps + 1), np.zeros(grid.n_steps)
+
+    for n in range(grid.n_steps):
+        dt = float(grid.steps[n])
+        current = layers[n]
+        x = current.x[band]
+        mean = x + drift[band] * dt
+        dx = math.sqrt(3.0 * dt)
+        center = np.rint((mean - x0) / dx).astype(np.intp)
+        lo = int(center.min()) - 1
+        hi = int(center.max()) + 1
+        next_x = x0 + np.arange(lo, hi + 1, dtype=float) * dx
+        offset = (mean - (x0 + center * dx)) / dx
+        up = 1.0 / 6.0 + 0.5 * (offset**2 + offset)
+        down = 1.0 / 6.0 + 0.5 * (offset**2 - offset)
+        mid = 1.0 - (down + up)
+        branch_band = np.stack([down, mid, up])
+        tree._check_branch_probs(branch_band, n, band.start)
+        ci = center - lo
+        succ_band = np.stack([ci - 1, ci, ci + 1])
+
+        live = np.zeros(current.size, dtype=bool)
+        live[band] = True
+        succ = np.zeros((3, current.size), dtype=np.intp)
+        succ[:, band] = succ_band
+        branch = np.zeros((3, current.size))
+        branch[:, band] = branch_band
+        step_survival = np.where(live, np.exp(-current.intensity * dt), 0.0)
+        default_prob = np.where(live, -np.expm1(-current.intensity * dt), 0.0)
+        tr = tree.LayerTransition(
+            succ=succ,
+            branch_probs=branch,
+            survival=step_survival,
+            default_prob=default_prob,
+            probs=branch * step_survival,
+            live=live,
+            next_size=next_x.size,
+        )
+        transitions.append(tr)
+        layer, drift = frozen_layer(next_x)
+        layers.append(layer)
+
+        default_mass[n] = np.sum(mass * tr.default_prob)
+        mass = tr.push(mass)
+        survival[n + 1] = mass.sum()
+        heavy = np.flatnonzero(mass > tree._MASS_FLOOR)
+        if heavy.size:
+            band = slice(int(heavy[0]), int(heavy[-1]) + 1)
+        else:
+            heaviest = int(np.argmax(mass))
+            band = slice(heaviest, heaviest + 1)
+
+    return tree.IntensityTree(
+        grid=grid,
+        layers=tuple(layers),
+        transitions=tuple(transitions),
+        survival=survival,
+        default_mass=default_mass,
+        augmented=False,
+        params=params,
+    )

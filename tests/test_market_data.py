@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import discount_factor
+from oracles import discount_factor, loop_grid_times
 
 from sinkbond.market_data import (
     DiscountCurve,
@@ -77,6 +77,25 @@ class TestBuildTimeGrid:
             if p not in times:
                 assert min(abs(p - e) for e in events) < 0.5 * h
         assert np.all(grid.steps > 0)
+
+    @given(
+        steps_per_year=st.integers(min_value=1, max_value=52),
+        maturity=st.floats(min_value=0.05, max_value=6.0, allow_nan=False),
+        near=st.lists(st.tuples(st.integers(0, 400), st.floats(-0.5, 0.5)), max_size=12),
+        far=st.lists(st.floats(min_value=1e-6, max_value=1.0), max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_merge_equals_the_per_point_loop(self, steps_per_year, maturity, near, far):
+        # events within half a step of uniform points (including exactly half
+        # a step) and anywhere in (0, maturity]
+        h = 1.0 / steps_per_year
+        raw = [(i + frac) * h for i, frac in near] + [maturity * f for f in far]
+        events = []
+        for d in sorted(d for d in raw if 0.0 < d <= maturity):
+            if not events or d - events[-1] > 1e-12 * max(1.0, d):
+                events.append(d)
+        grid = build_time_grid(maturity, steps_per_year, events)
+        assert grid.times == loop_grid_times(maturity, steps_per_year, events)
 
 
 class TestTimeGrid:

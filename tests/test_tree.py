@@ -1,14 +1,16 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mean_chain, push_pass_mass_curve
+from oracles import mean_chain, per_step_build_trinomial, push_pass_mass_curve
 
+from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams, intensity, inverse_transform, transform, x_state
 from sinkbond.market_data import build_time_grid
 from sinkbond.pricer import price_zcb
@@ -349,3 +351,146 @@ def test_push_and_expect_are_adjoint(layer, seed):
     mass /= mass.sum()
     values = rng.random(tr.next_size)
     assert np.dot(tr.push(mass), values) == pytest.approx(np.dot(mass, tr.expect(values)), abs=1e-14)
+
+
+README_PARAMS = JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-0.6, z0=30.0)
+# one step survives with probability ~1e-42, so every band after the root is one node
+EMPTY_BAND = JDCEVParams(lambda0=5e3, sigma=0.5, beta=-1.5, z0=20.0)
+
+
+def assert_same_tree(tree, reference):
+    assert len(tree.layers) == len(reference.layers)
+    for layer, ref in zip(tree.layers, reference.layers):
+        for field in ("x", "z_level", "intensity"):
+            assert np.array_equal(getattr(layer, field), getattr(ref, field)), field
+    for n, (tr, ref) in enumerate(zip(tree.transitions, reference.transitions)):
+        for field in ("succ", "branch_probs", "survival", "default_prob", "probs", "live"):
+            got, want = getattr(tr, field), getattr(ref, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, field)
+        assert tr.next_size == ref.next_size
+    assert np.array_equal(tree.survival, reference.survival)
+    assert np.array_equal(tree.default_mass, reference.default_mass)
+
+
+def build_outcome(build, params, grid):
+    try:
+        return build(params, grid)
+    except Exception as exc:  # the outcome compared is the exception's type and text
+        return type(exc), str(exc)
+
+
+class TestStepLengthWindows:
+    """The windowed build against ``oracles.per_step_build_trinomial``, the per-layer build."""
+
+    @pytest.mark.parametrize("steps_per_year", [4, 12, 52, 252])
+    def test_readme_lattice_equals_the_per_step_build(self, steps_per_year):
+        grid = build_time_grid(10.0, steps_per_year)
+        assert_same_tree(build_trinomial(README_PARAMS, grid), per_step_build_trinomial(README_PARAMS, grid))
+
+    def test_semiannual_bond_grid_equals_the_per_step_build(self):
+        # a book bond at 52/yr: coupon dates split steps into lengths a few ulps apart
+        spec = SinkingBondSpec(
+            maturity=10.0, coupon_rate=0.05, coupon_frequency=2, redemption_dates=tuple(float(y) for y in range(1, 10)),
+            admissible_fractions=(0.05, 0.10, 0.15), alpha=100.0, recovery=0.4,
+        )
+        grid = bond_grid(spec, 52)
+        assert len(set(grid.steps.tolist())) > 3
+        assert_same_tree(build_trinomial(README_PARAMS, grid), per_step_build_trinomial(README_PARAMS, grid))
+
+    @pytest.mark.parametrize("params, maturity", [COLLAPSED, PARTLY_COLLAPSED], ids=["full", "partial"])
+    def test_collapsed_lattice_equals_the_per_step_build(self, monkeypatch, params, maturity):
+        import sinkbond.tree
+
+        monkeypatch.setattr(sinkbond.tree, "_SPACING_TOL", math.inf)
+        grid = build_time_grid(maturity, 12)
+        assert_same_tree(build_trinomial(params, grid), per_step_build_trinomial(params, grid))
+
+    # z / z0 underflows to 0 over most of the lattice at z0 = 30; at z0 = 1e295
+    # the level overflows a few nodes above the root, inside the windows' margin
+    @pytest.mark.parametrize("lambda0, z0", [(0.0, 30.0), (0.004, 30.0), (0.004, 1e295)])
+    @pytest.mark.parametrize("steps_per_year", [12, 52])
+    def test_box_corner_equals_the_per_step_build(self, lambda0, z0, steps_per_year):
+        params = JDCEVParams(lambda0=lambda0, sigma=50.0, beta=-1e-3, z0=z0)
+        grid = build_time_grid(10.0, steps_per_year)
+        assert_same_tree(build_trinomial(params, grid), per_step_build_trinomial(params, grid))
+
+    def test_a_column_whose_intensity_ratio_overflows_is_not_clean(self):
+        # at beta = -1 the level is sigma * x: finite here, but z / z0 is not,
+        # and x_state warns on it while every column it returns is finite
+        from sinkbond.tree import _node_columns
+
+        params = JDCEVParams(lambda0=0.004, sigma=1.0, beta=-1.0, z0=0.5)
+        k = np.array([0.0, 1.0])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            x_state(params, 1.5e308 * k)
+        with np.errstate(all="ignore"):
+            columns, clean = _node_columns(params, 0.0, 1.5e308, k)
+        assert all(np.isfinite(col).all() for col in columns)
+        assert clean.tolist() == [True, False]
+
+    @given(
+        lambda0=st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+        sigma=st.floats(1e-3, 50.0),
+        beta=st.floats(-5.0, -1e-3),
+        z0=st.floats(1e-2, 1e3),
+        maturity=st.sampled_from([1.0, 3.0, 10.0]),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_calibration_box_builds_agree(self, lambda0, sigma, beta, z0, maturity):
+        params = JDCEVParams(lambda0=lambda0, sigma=sigma, beta=beta, z0=z0)
+        grid = build_time_grid(maturity, 12)
+        tree = build_outcome(build_trinomial, params, grid)
+        reference = build_outcome(per_step_build_trinomial, params, grid)
+        if isinstance(reference, tuple):
+            assert tree == reference
+        else:
+            assert_same_tree(tree, reference)
+
+    @pytest.mark.parametrize(
+        "params, grid, layer, drift, error",
+        [
+            # the NaN reaches the int cast of the central successor before any check
+            (README_PARAMS, build_time_grid(10.0, 12), 30, math.nan, "invalid value encountered in cast"),
+            # a finite drift too large for the node spacing rounds the triple out of [0, 1]
+            (EMPTY_BAND, build_time_grid(2.0, 52), 5, 1.1307692307692307e17, "layer 5 node 1: branch probability"),
+        ],
+        ids=["nan", "huge"],
+    )
+    def test_a_bad_drift_at_a_live_node_fails_as_in_the_per_step_build(
+        self, monkeypatch, params, grid, layer, drift, error
+    ):
+        import sinkbond.tree
+
+        reference = per_step_build_trinomial(params, grid)
+        live = np.flatnonzero(reference.transitions[layer].live)
+        target = reference.layers[layer].x[live[live.size // 2]]
+
+        def bad_drift_at_target(params, x):
+            z, lam, good = x_state(params, x)
+            return z, lam, np.where(x == target, drift, good)
+
+        monkeypatch.setattr(sinkbond.tree, "x_state", bad_drift_at_target)
+        outcome = build_outcome(build_trinomial, params, grid)
+        assert outcome == build_outcome(per_step_build_trinomial, params, grid)
+        assert error in outcome[1]
+
+    def test_far_band_jumps_keep_the_windows_small(self):
+        # the band leaps billions of nodes between layers: a cache spanning
+        # both bands would need that many columns
+        params, grid = JDCEVParams(lambda0=2.0, sigma=1e-3, beta=-5.0, z0=30.0), build_time_grid(2.0, 12)
+        reference = per_step_build_trinomial(params, grid)
+        starts = [layer.x[0] for layer in reference.layers]
+        assert max(np.abs(np.diff(starts))) > 1e9 * math.sqrt(3.0 / 12)
+        peaks = []
+        for build in (build_trinomial, per_step_build_trinomial):
+            tracemalloc.start()
+            try:
+                build(params, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.1 * peaks[1] + 2**20
+
+    @pytest.mark.parametrize("steps_per_year, nodes", [(12, 6_023), (52, 52_078), (252, 542_678)])
+    def test_readme_node_counts(self, steps_per_year, nodes):
+        assert sum(build_trinomial(README_PARAMS, build_time_grid(10.0, steps_per_year)).layer_sizes()) == nodes
