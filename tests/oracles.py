@@ -371,3 +371,104 @@ def per_step_build_trinomial(params, grid):
         augmented=False,
         params=params,
     )
+
+
+def per_layer_validate_tree(tree):
+    """Reference validator: every check and the mass pass run one layer at a time.
+
+    The library checks blocks of consecutive layers with whole-block array
+    operations; this checks the same tree layer by layer and returns the same
+    ``TreeDiagnostics``.  ``x_state`` and the tolerances are read from
+    ``sinkbond.tree`` when called, so a test that patches them there patches
+    both validators.
+    """
+    import dataclasses
+
+    from sinkbond import tree as lattice
+
+    reports = []
+    violations: list[str] = []
+    max_sum_err = 0.0
+    max_mean_err = 0.0
+    max_var_err = None
+    c_var = None
+    mass = np.ones(1)
+    total_truncated = 0.0
+
+    for n, tr in enumerate(tree.transitions):
+        dt = float(tree.grid.steps[n])
+        layer = tree.layers[n]
+        next_layer = tree.layers[n + 1]
+        live = tr.live
+
+        sums = tr.probs.sum(axis=0) + tr.default_prob
+        all_probs = np.vstack([tr.probs, tr.default_prob])
+        sum_errs = np.where(live, np.abs(sums - 1.0), 0.0)
+        worst = int(np.argmax(sum_errs))
+        sum_err = float(sum_errs[worst])
+        max_sum_err = max(max_sum_err, sum_err)
+        if not sum_err <= lattice._PROB_TOL:
+            violations.append(f"layer {n} node {worst}: probabilities sum to {sums[worst]!r}")
+        bad = np.argwhere(~((all_probs >= -lattice._PROB_TOL) & (all_probs <= 1.0 + lattice._PROB_TOL)))
+        for row, node_idx in bad:
+            violations.append(
+                f"layer {n} node {int(node_idx)}: probability "
+                f"{all_probs[row, node_idx]!r} outside [0, 1]"
+            )
+        for node_idx in np.flatnonzero(~live & np.any(all_probs != 0.0, axis=0)):
+            violations.append(f"layer {n} node {int(node_idx)}: leaf carries probability")
+        if tr.succ.min() < 0 or tr.succ.max() >= next_layer.size:
+            violations.append(f"layer {n}: successor index outside the next layer")
+            tr = dataclasses.replace(
+                tr, succ=np.clip(tr.succ, 0, next_layer.size - 1), next_size=next_layer.size
+            )
+        succ = tr.succ
+
+        x = layer.x[live]
+        branch = tr.branch_probs[:, live]
+        drift = np.zeros_like(x) if tree.params is None else lattice.x_state(tree.params, x)[2]
+        target = x + drift * dt
+        succ_x = next_layer.x[succ[:, live]]
+        mean_hat = (branch * succ_x).sum(axis=0)
+        mean_err = float(np.max(np.abs(mean_hat - target)))
+        max_mean_err = max(max_mean_err, mean_err)
+
+        var_err = None
+        if tree.params is not None:
+            var_hat = (branch * (succ_x - target) ** 2).sum(axis=0)
+            var_err = float(np.max(np.abs(var_hat - dt)))
+            max_var_err = var_err if max_var_err is None else max(max_var_err, var_err)
+            ratio = var_err / dt**2
+            c_var = ratio if c_var is None else max(c_var, ratio)
+            if not var_err <= lattice._VARIANCE_TOL * dt:
+                violations.append(f"layer {n}: branch variance misses dt = {dt!r} by {var_err!r}")
+
+        truncated = float(mass[~live].sum())
+        total_truncated += truncated
+        mass = tr.push(mass)
+
+        reports.append(
+            lattice.LayerReport(
+                layer=n,
+                size=layer.size,
+                prob_sum_error=sum_err,
+                min_branch_prob=float(tr.probs[:, live].min()),
+                max_branch_prob=float(tr.probs[:, live].max()),
+                mean_error=mean_err,
+                variance_error=var_err,
+                truncated_mass=truncated,
+            )
+        )
+
+    if not total_truncated <= lattice._TRUNCATION_TOL:
+        violations.append(f"truncated mass {total_truncated!r} exceeds {lattice._TRUNCATION_TOL!r}")
+    return lattice.TreeDiagnostics(
+        layer_reports=tuple(reports),
+        violations=tuple(violations),
+        layer_sizes=tree.layer_sizes(),
+        max_prob_sum_error=max_sum_err,
+        max_mean_error=max_mean_err,
+        max_variance_error=max_var_err,
+        second_moment_constant=c_var,
+        total_truncated_mass=total_truncated,
+    )

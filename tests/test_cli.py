@@ -7,11 +7,12 @@ import time
 from pathlib import Path
 
 import pytest
+from oracles import per_layer_validate_tree
 
 from sinkbond.cli import load_config, main
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams
-from sinkbond.market_data import DiscountCurve
+from sinkbond.market_data import DiscountCurve, build_time_grid
 from sinkbond.pricer import deterministic_spread_price, price_zcb
 from sinkbond.tree import augment_default, build_trinomial
 
@@ -255,6 +256,15 @@ class TestValidateTreeCommand:
         assert report["total_truncated_mass"] == pytest.approx(
             sum(layer["truncated_mass"] for layer in report["layers"]), abs=1e-300
         )
+
+    def test_a_many_block_report_is_strict_json_equal_to_the_per_layer_report(self, tmp_path):
+        # 52,078 nodes: the validator checks them in several blocks of layers
+        payload = dict(BASE, grid={"steps_per_year": 52, "maturity": 10.0})
+        code, report = run(tmp_path, "validate-tree", payload)
+        assert code == 0
+        assert report.pop("config")["steps_per_year"] == 52
+        tree = augment_default(build_trinomial(JDCEVParams(**BASE["model"]), build_time_grid(10.0, 52)))
+        assert report == strict_json(json.dumps(per_layer_validate_tree(tree).to_dict()))
 
     @pytest.mark.parametrize("command", ["price", "validate-tree"])
     @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mean_chain, per_step_build_trinomial, push_pass_mass_curve
+from oracles import mean_chain, per_layer_validate_tree, per_step_build_trinomial, push_pass_mass_curve
 
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams, intensity, inverse_transform, transform, x_state
@@ -166,6 +168,19 @@ class TestAugmentDefault:
             assert tr.probs.min() >= 0.0 and tr.probs.max() <= 1.0
 
 
+def with_transition(tree, n, transition):
+    """The tree with transition ``n`` replaced."""
+    transitions = tree.transitions[:n] + (transition,) + tree.transitions[n + 1:]
+    return dataclasses.replace(tree, transitions=transitions)
+
+
+def with_nan(tree, n, field, index):
+    """The tree with a NaN written into a copy of transition ``n``'s ``field`` at ``index``."""
+    values = getattr(tree.transitions[n], field).copy()
+    values[index] = math.nan
+    return with_transition(tree, n, dataclasses.replace(tree.transitions[n], **{field: values}))
+
+
 class TestValidateTree:
     def test_clean_tree_passes(self, fitted_params):
         tree = augment_default(build_trinomial(fitted_params, build_time_grid(2.0, 8)))
@@ -201,6 +216,23 @@ class TestValidateTree:
         dumped = json.dumps(validate_tree(tree).to_dict())
         assert "layer_sizes" in dumped
         assert "total_truncated_mass" in dumped
+
+    @pytest.mark.parametrize("layer, field, index", [(1, "probs", (1, 0)), (2, "default_prob", (0,))])
+    def test_nan_probability_is_flagged(self, fitted_params, layer, field, index):
+        tree = augment_default(build_trinomial(fitted_params, build_time_grid(1.0, 4)))
+        diag = validate_tree(with_nan(tree, layer, field, index))
+        assert not diag.ok
+        assert diag.violations[:2] == (
+            f"layer {layer} node 0: probabilities sum to {np.float64(math.nan)!r}",
+            f"layer {layer} node 0: probability {np.float64(math.nan)!r} outside [0, 1]",
+        )
+
+    def test_a_layer_without_live_nodes_is_refused(self, fitted_params):
+        tree = augment_default(build_trinomial(fitted_params, build_time_grid(2.0, 8)))
+        tr = tree.transitions[3]
+        dead = dataclasses.replace(tr, live=np.zeros_like(tr.live))
+        with pytest.raises(ValueError, match="layer 3 has no live node"):
+            validate_tree(with_transition(tree, 3, dead))
 
     def test_excess_truncated_mass_is_flagged(self, fitted_params):
         # turning a heavy node into a leaf loses its mass: the sums still
@@ -302,6 +334,15 @@ def test_out_of_range_probability_is_a_hard_failure():
     probs = np.array([[0.2, -0.4], [0.6, 1.0], [0.2, 0.4]])
     with pytest.raises(TreeConstructionError, match="layer 3 node 1"):
         _check_branch_probs(probs, 3)
+
+
+def test_nan_branch_probability_is_a_hard_failure():
+    # NaN < 0 and NaN > 1 are both false: the range check must fail it
+    from sinkbond.tree import TreeConstructionError, _check_branch_probs
+
+    probs = np.array([[0.2, math.nan], [0.6, 0.5], [0.2, 0.5]])
+    with pytest.raises(TreeConstructionError, match=r"layer 3 node 6: branch probability .*nan.* outside"):
+        _check_branch_probs(probs, 3, first=5)
 
 
 # x0 = 3.3e17: x0 +- dx rounds onto x0, so layers hold coincident nodes
@@ -474,6 +515,25 @@ class TestStepLengthWindows:
         assert outcome == build_outcome(per_step_build_trinomial, params, grid)
         assert error in outcome[1]
 
+    def test_a_nan_drift_with_the_cast_warning_ignored_is_a_construction_error(self, monkeypatch):
+        import sinkbond.tree
+
+        params, grid = README_PARAMS, build_time_grid(10.0, 12)
+        reference = per_step_build_trinomial(params, grid)
+        live = np.flatnonzero(reference.transitions[30].live)
+        target = reference.layers[30].x[live[live.size // 2]]
+
+        def nan_drift_at_target(params, x):
+            z, lam, good = x_state(params, x)
+            return z, lam, np.where(x == target, math.nan, good)
+
+        monkeypatch.setattr(sinkbond.tree, "x_state", nan_drift_at_target)
+        with np.errstate(invalid="ignore"):
+            outcomes = [build_outcome(build, params, grid) for build in (build_trinomial, per_step_build_trinomial)]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is TreeConstructionError
+        assert re.match(r"layer \d+ node \d+: branch probability .*nan.* outside \[0, 1\]", outcomes[0][1])
+
     def test_far_band_jumps_keep_the_windows_small(self):
         # the band leaps billions of nodes between layers: a cache spanning
         # both bands would need that many columns
@@ -494,3 +554,125 @@ class TestStepLengthWindows:
     @pytest.mark.parametrize("steps_per_year, nodes", [(12, 6_023), (52, 52_078), (252, 542_678)])
     def test_readme_node_counts(self, steps_per_year, nodes):
         assert sum(build_trinomial(README_PARAMS, build_time_grid(10.0, steps_per_year)).layer_sizes()) == nodes
+
+
+@functools.lru_cache(maxsize=None)
+def readme_lattice(steps_per_year):
+    return augment_default(build_trinomial(README_PARAMS, build_time_grid(10.0, steps_per_year)))
+
+
+def assert_same_report(tree):
+    """The block validator's report, to the byte, is the per-layer validator's."""
+    diag = validate_tree(tree)
+    reference = per_layer_validate_tree(tree)
+    assert json.dumps(diag.to_dict(), indent=2, sort_keys=True) == json.dumps(
+        reference.to_dict(), indent=2, sort_keys=True
+    )
+    # to_dict keeps the key order and values of the dataclasses.asdict form it replaced
+    legacy = dataclasses.asdict(diag)
+    legacy["layers"] = legacy.pop("layer_reports")
+    assert json.dumps(diag.to_dict()) == json.dumps({"ok": diag.ok, **legacy})
+    return diag
+
+
+def corruptions(tree, n):
+    """Copies of ``tree`` with transition ``n`` corrupted in each way the validator flags."""
+    tr = tree.transitions[n]
+    middle = np.flatnonzero(tr.live)[np.count_nonzero(tr.live) // 2]
+    probs = tr.probs.copy()
+    probs[1, 0], probs[0, -1] = 1.5, -0.5  # listed row by row, not node by node
+    succ = tr.succ.copy()
+    succ[0, 0], succ[2, -1] = -1, tr.next_size + 2  # past the next layer is inside the next block's
+    live = tr.live.copy()
+    live[middle] = False
+    leafy = dataclasses.replace(
+        tr, live=live,
+        **{name: np.where(live, getattr(tr, name), 0.0) for name in ("branch_probs", "survival", "default_prob", "probs")},
+    )
+    return {
+        "probability": with_transition(tree, n, dataclasses.replace(tr, probs=probs)),
+        "successor": with_transition(tree, n, dataclasses.replace(tr, succ=succ)),
+        "truncation": with_transition(tree, n, leafy),
+        "nan-probability": with_nan(tree, n, "probs", (1, 0)),
+        "nan-default": with_nan(tree, n, "default_prob", (0,)),
+        "nan-branch": with_nan(tree, n, "branch_probs", (1, middle)),
+    }
+
+
+CORRUPTIONS = ["probability", "successor", "truncation", "nan-probability", "nan-default", "nan-branch"]
+
+
+class TestBlockValidator:
+    """``validate_tree`` against ``oracles.per_layer_validate_tree``, the per-layer validator."""
+
+    @pytest.mark.parametrize("steps_per_year", [4, 12, 52, 252])
+    def test_readme_lattice_report_equals_the_per_layer_report(self, steps_per_year):
+        assert assert_same_report(readme_lattice(steps_per_year)).ok
+
+    def test_chain_report_equals_the_per_layer_report(self):
+        grid = build_time_grid(2.0, 12)
+        assert_same_report(augment_default(deterministic_tree(grid, [0.01 + 0.003 * n for n in range(grid.n_steps + 1)])))
+
+    @pytest.mark.parametrize("block_nodes", [1, 7, 8192])
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_corrupted_report_equals_the_per_layer_report(self, monkeypatch, fitted_params, case, block_nodes):
+        import sinkbond.tree
+
+        monkeypatch.setattr(sinkbond.tree, "_BLOCK_NODES", block_nodes)
+        for maturity, steps_per_year, layer in [(1.0, 4, 1), (1.0, 4, 2), (2.0, 8, 3)]:
+            tree = augment_default(build_trinomial(fitted_params, build_time_grid(maturity, steps_per_year)))
+            assert not assert_same_report(corruptions(tree, layer)[case]).ok
+
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_corruptions_on_a_block_boundary_are_reported_as_per_layer(self, case):
+        from sinkbond.tree import _BLOCK_NODES, _blocks
+
+        tree = readme_lattice(52)
+        sizes = list(tree.layer_sizes()[:-1])
+        boundary = list(_blocks(sizes))[1][0]
+        assert sum(sizes[:boundary]) <= _BLOCK_NODES < sum(sizes[: boundary + 1])
+        corrupted = corruptions(corruptions(tree, boundary - 1)[case], boundary)[case]
+        diag = assert_same_report(corrupted)
+        if case != "truncation":  # a leaf's lost mass is reported as one total
+            for layer in (boundary - 1, boundary):
+                assert any(v.startswith((f"layer {layer} ", f"layer {layer}:")) for v in diag.violations)
+
+    @pytest.mark.parametrize("params, maturity", [COLLAPSED, PARTLY_COLLAPSED], ids=["full", "partial"])
+    def test_collapsed_lattice_report_equals_the_per_layer_report(self, monkeypatch, params, maturity):
+        import sinkbond.tree
+
+        monkeypatch.setattr(sinkbond.tree, "_SPACING_TOL", math.inf)
+        assert not assert_same_report(augment_default(build_trinomial(params, build_time_grid(maturity, 12)))).ok
+
+    def test_one_node_band_report_equals_the_per_layer_report(self):
+        assert assert_same_report(augment_default(build_trinomial(EMPTY_BAND, build_time_grid(2.0, 52)))).ok
+
+    @pytest.mark.parametrize("lambda0", [0.0, 0.004])
+    def test_box_corner_report_equals_the_per_layer_report(self, lambda0):
+        params = JDCEVParams(lambda0=lambda0, sigma=50.0, beta=-1e-3, z0=30.0)
+        assert_same_report(augment_default(build_trinomial(params, build_time_grid(10.0, 52))))
+
+    @given(
+        lambda0=st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+        sigma=st.floats(1e-3, 50.0),
+        beta=st.floats(-5.0, -1e-3),
+        z0=st.floats(1e-2, 1e3),
+        maturity=st.sampled_from([1.0, 3.0, 10.0]),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_calibration_box_reports_agree(self, lambda0, sigma, beta, z0, maturity):
+        params = JDCEVParams(lambda0=lambda0, sigma=sigma, beta=beta, z0=z0)
+        tree = build_outcome(build_trinomial, params, build_time_grid(maturity, 12))
+        if not isinstance(tree, tuple):
+            assert_same_report(augment_default(tree))
+
+    def test_peak_memory_stays_bounded_at_252_steps_per_year(self):
+        # a whole-lattice pass would hold every node's temporaries at once
+        tree = readme_lattice(252)
+        tracemalloc.start()
+        try:
+            validate_tree(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
