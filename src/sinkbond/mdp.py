@@ -1,14 +1,13 @@
 """Finite-horizon Markov decision engine over (nominal, intensity-node) states.
 
-A stage problem bundles the admissible redemption amounts per remaining
-nominal, the step's lattice transition and the cashflow parameters of the
-step.  Each stage is computed as one (R, m) array: a row per nominal index
-reachable from the full notional (``rows``, sorted), a column per lattice
-node; solutions keep the rows in {nominal index: row} tables.  One kernel,
-:func:`stage_values`, prices a whole stage under a per-(row, node) action
-array -- cost plus the discounted transition ``expect`` of the next stage's
-array, read at continuation row s - a -- and backward induction, policy
-evaluation and the residual check all run through it.  The absorbing post-default state never appears explicitly: the
+A stage problem bundles the stage's table of admissible redemption amounts
+per remaining nominal, the step's lattice transition and the cashflow
+parameters of the step.  Each stage is computed as one (R, m) array: a row
+per nominal index reachable from the full notional (``rows``, sorted), a
+column per lattice node.  One kernel, :func:`stage_values`, prices a whole
+stage under a per-(row, node) action array -- cost plus the discounted
+transition ``expect`` of the next stage's array, read at continuation row
+s - a.  The absorbing post-default state never appears explicitly: the
 one-time recovery payment sits inside the stage cost and everything after
 default is worth zero.
 
@@ -18,12 +17,23 @@ are one lookup ``stage.actions(rows)`` returning an (R, A) grid, largest
 amount first, and the minimization is one kernel call per column.  Ties are
 broken toward the largest redemption so policies are reproducible, and a
 policy is stored in the grid's dtype.
+
+The issuer chooses only where a stage's table holds a nonzero amount (the
+redemption dates and the final stage).  Every other stage redeems nothing
+from every row, so its rows continue to themselves and its Bellman step is
+a plain discounted expectation: the engine *carries* it, as the kernel's
+arithmetic at action 0 with no continuation lookup and no minimization.
+Solutions keep {nominal index: row} value tables only at decision stages,
+at stage 0 (the root) and at the horizon; a carried stage's values are
+``None`` and :func:`value_tables` recomputes them from the next stored
+stage.  Policy tables exist at every stage, over the same rows: a carried
+stage maps each row to a shared read-only zero row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,12 +49,9 @@ PolicyLike = Union[PolicyFn, Sequence[Mapping[int, Union[int, np.ndarray]]], "MD
 class StageProblem:
     """One decision stage t_n -> t_{n+1}.
 
-    actions: admissible redemption amounts (nominal-grid units), vectorised:
-        a nominal index gives its row, an index array the (R, A) rows, each
-        largest first and padded with its smallest amount; a negative or
-        too-large index raises IndexError.  A callable (a lookup into an
-        action table) because callers outside the engine, such as
-        ``perfbench/tracer.py``, ask for ``stage.actions(s_index)``.
+    table: (K+1, A) admissible redemption amounts (nominal-grid units), row
+        s those of nominal index s, largest first and padded with its
+        smallest amount; a table holding only zeros offers no choice.
     transition: the lattice step t_n -> t_{n+1}.
     coupon: coupon rate C_{n+1} paid at t_{n+1} per unit of remaining nominal.
     recovery: fraction of the remaining nominal paid once upon default.
@@ -52,11 +59,19 @@ class StageProblem:
         or an (m,) array of one factor per node.
     """
 
-    actions: Callable[[Union[int, np.ndarray]], np.ndarray]
+    table: np.ndarray
     transition: LayerTransition
     coupon: float
     recovery: float
     discount: Union[float, np.ndarray]
+
+    def actions(self, rows: Union[int, np.ndarray]) -> np.ndarray:
+        """Admissible amounts of a nominal index (its row) or an index array
+        (the (R, A) rows); a negative or too-large index raises IndexError
+        instead of wrapping around."""
+        if (rows.min() if isinstance(rows, np.ndarray) else rows) < 0:
+            raise IndexError(f"negative nominal index in {rows}")
+        return self.table[rows]
 
     @property
     def size(self) -> int:
@@ -67,11 +82,13 @@ class StageProblem:
 class MDPSolution:
     """Value tables, optimal policy and the headline root value.
 
-    ``values[n]`` and ``policy[n]`` map each reachable nominal index to its
-    per-node row.
+    ``policy[n]`` maps each nominal index reachable at stage n to its
+    per-node actions.  ``values[n]`` maps the same rows to their per-node
+    values at decision stages, at stage 0 and at the horizon n = N, and is
+    ``None`` at carried stages (see :func:`value_tables`).
     """
 
-    values: tuple[dict[int, np.ndarray], ...]
+    values: tuple[Optional[dict[int, np.ndarray]], ...]
     policy: tuple[dict[int, np.ndarray], ...]
     initial_index: int
 
@@ -133,6 +150,30 @@ def stage_values(
     return stage_cost(stage, rows[:, None], actions, nominal_steps) + cont[pos, np.arange(stage.size)]
 
 
+def _carry(stage: StageProblem, s: np.ndarray, next_values: np.ndarray) -> np.ndarray:
+    """A no-choice stage's values: :func:`stage_values` at action 0, bit for bit.
+
+    ``s`` is the (R, 1) column of nominal fractions of rows that continue to
+    themselves, so no continuation row is looked up; the cost is
+    :func:`stage_cost`'s expression with its zero action term dropped.
+    """
+    tr = stage.transition
+    cost = stage.discount * ((stage.coupon * s) * tr.survival + tr.default_prob * stage.recovery * s)
+    return cost + stage.discount * tr.expect(next_values)
+
+
+def _decides(stages: Sequence[StageProblem], nominal_steps: int) -> list[bool]:
+    """Whether each stage offers a choice: a table holding only zeros for
+    every nominal up to ``nominal_steps`` does not.  A table without a row for
+    some nominal is left to the decision path, whose lookup refuses it.
+    Stages share a few tables, so each distinct table is read once."""
+    seen: dict[int, bool] = {}
+    for stage in stages:
+        if id(stage.table) not in seen:
+            seen[id(stage.table)] = bool(stage.table.any()) or stage.table.shape[0] <= nominal_steps
+    return [seen[id(stage.table)] for stage in stages]
+
+
 def _admissible(stage: StageProblem, rows: np.ndarray, n: int) -> np.ndarray:
     """The stage's (R, A) action grid for ``rows``; no action may exceed its row."""
     grid = stage.actions(rows)
@@ -147,26 +188,45 @@ def _next_rows(rows: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.bincount((rows[:, None] - actions).ravel()))
 
 
+def _table(rows: np.ndarray, array: np.ndarray) -> dict[int, np.ndarray]:
+    # rows are copied out: stage arrays kept alive as views among freed
+    # temporaries fragment the heap (5 MB more peak RSS at 252 steps/yr)
+    return {s: row.copy() for s, row in zip(rows.tolist(), array)}
+
+
 def backward_induction(stages: Sequence[StageProblem], nominal_steps: int) -> MDPSolution:
     """Solve the decision problem; the root value is the instrument's price.
 
-    A forward pass collects the reachable rows and action grids; the
-    backward pass evaluates the kernel once per action column, descending,
-    and only a strictly smaller value replaces the running best, so exact
-    ties go to the largest redemption.  The root row is the full notional,
-    ``nominal_steps``.
+    A forward pass collects the reachable rows and action grids of the
+    decision stages; a carried stage keeps its rows.  Backward, a decision
+    stage evaluates the kernel once per action column, descending, and only
+    a strictly smaller value replaces the running best, so exact ties go to
+    the largest redemption; a carried stage is one :func:`_carry`.  Value
+    tables are kept at decision stages, stage 0 and the horizon; each
+    carried stage's policy maps its rows to a slice of one read-only zero
+    row.  The root row is the full notional, ``nominal_steps``.
     """
-    rows = [np.array([nominal_steps])]
-    grids = []
+    decides = _decides(stages, nominal_steps)
+    rows, grids = [np.array([nominal_steps])], []
     for n, stage in enumerate(stages):
-        grids.append(_admissible(stage, rows[n], n))
-        rows.append(_next_rows(rows[n], grids[n]))
+        grids.append(_admissible(stage, rows[n], n) if decides[n] else None)
+        rows.append(_next_rows(rows[n], grids[n]) if decides[n] else rows[n])
 
     nxt = np.zeros((len(rows[-1]), stages[-1].transition.next_size))
-    values = [dict(zip(rows[-1].tolist(), nxt))]
-    policy = []
+    values: list[Optional[dict[int, np.ndarray]]] = [None] * len(stages) + [_table(rows[-1], nxt)]
+    policy: list[Optional[dict[int, np.ndarray]]] = [None] * len(stages)
+    zero_rows: dict[np.dtype, np.ndarray] = {}  # per table dtype, the read-only zero row carried stages slice
+    width = max(stage.size for stage in stages)
     for n in range(len(stages) - 1, -1, -1):
         stage, grid = stages[n], grids[n]
+        if grid is None:
+            nxt = _carry(stage, rows[n][:, None] / nominal_steps, nxt)
+            zero = zero_rows.get(stage.table.dtype)
+            if zero is None:
+                zero = zero_rows[stage.table.dtype] = np.zeros(width, stage.table.dtype)
+                zero.flags.writeable = False
+            policy[n] = dict.fromkeys(rows[n].tolist(), zero[:stage.size])
+            continue
         best = stage_values(stage, rows[n], grid[:, :1], rows[n + 1], nxt, nominal_steps)
         chosen = np.repeat(grid[:, :1], stage.size, axis=1)
         for col in range(1, grid.shape[1]):
@@ -174,12 +234,11 @@ def backward_induction(stages: Sequence[StageProblem], nominal_steps: int) -> MD
             better = trial < best
             best = np.where(better, trial, best)
             chosen = np.where(better, grid[:, col:col + 1], chosen)
-        # rows are copied out: stage arrays kept alive as views among freed
-        # temporaries fragment the heap (5 MB more peak RSS at 252 steps/yr)
-        values.append({s: row.copy() for s, row in zip(rows[n].tolist(), best)})
-        policy.append({s: row.copy() for s, row in zip(rows[n].tolist(), chosen)})
+        values[n], policy[n] = _table(rows[n], best), _table(rows[n], chosen)
         nxt = best
-    return MDPSolution(tuple(reversed(values)), tuple(reversed(policy)), nominal_steps)
+    if values[0] is None:
+        values[0] = _table(rows[0], nxt)
+    return MDPSolution(tuple(values), tuple(policy), nominal_steps)
 
 
 def evaluate_policy(
@@ -190,9 +249,12 @@ def evaluate_policy(
     """Expected discounted cost of a fixed admissible policy.
 
     Only states the policy can actually visit are materialized, so schedule
-    maps need not be defined away from their own trajectory.  Inadmissible
-    actions raise, naming the offending state.  The root row is the full
-    notional, ``nominal_steps``.
+    maps need not be defined away from their own trajectory.  Each stage's
+    actions are checked against its (R, A) table in one comparison, and an
+    inadmissible action raises, naming the offending state.  Backward, a
+    no-choice stage (the check leaves it action 0 everywhere) is carried as
+    in :func:`backward_induction`.  The root row is the full notional,
+    ``nominal_steps``.
     """
     if callable(policy):
         fn = policy
@@ -202,51 +264,79 @@ def evaluate_policy(
         def fn(stage: int, s_index: int):
             return tables[stage][s_index]
 
-    # forward pass: policy-reachable rows and the actions taken there, kept as
-    # per-row broadcast views so one stage's (R, m) action array exists at a time
+    # forward pass: policy-reachable rows, and the (R, m) actions taken at
+    # decision stages only, so no carried stage's action array is kept
+    decides = _decides(stages, nominal_steps)
     rows = [np.array([nominal_steps])]
     taken = []
     for n, stage in enumerate(stages):
-        acts = []
-        for s_index in rows[n].tolist():
-            acts.append(np.broadcast_to(np.asarray(fn(n, s_index), dtype=np.intp), (stage.size,)))
-            inadmissible = set(acts[-1].tolist()).difference(stage.actions(s_index))
-            if inadmissible:
-                raise ValueError(
-                    f"stage {n}, nominal index {s_index}: action {min(inadmissible)} not admissible"
-                )
-        taken.append(acts)
-        rows.append(_next_rows(rows[n], np.array(acts)))
+        acts = np.empty((rows[n].size, stage.size), dtype=np.intp)
+        for i, s_index in enumerate(rows[n].tolist()):
+            acts[i] = fn(n, s_index)
+        admissible = (acts[:, :, None] == stage.actions(rows[n])[:, None, :]).any(axis=2)
+        if not admissible.all():
+            r = int(np.flatnonzero(~admissible.all(axis=1))[0])
+            raise ValueError(
+                f"stage {n}, nominal index {rows[n][r]}: action {acts[r][~admissible[r]].min()} not admissible"
+            )
+        taken.append(acts if decides[n] else None)
+        rows.append(_next_rows(rows[n], acts) if decides[n] else rows[n])
 
     values = np.zeros((len(rows[-1]), stages[-1].transition.next_size))
     for n in range(len(stages) - 1, -1, -1):
-        values = stage_values(stages[n], rows[n], np.array(taken[n]), rows[n + 1], values, nominal_steps)
+        if taken[n] is None:
+            values = _carry(stages[n], rows[n][:, None] / nominal_steps, values)
+        else:
+            values = stage_values(stages[n], rows[n], taken[n], rows[n + 1], values, nominal_steps)
     return PolicyValue(root_value=float(values[0, 0]))
+
+
+def _stacked(table: Mapping[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    rows = np.array(sorted(table))
+    return rows, np.stack([table[s] for s in rows.tolist()])
+
+
+def value_tables(
+    stages: Sequence[StageProblem], nominal_steps: int, solution: MDPSolution
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Every stage's sorted rows and (R, m) values, from the horizon n = N back to 0.
+
+    Stored tables are stacked as they are; a carried stage (no stored
+    table) is recomputed from the next stage by the engine's carry.
+    """
+    rows, values = _stacked(solution.values[-1])
+    yield len(stages), rows, values
+    for n in range(len(stages) - 1, -1, -1):
+        if solution.values[n] is None:
+            values = _carry(stages[n], rows[:, None] / nominal_steps, values)
+        else:
+            rows, values = _stacked(solution.values[n])
+        yield n, rows, values
 
 
 def bellman_residual(
     stages: Sequence[StageProblem], nominal_steps: int, solution: MDPSolution
 ) -> dict[str, float]:
-    """Re-run the optimality conditions on a stored solution.
+    """Re-run the optimality conditions on a solution, at every stage.
 
     Returns the largest deviation from the fixed-point property (value at the
     stored minimizer) and from minimality (no admissible action beats the
-    stored value).
+    value).  Values come from :func:`value_tables`, so a carried stretch is
+    checked through the kernel against its carry, and the stored stage
+    before it against the recomputed stretch.
     """
-    def stacked(table: Mapping[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.array(sorted(table))
-        return rows, np.stack([table[s] for s in rows.tolist()])
-
     fixed_point = 0.0
     minimality = 0.0
-    for n, stage in enumerate(stages):
-        rows, stored = stacked(solution.values[n])
-        _, chosen = stacked(solution.policy[n])
-        next_rows, nxt = stacked(solution.values[n + 1])
+    tables = value_tables(stages, nominal_steps, solution)
+    _, next_rows, nxt = next(tables)
+    for n, rows, stored in tables:
+        stage = stages[n]
+        chosen = np.stack([solution.policy[n][s] for s in rows.tolist()])
         at_policy = stage_values(stage, rows, chosen, next_rows, nxt, nominal_steps)
         fixed_point = max(fixed_point, float(np.max(np.abs(at_policy - stored))))
         grid = _admissible(stage, rows, n)
         for col in range(grid.shape[1]):
             trial = stage_values(stage, rows, grid[:, col:col + 1], next_rows, nxt, nominal_steps)
             minimality = max(minimality, float(np.max(stored - trial)))
+        next_rows, nxt = rows, stored
     return {"fixed_point": fixed_point, "minimality": minimality}

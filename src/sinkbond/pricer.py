@@ -16,7 +16,7 @@ cashflows at r + z in the same kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -83,17 +83,6 @@ def build_stage_problems(
     )
 
 
-def _rows_of(table: np.ndarray) -> Callable[[Union[int, np.ndarray]], np.ndarray]:
-    """``table.__getitem__`` for nominal indices; a negative one raises IndexError instead of wrapping to row K."""
-
-    def rows_of(rows: Union[int, np.ndarray]) -> np.ndarray:
-        if (rows.min() if isinstance(rows, np.ndarray) else rows) < 0:
-            raise IndexError(f"negative nominal index in {rows}")
-        return table[rows]
-
-    return rows_of
-
-
 def _stages(
     spec: SinkingBondSpec,
     coupons: np.ndarray,
@@ -104,7 +93,7 @@ def _stages(
     """One decision stage per step; ``discounts[n]`` is a float or one factor per node."""
     return [
         StageProblem(
-            actions=_rows_of(actions[n]),
+            table=actions[n],
             transition=tr,
             coupon=float(coupons[n + 1]),
             recovery=spec.recovery,

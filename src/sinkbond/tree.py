@@ -64,6 +64,9 @@ _VARIANCE_TOL = 1e-3
 #: Nodes per block of layers that :func:`validate_tree` checks at once; the
 #: block's temporaries stay at a few MB however large the lattice.
 _BLOCK_NODES = 8192
+#: Nodes :func:`build_trinomial` may allocate (about 120 bytes each); a grid
+#: whose lattice would hold more is refused before the layer that crosses it.
+_MAX_NODES = 20_000_000
 
 
 class TreeConstructionError(RuntimeError):
@@ -113,18 +116,16 @@ class LayerTransition:
         array gives one (R, m) expectation per row.  The adjoint of
         :meth:`push`: dot(push(m), v) == dot(m, expect(v)).
         """
+        probs, succ = self.probs, self.succ
         return (
-            self.probs[0] * values[..., self.succ[0]]
-            + self.probs[1] * values[..., self.succ[1]]
-            + self.probs[2] * values[..., self.succ[2]]
+            probs[0] * values.take(succ[0], axis=-1)
+            + probs[1] * values.take(succ[1], axis=-1)
+            + probs[2] * values.take(succ[2], axis=-1)
         )
 
     def push(self, mass: np.ndarray) -> np.ndarray:
         """Carry per-node mass one step forward along the survival-scaled branches."""
-        return sum(
-            np.bincount(self.succ[row], self.probs[row] * mass, minlength=self.next_size)
-            for row in range(3)
-        )
+        return np.bincount(self.succ.ravel(), (self.probs * mass).ravel(), minlength=self.next_size)
 
 
 @dataclass(frozen=True)
@@ -185,18 +186,19 @@ def _transition(succ: np.ndarray, branch: np.ndarray, survival: np.ndarray, defa
 
 
 def _node_columns(params: JDCEVParams, x0: float, dx: float, k: np.ndarray):
-    """Node x0 + k * dx with its level, intensity and drift; clean where none can raise."""
+    """Rows x, level, intensity and drift of node x0 + k * dx; clean where none can raise."""
     x = x0 + k * dx
     z, lam, drift = x_state(params, x)
     with np.errstate(all="ignore"):  # z / z0, the intensity's ratio, overflows before z does
         clean = np.isfinite(z / params.z0) & np.isfinite(drift)
-    return (x, z, lam, drift), clean
+    return (np.stack((x, z, lam, drift)),), clean
 
 
 def _branch_columns(params: JDCEVParams, x0: float, dx_prev: float, dt: float, k: np.ndarray):
-    """Successors, down/mid/up triple, survival and default probability of node k of a layer
+    """Successors, and rows down/mid/up, survival and default probability, of node k of a layer
     spaced ``dx_prev`` over a step ``dt``; clean where the node is and the triple passes the check."""
-    (x, _, lam, drift), clean = _node_columns(params, x0, dx_prev, k)
+    (nodes,), clean = _node_columns(params, x0, dx_prev, k)
+    x, _, lam, drift = nodes
     mean = x + drift * dt
     dx = math.sqrt(3.0 * dt)
     center = np.rint((mean - x0) / dx).astype(np.intp)
@@ -210,7 +212,27 @@ def _branch_columns(params: JDCEVParams, x0: float, dx_prev: float, dt: float, k
     with np.errstate(all="ignore"):
         clean &= np.all((branch >= -_PROB_TOL) & (branch <= 1.0 + _PROB_TOL), axis=0)
         clean &= np.abs(branch.sum(axis=0) - 1.0) <= 1e-9
-    return (np.stack([center - 1, center, center + 1]), branch, np.exp(-lam * dt), -np.expm1(-lam * dt)), clean
+    floats = np.stack([down, mid, up, np.exp(-lam * dt), -np.expm1(-lam * dt)])
+    return (np.stack([center - 1, center, center + 1]), floats), clean
+
+
+def _band_transition(succ: np.ndarray, floats: np.ndarray, band: slice, size: int, lo: int, hi: int) -> LayerTransition:
+    """Freeze one step of a layer of ``size`` nodes from its band's successors,
+    numbered from ``lo`` to ``hi`` in the next layer, and :func:`_branch_columns`
+    rows; nodes off the band are leaves with all-zero columns.
+
+    Padding is one zeroed block per dtype: branch, survival, default
+    probability and the survival-scaled branches are rows of one float block.
+    """
+    block = np.zeros((8, size))
+    block[:5, band] = floats
+    np.multiply(floats[:3], floats[3], out=block[5:, band])
+    index = np.zeros((3, size), dtype=np.intp)
+    np.subtract(succ, lo, out=index[:, band])
+    live = np.zeros(size, dtype=bool)
+    live[band] = True
+    _read_only(block, index, live)  # views taken after this are read-only too
+    return LayerTransition(index, block[:3], block[3], block[4], block[5:], live, hi - lo + 1)
 
 
 class _Windows:
@@ -227,7 +249,7 @@ class _Windows:
             lo, hi = a - w, b + w
             with np.errstate(all="ignore"):
                 cols, clean = self._columns(*key, np.arange(lo, hi + 1, dtype=float))
-            unclean = np.concatenate(([0], np.cumsum(~clean)))
+            unclean = [0, *np.cumsum(~clean).tolist()]
             self._cached[key] = lo, hi, cols, unclean
         i, j = a - lo, b + 1 - lo
         if unclean[i] != unclean[j]:
@@ -246,7 +268,9 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
     when none does); the rest are leaves.  The last layer has no band: all its
     nodes are kept.  A root coordinate so large that its float spacing exceeds
     ``_SPACING_TOL`` times the smallest step's node spacing is refused: the
-    nodes would round onto each other.
+    nodes would round onto each other.  So is, with a ValueError, a lattice
+    of more than ``_MAX_NODES`` nodes, before the layer that crosses it is
+    allocated.
 
     Layers and bands are slices of the module docstring's windows: a miss refills
     [a - w, b + w] for a run a..b of w nodes, errors suppressed, and a run with a
@@ -264,8 +288,8 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
     branches = _Windows(functools.partial(_branch_columns, params, x0))
 
     def layer(dx: float, lo: int, hi: int) -> TreeLayer:
-        (x, z, lam, _), _ = nodes.slice((dx,), lo, hi)
-        return TreeLayer(*(_read_only(arr.copy()) for arr in (x, z, lam)))
+        (cols,), _ = nodes.slice((dx,), lo, hi)
+        return TreeLayer(*_read_only(cols[:3].copy()))
 
     dx_prev, k_lo = math.sqrt(3.0 * float(grid.steps[0])), 0
     layers = [layer(dx_prev, 0, 0)]
@@ -273,27 +297,29 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
     band = slice(0, 1)
     mass = np.ones(1)
     survival, default_mass = np.ones(grid.n_steps + 1), np.zeros(grid.n_steps)
+    total = 1
 
     for n in range(grid.n_steps):
         dt = float(grid.steps[n])
-        cols, cached = branches.slice((dx_prev, dt), k_lo + band.start, k_lo + band.stop - 1)
+        (succ, floats), cached = branches.slice((dx_prev, dt), k_lo + band.start, k_lo + band.stop - 1)
         if not cached:
-            _check_branch_probs(cols[1], n, band.start)
-        lo, hi = int(cols[0][0].min()), int(cols[0][2].max())
-        # succ, branch, survival, default probability and live, zero off the band
-        band_cols = (cols[0] - lo, *cols[1:], np.ones(band.stop - band.start, dtype=bool))
-        padded = [np.zeros(col.shape[:-1] + (layers[n].size,), col.dtype) for col in band_cols]
-        for full, col in zip(padded, band_cols):
-            full[..., band] = col
-        tr = _transition(*padded, hi - lo + 1)
+            _check_branch_probs(floats[:3], n, band.start)
+        lo, hi = int(succ[0].min()), int(succ[2].max())
+        total += hi - lo + 1
+        if total > _MAX_NODES:
+            raise ValueError(
+                f"the lattice would exceed {_MAX_NODES} nodes at step {n + 1} of {grid.n_steps}; "
+                "use a coarser grid"
+            )
+        tr = _band_transition(succ, floats, band, layers[n].size, lo, hi)
         transitions.append(tr)
         dx_prev, k_lo = math.sqrt(3.0 * dt), lo
         layers.append(layer(dx_prev, lo, hi))
 
-        default_mass[n] = np.sum(mass * tr.default_prob)
+        default_mass[n] = (mass * tr.default_prob).sum()
         mass = tr.push(mass)
         survival[n + 1] = mass.sum()
-        heavy = np.flatnonzero(mass > _MASS_FLOOR)
+        (heavy,) = (mass > _MASS_FLOOR).nonzero()
         if heavy.size:
             band = slice(int(heavy[0]), int(heavy[-1]) + 1)
         else:

@@ -46,8 +46,8 @@ RUN_CONFIG = {
 }
 
 
-def traced_run(tracer_module, tmp_path, command, config_data=RUN_CONFIG):
-    """Run one CLI command at 4 steps/yr under the tracer; returns (span summary, counts)."""
+def traced_run(tracer_module, tmp_path, command, config_data=RUN_CONFIG, steps_per_year=4):
+    """Run one CLI command under the tracer (4 steps/yr unless told); returns (span summary, counts)."""
     from sinkbond.cli import main
 
     config = tmp_path / "run.json"
@@ -56,7 +56,7 @@ def traced_run(tracer_module, tmp_path, command, config_data=RUN_CONFIG):
     tracer.install()
     try:
         code = main([command, "--config", str(config), "--out", str(tmp_path / "out.json"),
-                     "--steps-per-year", "4"])
+                     "--steps-per-year", str(steps_per_year)])
     finally:
         tracer.uninstall()
     assert code == 0
@@ -74,6 +74,28 @@ def test_traced_price_run_counts_its_work(tracer_module, tmp_path):
     assert counts["tree.builds"] == 1
     assert counts["tree.lattice_bytes"] > 0
     assert counts["mdp.states"] > 0 and counts["mdp.action_evals"] >= counts["mdp.state_nodes"] > 0
+
+
+README_CONFIG = dict(
+    RUN_CONFIG,
+    bond={"maturity": 10.0, "coupon_rate": 0.08, "coupon_frequency": 1,
+          "redemption_dates": [float(y) for y in range(1, 10)],
+          "admissible_fractions": [0.05, 0.10], "alpha": 75.0, "recovery": 0.4},
+)
+
+
+@pytest.mark.parametrize(
+    "steps_per_year, states, state_nodes, action_evals",
+    [(12, 606, 34_700, 37_046), (252, 12_846, 3_113_301, 3_123_169)],
+)
+def test_engine_counters_on_the_readme_bond(tracer_module, tmp_path, steps_per_year, states, state_nodes,
+                                            action_evals):
+    # values the tracer gave when every stage kept its own value and policy
+    # tables; the counters read the solution's policy tables, which still
+    # hold every reachable (stage, nominal) row
+    _, counts = traced_run(tracer_module, tmp_path, "price", README_CONFIG, steps_per_year)
+    assert (counts["mdp.states"], counts["mdp.state_nodes"], counts["mdp.action_evals"]) == (
+        states, state_nodes, action_evals)
 
 
 def test_traced_mc_check_run_counts_its_paths(tracer_module, tmp_path):

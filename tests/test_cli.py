@@ -116,6 +116,14 @@ class TestPriceCommand:
         assert code == 0
         assert report["config"]["steps_per_year"] == 8
 
+    def test_lattice_over_the_node_budget_exits_2(self, tmp_path, monkeypatch):
+        import sinkbond.tree
+
+        monkeypatch.setattr(sinkbond.tree, "_MAX_NODES", 1_000)
+        code, report = run(tmp_path, "price", dict(BASE, bond=sinking_bond_section()), "--steps-per-year", "12")
+        assert code == 2
+        assert "exceed 1000 nodes" in report["error"]["message"]
+
     def test_alpha_constraint_violation_exits_2(self, tmp_path):
         bond = sinking_bond_section()
         bond["alpha"] = 77.0

@@ -15,6 +15,7 @@ from sinkbond.mdp import (
     evaluate_policy,
     stage_cost,
     stage_values,
+    value_tables,
 )
 from sinkbond.pricer import build_stage_problems, price_zcb
 from sinkbond.tree import augment_default, build_trinomial, deterministic_tree
@@ -33,7 +34,7 @@ def chain_stage(actions_map, intensity, dt, rate, coupon, recovery):
         acts = sorted(acts, reverse=True)
         table[s] = acts + acts[-1:] * (width - len(acts))
     return StageProblem(
-        actions=table.__getitem__,
+        table=table,
         transition=chain.transitions[0],
         coupon=coupon,
         recovery=recovery,
@@ -103,6 +104,15 @@ class TestBellmanStep:
         with pytest.raises(ValueError, match="missing continuation"):
             stage_values(stage, one_row(1), np.array([[1]]), one_row(1), np.zeros((1, 1)), 1)
 
+    def test_table_without_the_notionals_row_is_refused(self):
+        # an all-zero table offers no choice only if it covers every nominal
+        short = chain_stage({1: (0,)}, intensity=0.0, dt=1.0, rate=0.0, coupon=0.0, recovery=0.0)
+        last = chain_stage({2: (2,)}, intensity=0.0, dt=1.0, rate=0.0, coupon=0.0, recovery=0.0)
+        with pytest.raises(IndexError):
+            backward_induction([short, last], 2)
+        with pytest.raises(IndexError):
+            evaluate_policy([short, last], 2, lambda n, s: 0 if n == 0 else s)
+
     def test_action_above_its_row_rejected(self):
         first = chain_stage({2: (1,)}, intensity=0.0, dt=1.0, rate=0.0, coupon=0.0, recovery=0.0)
         last = chain_stage({1: (1,)}, intensity=0.0, dt=1.0, rate=0.0, coupon=0.0, recovery=0.0)
@@ -160,6 +170,17 @@ class TestBackwardInduction:
         residuals = bellman_residual(stages, spec.nominal_steps, solution)
         assert residuals["fixed_point"] <= 1e-12
         assert residuals["minimality"] <= 1e-12
+
+    def test_corrupted_value_after_a_carried_stretch_is_caught(self, fitted_params, flat_curve):
+        spec, stages = sinking_instance(fitted_params, flat_curve)
+        solution = backward_induction(stages, spec.nominal_steps)
+        stored = [table is not None for table in solution.values]
+        n = next(n for n in range(1, len(stages)) if stored[n] and not stored[n - 1])
+        s_index = min(solution.values[n])
+        row = solution.values[n][s_index].copy()
+        row[row.size // 2] += 1e-9
+        solution.values[n][s_index] = row
+        assert bellman_residual(stages, spec.nominal_steps, solution)["fixed_point"] > 1e-12
 
 
 def sinking_instance(params, curve, *, allow_skip=False):
@@ -254,10 +275,20 @@ def test_engine_equals_per_nominal_reference(spec, steps_per_year, fitted_params
     solution = backward_induction(stages, spec.nominal_steps)
     if spec.full_call:
         assert spec.nominal_steps == 20 and ties > 0
+    # tables are stored at decision stages, the root and the horizon; a
+    # carried stage is recomputed from the next stored one
+    recomputed = {n: (rows, array) for n, rows, array in value_tables(stages, spec.nominal_steps, solution)}
     for n in range(len(stages) + 1):
-        assert sorted(solution.values[n]) == sorted(values[n])
-        for s_index, row in values[n].items():
-            assert np.array_equal(solution.values[n][s_index], row)
+        stored = n in (0, len(stages)) or bool(stages[n].table.any())
+        assert (solution.values[n] is not None) == stored
+        if stored:
+            assert sorted(solution.values[n]) == sorted(values[n])
+            for s_index, row in values[n].items():
+                assert np.array_equal(solution.values[n][s_index], row)
+        rows, array = recomputed[n]
+        assert rows.tolist() == sorted(values[n])
+        for s_index, row in zip(rows.tolist(), array):
+            assert np.array_equal(row, values[n][s_index])
     for n in range(len(stages)):
         assert sorted(solution.policy[n]) == sorted(policy[n])
         for s_index, row in policy[n].items():

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -545,6 +546,28 @@ class TestPriceReport:
         for entry in price_report(tree, flat_curve, spec)["policy_summary"]:
             assert entry["action_min"] == pytest.approx(smallest, abs=1e-15)
             assert entry["action_max"] == pytest.approx(smallest, abs=1e-15)
+
+
+def test_price_report_peak_memory_stays_bounded_at_252_steps_per_year(fitted_params, flat_curve):
+    # value tables at all 2,520 stages would hold about 25 MB; only the
+    # decision stages, the root and the horizon keep theirs
+    spec = SinkingBondSpec(
+        maturity=10.0,
+        coupon_rate=0.08,
+        coupon_frequency=1,
+        redemption_dates=tuple(float(y) for y in range(1, 10)),
+        admissible_fractions=(0.05, 0.10),
+        alpha=75.0,
+        recovery=0.4,
+    )
+    tree = augment_default(build_trinomial(fitted_params, bond_grid(spec, 252)))
+    tracemalloc.start()
+    try:
+        price_report(tree, flat_curve, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_schedule_cashflows_rejects_unknown_rule():

@@ -17,6 +17,7 @@ from sinkbond.jdcev import JDCEVParams, intensity, inverse_transform, transform,
 from sinkbond.market_data import build_time_grid
 from sinkbond.pricer import price_zcb
 from sinkbond.tree import (
+    LayerTransition,
     TreeConstructionError,
     augment_default,
     build_trinomial,
@@ -79,6 +80,44 @@ class TestBuildTrinomial:
         diag = validate_tree(tree)
         assert diag.max_mean_error <= 1e-12
         assert diag.max_variance_error <= 1e-12
+
+    def test_lattice_arrays_are_read_only(self, fitted_params):
+        tree = build_trinomial(fitted_params, build_time_grid(2.0, 12))
+        arrays = [arr for layer in tree.layers for arr in (layer.x, layer.z_level, layer.intensity)]
+        fields = [f.name for f in dataclasses.fields(LayerTransition) if f.name != "next_size"]
+        arrays += [getattr(tr, name) for tr in tree.transitions for name in fields]
+        assert not any(arr.flags.writeable for arr in arrays)
+
+
+class TestNodeBudget:
+    """A lattice over ``_MAX_NODES`` nodes is refused before the layer that crosses it."""
+
+    def test_budget_is_checked_layer_by_layer(self, monkeypatch):
+        import sinkbond.tree
+
+        grid = build_time_grid(10.0, 12)
+        nodes = sum(build_trinomial(README_PARAMS, grid).layer_sizes())
+        monkeypatch.setattr(sinkbond.tree, "_MAX_NODES", nodes)
+        assert sum(build_trinomial(README_PARAMS, grid).layer_sizes()) == nodes
+        monkeypatch.setattr(sinkbond.tree, "_MAX_NODES", nodes - 1)
+        with pytest.raises(ValueError, match=f"exceed {nodes - 1} nodes at step {grid.n_steps} of {grid.n_steps}"):
+            build_trinomial(README_PARAMS, grid)
+
+    def test_refused_before_the_crossing_layer_is_built(self, monkeypatch):
+        import sinkbond.tree
+
+        built = []
+        layer = sinkbond.tree.TreeLayer
+
+        def counted_layer(*args):
+            built.append(args)
+            return layer(*args)
+
+        monkeypatch.setattr(sinkbond.tree, "TreeLayer", counted_layer)
+        monkeypatch.setattr(sinkbond.tree, "_MAX_NODES", 100)
+        with pytest.raises(ValueError, match="exceed 100 nodes at step"):
+            build_trinomial(README_PARAMS, build_time_grid(10.0, 12))
+        assert sum(args[0].size for args in built) <= 100
 
 
 class TestDeterministicTree:
@@ -191,10 +230,9 @@ class TestValidateTree:
 
     def test_corrupted_probability_is_flagged(self, fitted_params):
         tree = augment_default(build_trinomial(fitted_params, build_time_grid(1.0, 4)))
-        probs = tree.transitions[1].probs
-        probs.flags.writeable = True
+        probs = tree.transitions[1].probs.copy()
         probs[1, 0] = 1.5
-        diag = validate_tree(tree)
+        diag = validate_tree(with_transition(tree, 1, dataclasses.replace(tree.transitions[1], probs=probs)))
         assert not diag.ok
         assert any("layer 1 node 0" in v for v in diag.violations)
 
@@ -392,6 +430,25 @@ def test_push_and_expect_are_adjoint(layer, seed):
     mass /= mass.sum()
     values = rng.random(tr.next_size)
     assert np.dot(tr.push(mass), values) == pytest.approx(np.dot(mass, tr.expect(values)), abs=1e-14)
+
+
+def test_push_equals_the_per_node_loop():
+    # short steps around off-grid dates make nodes of one row share a
+    # successor, so one bincount adds their mass in another order than a
+    # loop: equal to the last few bits (all terms are nonnegative)
+    params = JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-0.6, z0=30.0)
+    tree = build_trinomial(params, build_time_grid(3.0, 7, (0.3, 0.31, 1.05, 2.2)))
+    shared = 0
+    rng = np.random.default_rng(5)
+    for tr in tree.transitions:
+        mass = rng.random(tr.succ.shape[1])
+        loop = np.zeros(tr.next_size)
+        for node in range(mass.size):
+            for row in range(3):
+                loop[tr.succ[row, node]] += tr.probs[row, node] * mass[node]
+        np.testing.assert_allclose(tr.push(mass), loop, rtol=8 * np.finfo(float).eps, atol=0.0)
+        shared += any(np.unique(tr.succ[row, tr.live]).size < tr.live.sum() for row in range(3))
+    assert shared
 
 
 README_PARAMS = JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-0.6, z0=30.0)
