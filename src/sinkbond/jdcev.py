@@ -95,8 +95,12 @@ def inverse_transform(params: JDCEVParams, x: ArrayLike) -> ArrayLike:
     scalar = arr.ndim == 0
     if np.any(arr <= 0.0):
         raise ValueError("transformed coordinate must be positive")
-    z = (params.sigma * abs(params.beta) * arr) ** (-1.0 / params.beta)
-    return _maybe_scalar(z, scalar)
+    return _maybe_scalar(_level(params, arr), scalar)
+
+
+def _level(params: JDCEVParams, x: np.ndarray) -> np.ndarray:
+    """The stock level (sigma |beta| x)^(-1/beta); 0 at x = 0."""
+    return (params.sigma * abs(params.beta) * x) ** (-1.0 / params.beta)
 
 
 def _drift(params: JDCEVParams, z: np.ndarray, lam: ArrayLike) -> np.ndarray:
@@ -120,14 +124,14 @@ def x_state(params: JDCEVParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     states are numerically certain defaulters, and following the diverging
     boundary drift would only stretch lattice layers (and move simulated
     paths after their default) for mass of size exp(-cap * dt).
+
+    Every column is whole-array arithmetic.  Where a formula does not apply,
+    its input is replaced first by a value on which it raises no
+    floating-point flag (x by 0, the level by 1, the intensity by 0), so the
+    warnings are those of evaluating it only where it applies.
     """
-    z = np.zeros_like(x)
-    pos = x > 0.0
-    if pos.any():
-        z[pos] = inverse_transform(params, x[pos])
+    z = _level(params, np.where(x > 0.0, x, 0.0))  # NaN and x <= 0 give level +0.0
     lam = np.asarray(intensity(params, z), dtype=float)
-    drift = np.zeros_like(x)
     live = (z > 0.0) & (lam < params.lambda_cap)
-    if live.any():
-        drift[live] = _drift(params, z[live], lam[live])
-    return z, lam, drift
+    drift = _drift(params, np.where(live, z, 1.0), np.where(live, lam, 0.0))
+    return z, lam, np.where(live, drift, 0.0)

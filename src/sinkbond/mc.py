@@ -13,11 +13,28 @@ one seeded stream of standard normals read in path-major blocks -- path i
 owns normals i * (N + 2) through i * (N + 2) + N + 1 -- so the first k paths
 are bitwise identical no matter how many paths are requested.  Path i cannot
 be drawn without drawing the paths before it.
+
+The kernel is a pipeline.  The calling thread draws the blocks of
+``_CHUNK`` paths from the one stream, in path order, while two worker
+threads evolve the blocks already drawn; NumPy releases the GIL inside the
+draws and the array arithmetic, so the three overlap.  At most two blocks
+are alive at a time, the one being drawn included: the caller draws the
+next block only once a worker has finished with one.  The result cannot
+depend on thread timing.  Which normals a block holds is fixed by the draw
+order alone, a path's evolution reads no other path, and each block writes
+only its own slice of ``default_step``.  So every path's default step is
+the one a sequential loop over the blocks gives.  Workers call only
+:func:`sinkbond.jdcev.x_state` and array arithmetic, run in a copy of the
+caller's context (so its ``np.errstate`` holds there), and are joined
+before :func:`simulate_paths` returns or raises; a worker's exception is
+raised on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -28,7 +45,8 @@ from .jdcev import JDCEVParams, transform, x_state
 from .market_data import DiscountCurve, TimeGrid, discount_factors
 from .pricer import schedule_cashflows
 
-_CHUNK = 4096
+_CHUNK = 4096  # paths per block of draws
+_WORKERS = 2  # threads evolving blocks while the caller draws the next
 
 
 @dataclass(frozen=True)
@@ -66,27 +84,93 @@ def simulate_paths(params: JDCEVParams, grid: TimeGrid, n_paths: int, seed: int)
         raise ValueError("seed must be a nonnegative integer")
 
     n_steps = grid.n_steps
-    steps = grid.steps
-    sqrt_steps = np.sqrt(steps)
+    steps = grid.steps.tolist()
+    sqrt_steps = np.sqrt(grid.steps)
     x0 = float(transform(params, params.z0))
     gen = np.random.Generator(np.random.Philox(int(seed)))
-    default_step = np.full(n_paths, -1, dtype=np.intp)
+    default_step = np.empty(n_paths, dtype=np.intp)
 
-    for start in range(0, n_paths, _CHUNK):
-        size = min(_CHUNK, n_paths - start)
-        draws = gen.standard_normal((size, n_steps + 2))
-        thresholds = 0.5 * (draws[:, 0] ** 2 + draws[:, 1] ** 2)
-        chunk_step = default_step[start:start + size]  # a view: writes land in default_step
-        x = np.full(size, x0)
+    def draw(start: int) -> np.ndarray:
+        return gen.standard_normal((min(_CHUNK, n_paths - start), n_steps + 2))
+
+    def evolve(start: int, block: np.ndarray) -> None:
+        thresholds = 0.5 * (block[:, 0] ** 2 + block[:, 1] ** 2)
+        shocks = block[:, 2:]
+        shocks *= sqrt_steps
+        x = np.full(block.shape[0], x0)
         _, lam, drift = x_state(params, x)
-        hazard_sum = np.zeros(size)
-        for n in range(n_steps):
-            hazard_sum += lam * steps[n]
-            chunk_step[(chunk_step < 0) & (hazard_sum > thresholds)] = n + 1
-            x = x + drift * steps[n] + sqrt_steps[n] * draws[:, n + 2]
+        hazard = np.zeros_like(x)
+        # the hazard never decreases, so the steps that end with it at or below
+        # the threshold are the ones before the default step
+        below = np.zeros(x.shape, dtype=np.intp)
+        for n, dt in enumerate(steps):
+            lam *= dt
+            hazard += lam
+            below += hazard <= thresholds
+            drift *= dt
+            x += drift
+            x += shocks[:, n]
             _, lam, drift = x_state(params, x)
+        default_step[start:start + x.size] = np.where(below < n_steps, below + 1, -1)
 
+    _pipeline(range(0, n_paths, _CHUNK), draw, evolve)
     return PathSet(grid=grid, default_step=default_step)
+
+
+def _pipeline(starts: range, draw, evolve) -> None:
+    """Call ``evolve(start, draw(start))`` for every start: draws in order on
+    the calling thread, evolutions on up to ``_WORKERS`` threads.
+
+    At most ``_WORKERS`` drawn blocks are alive at a time, counting the one
+    being drawn.  The first exception of a worker (or of a draw) is raised
+    here once every worker has stopped.
+    """
+    free = threading.Semaphore(_WORKERS)  # one permit per block alive
+    ready: list[tuple[int, np.ndarray]] = []
+    errors: list[BaseException] = []
+    cond = threading.Condition()
+    drawing = True
+
+    def work() -> None:
+        while True:
+            with cond:
+                cond.wait_for(lambda: ready or not drawing)
+                if not ready:
+                    return
+                item = ready.pop(0)
+            try:
+                if not errors:
+                    evolve(*item)
+            except BaseException as exc:  # re-raised on the calling thread
+                errors.append(exc)
+            finally:
+                del item  # the block dies before its permit frees
+                free.release()
+
+    workers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work,), daemon=True)
+        for _ in range(min(_WORKERS, len(starts)))
+    ]
+    for worker in workers:
+        worker.start()
+    try:
+        for start in starts:
+            free.acquire()
+            if errors:
+                break
+            block = draw(start)
+            with cond:
+                ready.append((start, block))
+                cond.notify()
+            del block
+    finally:
+        with cond:
+            drawing = False
+            cond.notify_all()
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
 
 
 def mc_price_fixed_policy(

@@ -132,40 +132,54 @@ def schedule_cashflows(
     if not isinstance(schedule, (str, Mapping)):
         raise ValueError(f"a fixed schedule is 'max', 'min' or a date-to-fraction map, not {type(schedule).__name__}")
     actions = action_table(spec, grid)
+    n_steps, k = grid.n_steps, spec.nominal_steps
+    last = n_steps - 1
+    # only redemption stages and the last one offer a choice: every other
+    # stage redeems 0, which its all-zero table admits
+    redemption = redemption_stages(spec, grid)
     if isinstance(schedule, str):
         rule = schedule.lower()
         if rule not in ("max", "min"):
             raise ValueError(f"unknown schedule rule {schedule!r}")
         col = 0 if rule == "max" else -1
-
-        def choose(n: int, s_index: int) -> int:
-            return int(actions[n][s_index, col])
-
+        picks = {}  # grid units redeemed at each stage with a choice
+        s_index = k
+        for n in sorted(redemption | {last}):
+            picks[n] = int(actions[n][s_index, col])
+            s_index -= picks[n]
     else:
         stage_actions = {
             grid.index_of(float(date)): spec.fraction_to_index(float(fraction))
             for date, fraction in schedule.items()
         }
-        missing = redemption_stages(spec, grid) - set(stage_actions)
+        missing = redemption - set(stage_actions)
         if missing:
             raise ValueError(
                 f"schedule does not cover the redemption dates at stages {sorted(missing)}"
             )
-
-        def choose(n: int, s_index: int) -> int:
-            return s_index if n == grid.n_steps - 1 else stage_actions.get(n, 0)
-
+        # a mapped date off the redemption dates is checked like one; the
+        # last stage redeems what is left, whatever the map says there
+        picks = {n: a for n, a in stage_actions.items() if n < last}
+        picks[last] = k - sum(picks.values())
+    stages = sorted(picks)
+    amounts = np.zeros(n_steps, dtype=np.int64)
+    # an amount outside 0..k is refused below whatever it is; clipped, it fits
+    amounts[stages] = [min(max(picks[n], -1), k + 1) for n in stages]
+    held = k - np.concatenate(([0], np.cumsum(amounts)))  # nominal index over each step
     coupons = coupons_on_grid(spec, grid)
-    cash = np.zeros(grid.n_steps + 1)
-    nominal = np.full(grid.n_steps + 1, float(spec.nominal_steps))
-    for n in range(grid.n_steps):
-        s_index = int(nominal[n])
-        action = choose(n, s_index)
-        if action not in actions[n][s_index]:
-            raise ValueError(f"stage {n}, nominal index {s_index}: action {action} not admissible")
-        cash[n + 1] = (action + coupons[n + 1] * s_index) / spec.nominal_steps
-        nominal[n + 1] = s_index - action
-    return cash, nominal
+
+    # one comparison of every pick against its table row: up to the first
+    # refusal the nominal held is exact, past it the rows read are clipped
+    width = max(actions[n].shape[1] for n in stages)
+    rows = np.stack([np.broadcast_to(actions[n][s], (width,))
+                     for n, s in zip(stages, np.clip(held[stages], 0, k))])
+    refused = ~(rows == amounts[stages, None]).any(axis=1)
+    if refused.any():
+        n = stages[int(np.argmax(refused))]
+        raise ValueError(f"stage {n}, nominal index {held[n]}: action {picks[n]} not admissible")
+    cash = np.zeros(n_steps + 1)
+    cash[1:] = (amounts + coupons[1:] * held[:-1]) / k
+    return cash, held.astype(float)
 
 
 def price_fixed_schedule(

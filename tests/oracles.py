@@ -210,6 +210,72 @@ def one_call_default_steps(params, grid, n_paths: int, seed: int, *, zero_shock:
     return default_step
 
 
+def masked_x_state(params, x):
+    """Reference ``jdcev.x_state``: each formula gathered to the nodes it applies to.
+
+    The level is computed only at x > 0 and the drift only at live nodes
+    (level above 0, intensity below the cap), then scattered into zeros, so
+    no floating-point flag can come from a node a formula does not apply to.
+    """
+    from sinkbond.jdcev import _drift, intensity, inverse_transform
+
+    z = np.zeros_like(x)
+    pos = x > 0.0
+    if pos.any():
+        z[pos] = inverse_transform(params, x[pos])
+    lam = np.asarray(intensity(params, z), dtype=float)
+    drift = np.zeros_like(x)
+    live = (z > 0.0) & (lam < params.lambda_cap)
+    if live.any():
+        drift[live] = _drift(params, z[live], lam[live])
+    return z, lam, drift
+
+
+def loop_schedule_cashflows(spec, grid, schedule):
+    """Reference ``pricer.schedule_cashflows``: every stage walked, every action checked in turn."""
+    from collections.abc import Mapping
+
+    from sinkbond.instruments import action_table, coupons_on_grid, redemption_stages
+
+    if not isinstance(schedule, (str, Mapping)):
+        raise ValueError(f"a fixed schedule is 'max', 'min' or a date-to-fraction map, not {type(schedule).__name__}")
+    actions = action_table(spec, grid)
+    if isinstance(schedule, str):
+        rule = schedule.lower()
+        if rule not in ("max", "min"):
+            raise ValueError(f"unknown schedule rule {schedule!r}")
+        col = 0 if rule == "max" else -1
+
+        def choose(n: int, s_index: int) -> int:
+            return int(actions[n][s_index, col])
+
+    else:
+        stage_actions = {
+            grid.index_of(float(date)): spec.fraction_to_index(float(fraction))
+            for date, fraction in schedule.items()
+        }
+        missing = redemption_stages(spec, grid) - set(stage_actions)
+        if missing:
+            raise ValueError(
+                f"schedule does not cover the redemption dates at stages {sorted(missing)}"
+            )
+
+        def choose(n: int, s_index: int) -> int:
+            return s_index if n == grid.n_steps - 1 else stage_actions.get(n, 0)
+
+    coupons = coupons_on_grid(spec, grid)
+    cash = np.zeros(grid.n_steps + 1)
+    nominal = np.full(grid.n_steps + 1, float(spec.nominal_steps))
+    for n in range(grid.n_steps):
+        s_index = int(nominal[n])
+        action = choose(n, s_index)
+        if action not in actions[n][s_index]:
+            raise ValueError(f"stage {n}, nominal index {s_index}: action {action} not admissible")
+        cash[n + 1] = (action + coupons[n + 1] * s_index) / spec.nominal_steps
+        nominal[n + 1] = s_index - action
+    return cash, nominal
+
+
 def push_pass_mass_curve(tree):
     """Reference survival curve: one ``push`` per step from unit root mass.
 

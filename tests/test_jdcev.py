@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import masked_x_state
 from sinkbond.jdcev import (
     JDCEVParams,
     intensity,
@@ -192,3 +194,42 @@ def test_x_state_boundary_and_cap_conventions(fitted_params):
     beta, sigma = fitted_params.beta, fitted_params.sigma
     ito = lam[3:] * level ** (-beta) / sigma + 0.5 * (-beta - 1.0) * sigma * level**beta
     assert drift[3:] == pytest.approx(ito, rel=1e-14)
+
+
+#: README set, the default-free limit, a steep one and the sigma 50 / beta -1e-3 box corner
+ORACLE_PARAMS = {
+    "readme": JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-0.6, z0=30.0),
+    "lambda0-0": JDCEVParams(lambda0=0.0, sigma=2.8199, beta=-0.6, z0=30.0),
+    "steep": JDCEVParams(lambda0=0.05, sigma=20.0, beta=-0.9, z0=5.0),
+    "corner": JDCEVParams(lambda0=0.004, sigma=50.0, beta=-1e-3, z0=30.0),
+}
+
+
+def oracle_coordinates(params):
+    """x <= 0 and both zeros, subnormals, levels underflowing to 0, the cap, overflow, NaN and infinities."""
+    x0 = float(transform(params, params.z0))
+    capped = float(transform(params, 1e-6))
+    return np.array([
+        -np.inf, -1.5e308, -1e295, -1.0, -5e-324, -0.0, 0.0, 5e-324, 2.2e-308, 1e-310,
+        1e-200, 1e-20, 1e-3, capped, 0.5 * capped, 0.1, 1.0, x0, 1e10, 1e295, 1.5e308, np.inf, np.nan,
+    ])
+
+
+def recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PARAMS))
+def test_x_state_equals_the_masked_reference_bit_for_bit_with_its_warnings(name):
+    params = ORACLE_PARAMS[name]
+    x = oracle_coordinates(params)
+    # the whole array at once, and each value alone (so every value's own warnings show)
+    for sample in [x] + [x[i:i + 1] for i in range(x.size)]:
+        (got, got_warnings), (want, want_warnings) = recorded(x_state, params, sample), recorded(
+            masked_x_state, params, sample)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (name, sample)
+        assert got_warnings == want_warnings, (name, sample)

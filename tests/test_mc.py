@@ -1,5 +1,9 @@
 import dataclasses
+import hashlib
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from oracles import mean_chain, one_call_default_steps, path_major_normals
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams
 from sinkbond.market_data import build_time_grid
+import sinkbond.mc
+from sinkbond.jdcev import x_state
 from sinkbond.mc import mc_price_fixed_policy, simulate_paths
 from sinkbond.pricer import price_fixed_schedule
 from sinkbond.tree import augment_default, build_trinomial
@@ -37,6 +43,26 @@ class TestSimulatePaths:
         default_step = one_call_default_steps(risky_params, grid, self.PREFIX, seed)
         assert np.array_equal(paths.default_step, default_step)
         assert 0.2 < np.mean(default_step > 0) < 0.5
+
+    def test_many_workers_on_small_blocks_with_rapid_switching(self, risky_params, monkeypatch):
+        # more workers than cores and a block per 64 paths: a block evolved
+        # twice, lost or written to another's slice would break the equality
+        monkeypatch.setattr(sinkbond.mc, "_CHUNK", 64)
+        monkeypatch.setattr(sinkbond.mc, "_WORKERS", 5)
+        grid = build_time_grid(1.0, 12)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(
+                target=lambda: result.append(simulate_paths(risky_params, grid, self.PREFIX, seed=7)))
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        default_step = one_call_default_steps(risky_params, grid, self.PREFIX, 7)
+        assert np.array_equal(result[0].default_step, default_step)
 
     def test_same_seed_same_paths(self, risky_params):
         grid = build_time_grid(1.0, 12)
@@ -76,6 +102,71 @@ class TestSimulatePaths:
             simulate_paths(fitted_params, grid, 0, seed=1)
         with pytest.raises(ValueError):
             simulate_paths(fitted_params, grid, 10, seed=-1)
+
+
+README_BOND = SinkingBondSpec(
+    maturity=10.0,
+    coupon_rate=0.08,
+    coupon_frequency=1,
+    redemption_dates=tuple(float(y) for y in range(1, 10)),
+    admissible_fractions=(0.05, 0.10),
+    alpha=75.0,
+    recovery=0.4,
+)
+#: sha256 of default_step as int64 bytes, and the number of defaults, for
+#: 100,000 README-bond paths, computed with the sequential one-thread kernel
+README_DEFAULT_STEPS = {
+    (12, 1): ("510ebb5104386bf645a58dfc19fdef9d4a4ea070d06c858ec6331db0ba9ffa19", 29_924),
+    (12, 20270615): ("85ee660d51c8e741315ef2fd1fa9790566f322281b03a403e23ceb04d7865cc0", 30_103),
+    (52, 7): ("87b41fe6630ce5a79bd8e3b59f00926aa2178248c154d1405cd49033eda6fe7a", 30_695),
+}
+
+
+def readme_fingerprint(params, steps_per_year, seed):
+    paths = simulate_paths(params, bond_grid(README_BOND, steps_per_year), 100_000, seed)
+    default_step = paths.default_step
+    return hashlib.sha256(default_step.astype(np.int64).tobytes()).hexdigest(), int(np.sum(default_step > 0))
+
+
+class TestReadmeBondKernel:
+    @pytest.mark.parametrize("steps_per_year, seed", list(README_DEFAULT_STEPS))
+    def test_default_steps_are_pinned_to_the_bit(self, fitted_params, steps_per_year, seed):
+        assert readme_fingerprint(fitted_params, steps_per_year, seed) == README_DEFAULT_STEPS[steps_per_year, seed]
+
+    def test_block_size_does_not_move_a_bit(self, fitted_params, monkeypatch):
+        monkeypatch.setattr(sinkbond.mc, "_CHUNK", 1_000)
+        assert readme_fingerprint(fitted_params, 12, 1) == README_DEFAULT_STEPS[12, 1]
+
+    def test_a_failing_block_is_raised_and_no_thread_outlives_the_call(self, fitted_params, monkeypatch):
+        grid = bond_grid(README_BOND, 12)
+        calls_per_block = grid.n_steps + 1
+        calls = []
+        lock = threading.Lock()
+
+        def fails_in_the_third_block(params, x):
+            with lock:
+                calls.append(None)
+                if len(calls) > 2 * calls_per_block:
+                    raise FloatingPointError("third block")
+            return x_state(params, x)
+
+        monkeypatch.setattr(sinkbond.mc, "x_state", fails_in_the_third_block)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="third block"):
+            simulate_paths(fitted_params, grid, 20_000, seed=1)
+        assert threading.active_count() == before
+        assert len(calls) > 2 * calls_per_block
+
+    def test_peak_memory_holds_at_most_two_blocks(self, fitted_params):
+        grid = bond_grid(README_BOND, 12)
+        tracemalloc.start()
+        try:
+            simulate_paths(fitted_params, grid, 100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block of draws is 4,096 paths x 122 normals, 3.9 MB; default_step is 0.8 MB
+        assert peak <= 10 * 2**20
 
 
 def sinking_spec():

@@ -1,14 +1,17 @@
 import dataclasses
 import functools
+import importlib.util
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import deterministic_bond_pv, discount_factor, mean_chain, zcb_closed_form
+from oracles import deterministic_bond_pv, discount_factor, loop_schedule_cashflows, mean_chain, zcb_closed_form
 from policies import fixed_schedule_policy
 
 from sinkbond.instruments import SinkingBondSpec, action_table, bond_grid, coupons_on_grid
@@ -577,3 +580,82 @@ def test_schedule_cashflows_rejects_unknown_rule():
         schedule_cashflows(spec, grid, "sometimes")
     cash, _ = schedule_cashflows(spec, grid, "MAX")
     assert np.array_equal(cash, schedule_cashflows(spec, grid, "max")[0])
+
+
+def _book_shapes():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.BOOK_SHAPES
+
+
+#: the README bond and one bond per benchmark book shape (allow_skip and full_call included)
+SCHEDULE_BONDS = {"readme": README_BOND} | {
+    f"book-{i}": SinkingBondSpec(
+        maturity=float(maturity),
+        coupon_rate=0.06,
+        coupon_frequency=freq,
+        redemption_dates=tuple(float(y) for y in range(1, maturity)),
+        admissible_fractions=fractions,
+        alpha=alpha,
+        recovery=0.4,
+        allow_skip=skip,
+        full_call=call,
+    )
+    for i, (maturity, freq, fractions, alpha, skip, call) in enumerate(_book_shapes())
+}
+
+
+def same_bits(got, want):
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def same_outcome(spec, grid, schedule):
+    """schedule_cashflows and the stage-by-stage loop agree to the bit, or fail with one text."""
+    try:
+        want = loop_schedule_cashflows(spec, grid, schedule)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            schedule_cashflows(spec, grid, schedule)
+        return str(got.value) == str(exc)
+    return same_bits(schedule_cashflows(spec, grid, schedule), want)
+
+
+@pytest.mark.parametrize("steps_per_year", [12, 52, 252])
+@pytest.mark.parametrize("name", list(SCHEDULE_BONDS))
+def test_schedule_cashflows_equal_the_stage_by_stage_loop(name, steps_per_year):
+    spec = SCHEDULE_BONDS[name]
+    grid = bond_grid(spec, steps_per_year)
+    for rule in ("max", "min"):
+        assert same_bits(schedule_cashflows(spec, grid, rule), loop_schedule_cashflows(spec, grid, rule))
+
+
+@pytest.mark.parametrize("steps_per_year", [1, 12])
+def test_schedule_maps_equal_the_stage_by_stage_loop(steps_per_year):
+    spec = README_BOND
+    grid = bond_grid(spec, steps_per_year)
+    dates = spec.redemption_dates
+    alternating = {d: (0.05, 0.10)[i % 2] for i, d in enumerate(dates)}
+    cases = [
+        alternating,
+        {d: 0.10 for d in dates},  # runs out of nominal: refused where 0.10 no longer fits
+        {d: 0.15 for d in dates},  # not an installment
+        {d: -0.05 for d in dates},
+        {d: 1e6 for d in dates},  # far above the nominal held
+        alternating | {0.5: 0.0},  # a date off the redemption dates, holding
+        alternating | {0.5: 0.05},  # ... and redeeming there
+        alternating | {9.0: 0.05, 10.0: 0.10},  # entries at the last stage and at maturity
+        {d: 0.05 for d in dates[:-1]},  # a redemption date missing
+    ]
+    for schedule in cases:  # 0.5 is no grid date at 1/yr: both refuse it
+        assert same_outcome(spec, grid, schedule), schedule
+    skip_call = SCHEDULE_BONDS["book-7"]  # allow_skip and full_call
+    grid = bond_grid(skip_call, 12)
+    for fractions in [(0.0, 0.05), (0.10, 0.0), (1.0, 0.0), (0.0, 0.0)]:
+        schedule = {d: fractions[i % 2] for i, d in enumerate(skip_call.redemption_dates)}
+        assert same_outcome(skip_call, grid, schedule), schedule
