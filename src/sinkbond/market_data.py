@@ -88,18 +88,19 @@ def build_time_grid(
     any interior uniform point closer than half a step to an event is dropped
     in its favour, so the grid stays free of degenerate steps while every
     event remains a bit-exact grid date.  Event dates within rounding
-    tolerance of the maturity are served by the maturity point itself.  More
-    than ``_MAX_STEPS`` uniform steps are refused before any is built.
+    tolerance of the maturity are served by the maturity point itself.  The
+    grid has at most as many steps as uniform steps plus event dates; more
+    than ``_MAX_STEPS`` of those are refused before any list is built.
     """
     if not maturity > 0.0:
         raise ValueError("maturity must be positive")
     if int(steps_per_year) != steps_per_year or steps_per_year < 1:
         raise ValueError("steps_per_year must be a positive integer")
     steps_per_year = int(steps_per_year)
-    if not maturity * steps_per_year <= _MAX_STEPS:
+    if not maturity * steps_per_year + len(event_dates) <= _MAX_STEPS:
         raise ValueError(
-            f"maturity {maturity!r} at {steps_per_year} steps per year is not a finite step count "
-            f"of at most {_MAX_STEPS}"
+            f"maturity {maturity!r} at {steps_per_year} steps per year with {len(event_dates)} event dates "
+            f"is not a finite step count of at most {_MAX_STEPS}"
         )
 
     events = _validated_events(event_dates, maturity)

@@ -36,6 +36,12 @@ state depends on (k, dx_n) and its branch triple, survival and default
 probability on (k, dx_n, dt_n+1).  The build evaluates each once, in a window
 of k per spacing and per (spacing, dt) that flags columns that overflowed,
 went non-finite or hold a triple outside [0, 1], and slices every layer.
+
+A step is set by its spacing, its length, its layer's node range and its
+band, and many steps of a long grid repeat an earlier one.  The build keeps
+one read-only :class:`LayerTransition` per distinct step and one
+:class:`TreeLayer` per distinct (spacing, node range), so ``layers`` and
+``transitions`` may hold the same object at several indices.
 """
 
 from __future__ import annotations
@@ -64,8 +70,10 @@ _VARIANCE_TOL = 1e-3
 #: Nodes per block of layers that :func:`validate_tree` checks at once; the
 #: block's temporaries stay at a few MB however large the lattice.
 _BLOCK_NODES = 8192
-#: Nodes :func:`build_trinomial` may allocate (about 120 bytes each); a grid
-#: whose lattice would hold more is refused before the layer that crosses it.
+#: Nodes a :func:`build_trinomial` lattice may hold, counted over all layers,
+#: shared ones included, since pricing work scales with that count (about 120
+#: bytes each when unshared); a grid whose lattice would hold more is refused
+#: before the layer that crosses it.
 _MAX_NODES = 20_000_000
 
 
@@ -132,6 +140,9 @@ class LayerTransition:
 class IntensityTree:
     """Layers and transitions, plus the survival curve recorded while building:
     ``survival[n]`` is the reach mass at t_n, ``default_mass[n]`` what defaults in step n.
+
+    Every array is read-only, and ``layers`` and ``transitions`` may hold
+    the same object at several indices: equal steps share one.
     """
 
     grid: TimeGrid
@@ -275,6 +286,9 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
     Layers and bands are slices of the module docstring's windows: a miss refills
     [a - w, b + w] for a run a..b of w nodes, errors suppressed, and a run with a
     flagged column is evaluated alone, unsuppressed and checked, as a layer would be.
+    A step keyed like an earlier one, by (spacing, dt, first node, layer size,
+    band), appends that step's transition, and a layer keyed like an earlier
+    one, by (spacing, node range), that layer; the mass push runs every step.
     """
     x0 = float(transform(params, params.z0))
     dx_min = math.sqrt(3.0 * float(np.min(grid.steps)))
@@ -287,9 +301,14 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
     nodes = _Windows(functools.partial(_node_columns, params, x0))
     branches = _Windows(functools.partial(_branch_columns, params, x0))
 
+    layer_cache: dict[tuple[float, int, int], TreeLayer] = {}
+    step_cache: dict[tuple, tuple[LayerTransition, int]] = {}
+
     def layer(dx: float, lo: int, hi: int) -> TreeLayer:
-        (cols,), _ = nodes.slice((dx,), lo, hi)
-        return TreeLayer(*_read_only(cols[:3].copy()))
+        if (dx, lo, hi) not in layer_cache:
+            (cols,), _ = nodes.slice((dx,), lo, hi)
+            layer_cache[dx, lo, hi] = TreeLayer(*_read_only(cols[:3].copy()))
+        return layer_cache[dx, lo, hi]
 
     dx_prev, k_lo = math.sqrt(3.0 * float(grid.steps[0])), 0
     layers = [layer(dx_prev, 0, 0)]
@@ -301,17 +320,25 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
 
     for n in range(grid.n_steps):
         dt = float(grid.steps[n])
-        (succ, floats), cached = branches.slice((dx_prev, dt), k_lo + band.start, k_lo + band.stop - 1)
-        if not cached:
-            _check_branch_probs(floats[:3], n, band.start)
-        lo, hi = int(succ[0].min()), int(succ[2].max())
+        key = (dx_prev, dt, k_lo, layers[n].size, band.start, band.stop)
+        step = step_cache.get(key)
+        if step is None:
+            (succ, floats), cached = branches.slice((dx_prev, dt), k_lo + band.start, k_lo + band.stop - 1)
+            if not cached:
+                _check_branch_probs(floats[:3], n, band.start)
+            lo, hi = int(succ[0].min()), int(succ[2].max())
+        else:
+            tr, lo = step
+            hi = lo + tr.next_size - 1
         total += hi - lo + 1
         if total > _MAX_NODES:
             raise ValueError(
                 f"the lattice would exceed {_MAX_NODES} nodes at step {n + 1} of {grid.n_steps}; "
                 "use a coarser grid"
             )
-        tr = _band_transition(succ, floats, band, layers[n].size, lo, hi)
+        if step is None:
+            tr = _band_transition(succ, floats, band, layers[n].size, lo, hi)
+            step_cache[key] = tr, lo
         transitions.append(tr)
         dx_prev, k_lo = math.sqrt(3.0 * dt), lo
         layers.append(layer(dx_prev, lo, hi))

@@ -170,6 +170,18 @@ class TestPriceCommand:
         assert report["error"]["type"] == "config"
         assert "exceeds the limit" in report["error"]["message"]
 
+    def test_grid_with_too_many_event_dates_is_refused_before_the_lattice(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a lattice on a refused grid")
+
+        monkeypatch.setattr("sinkbond.cli.build_trinomial", refuse)
+        # 10^6 coupon dates pass the coupon cap; with 16 uniform steps they exceed the grid's
+        bond = dict(maturity=4.0, coupon_rate=0.05, coupon_frequency=250_000)
+        code, report = run(tmp_path, "price", dict(BASE, bond=bond, grid={"steps_per_year": 4}))
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert "with 1000000 event dates is not a finite step count" in report["error"]["message"]
+
     def test_reports_are_byte_identical(self, tmp_path):
         payload = dict(BASE, bond=sinking_bond_section(), grid={"steps_per_year": 4})
         config = write_config(tmp_path, payload)

@@ -46,6 +46,12 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="coupon periods exceed"):
                 SinkingBondSpec(maturity=2.0, coupon_rate=0.05, coupon_frequency=frequency)
 
+    def test_coupon_dates_count_toward_the_grid_limit(self):
+        # 10^6 coupon dates pass the coupon cap, but not with the 16 uniform steps of the grid
+        spec = SinkingBondSpec(maturity=4.0, coupon_rate=0.05, coupon_frequency=250_000)
+        with pytest.raises(ValueError, match="with 1000000 event dates is not a finite step count"):
+            bond_grid(spec, 4)
+
     def test_explicit_nominal_steps_must_fit_installments(self):
         spec = two_installment_bond(alpha=100.0, nominal_steps=20)
         assert spec.redemption_indices == (1, 2)

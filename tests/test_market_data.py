@@ -56,6 +56,21 @@ class TestBuildTimeGrid:
         with pytest.raises(ValueError, match="finite step count"):
             build_time_grid(maturity, 12)
 
+    def test_event_dates_count_toward_the_step_limit(self, monkeypatch):
+        import sinkbond.market_data
+
+        class Unlisted(list):
+            """Event dates that may be counted but not read."""
+
+            def __iter__(self):
+                raise AssertionError("read the event dates of a refused grid")
+
+        monkeypatch.setattr(sinkbond.market_data, "_MAX_STEPS", 20)
+        dates = [(j + 0.5) / 12 for j in range(9)]
+        assert build_time_grid(1.0, 12, dates[:8]).n_steps == 20
+        with pytest.raises(ValueError, match="12 steps per year with 9 event dates is not a finite step count of at most 20"):
+            build_time_grid(1.0, 12, Unlisted(dates))
+
     @given(
         steps_per_year=st.integers(min_value=1, max_value=12),
         raw_events=st.lists(

@@ -120,6 +120,18 @@ class TestNodeBudget:
         assert sum(args[0].size for args in built) <= 100
 
 
+    def test_shared_layers_count_toward_the_budget(self, monkeypatch):
+        import sinkbond.tree
+
+        tree = readme_bond_lattice(52)
+        total = sum(tree.layer_sizes())
+        stored = sum(layer.size for layer in distinct(tree.layers))
+        assert stored < total
+        monkeypatch.setattr(sinkbond.tree, "_MAX_NODES", (stored + total) // 2)
+        with pytest.raises(ValueError, match=f"exceed {(stored + total) // 2} nodes at step"):
+            build_trinomial(README_PARAMS, tree.grid)
+
+
 class TestDeterministicTree:
     def test_mean_chain_follows_the_euler_mean(self, fitted_params):
         grid = build_time_grid(2.0, 6)
@@ -616,6 +628,87 @@ class TestStepLengthWindows:
 @functools.lru_cache(maxsize=None)
 def readme_lattice(steps_per_year):
     return augment_default(build_trinomial(README_PARAMS, build_time_grid(10.0, steps_per_year)))
+
+
+# the README config's bond: its coupon and redemption dates split the grid's steps
+README_BOND = SinkingBondSpec(
+    maturity=10.0, coupon_rate=0.08, coupon_frequency=1, redemption_dates=tuple(float(y) for y in range(1, 10)),
+    admissible_fractions=(0.05, 0.10), alpha=75.0, recovery=0.4, full_call=True,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def readme_bond_lattice(steps_per_year):
+    return augment_default(build_trinomial(README_PARAMS, bond_grid(README_BOND, steps_per_year)))
+
+
+def distinct(objects):
+    """The objects by identity, in order of first occurrence."""
+    return list({id(obj): obj for obj in objects}.values())
+
+
+class TestSharedSteps:
+    """Steps with equal spacing, step length, layer range and band share one transition and layer."""
+
+    def test_distinct_transitions_at_252_steps_per_year(self):
+        tree = readme_bond_lattice(252)
+        assert tree.n_steps == 2520
+        assert len(distinct(tree.transitions)) <= 800
+        assert len(distinct(tree.layers)) < len(tree.layers)
+
+    def test_build_peak_memory_at_252_steps_per_year(self):
+        grid = bond_grid(README_BOND, 252)
+        tracemalloc.start()
+        try:
+            build_trinomial(README_PARAMS, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    def test_steps_sharing_a_transition_have_equal_keys(self):
+        # the keys are read off the per-step build, which shares nothing
+        tree = readme_bond_lattice(252)
+        reference = per_step_build_trinomial(README_PARAMS, tree.grid)
+        assert_same_tree(tree, reference)
+        steps = tree.grid.steps.tolist()
+        spacing = [math.sqrt(3.0 * dt) for dt in steps[:1] + steps[:-1]]
+
+        def key(n):
+            layer, live = reference.layers[n], np.flatnonzero(reference.transitions[n].live)
+            return steps[n], spacing[n], layer.x[0], layer.size, live[0], live[-1], live.size
+
+        first_step, first_layer = {}, {}
+        for n, tr in enumerate(tree.transitions):
+            m = first_step.setdefault(id(tr), n)
+            assert key(n) == key(m), (m, n)
+        for n, layer in enumerate(tree.layers):
+            m = first_layer.setdefault(id(layer), n)
+            assert np.array_equal(reference.layers[n].x, reference.layers[m].x), (m, n)
+        assert len(first_step) < tree.n_steps
+
+    @pytest.mark.parametrize("steps_per_year", [52, 252])
+    def test_reports_equal_the_per_step_lattice_reports(self, flat_curve, steps_per_year):
+        from sinkbond.pricer import price_report
+
+        tree = readme_bond_lattice(steps_per_year)
+        reference = augment_default(per_step_build_trinomial(README_PARAMS, tree.grid))
+        for report in (lambda t: price_report(t, flat_curve, README_BOND), lambda t: validate_tree(t).to_dict()):
+            assert json.dumps(report(tree), indent=2, sort_keys=True) == json.dumps(
+                report(reference), indent=2, sort_keys=True
+            )
+
+    def test_a_corrupted_occurrence_of_a_shared_transition_flags_only_its_layer(self):
+        tree = readme_bond_lattice(252)
+        ids = [id(tr) for tr in tree.transitions]
+        n = next(n for n in range(1, tree.n_steps) if ids.count(ids[n]) > 1)
+        tr = tree.transitions[n]
+        probs = tr.probs.copy()
+        probs[1, np.flatnonzero(tr.live)[0]] = 1.5
+        diag = validate_tree(with_transition(tree, n, dataclasses.replace(tr, probs=probs)))
+        assert diag.violations
+        assert all(v.startswith(f"layer {n} ") for v in diag.violations), diag.violations
+        assert validate_tree(tree).ok
 
 
 def assert_same_report(tree):
