@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -320,8 +321,49 @@ _COMMANDS = {
 }
 
 
+def _unserializable(value: Any) -> Any:
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(depth: int):
+    """C encoder of a container of scalars whose items sit ``depth`` indents deep, sorted and NaN-allowing."""
+    return json.encoder.c_make_encoder(
+        None, _unserializable, json.encoder.encode_basestring_ascii, None, ": ", ",\n" + "  " * depth, True, False, True
+    )
+
+
+def _report_text(value: Any, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    The pure-Python encoder that ``json.dumps`` takes whenever it indents is
+    left out: a container whose items are all scalars is one call of the C
+    encoder, whose item separator carries the indent, and only containers
+    holding containers are walked here.
+    """
+    if isinstance(value, dict):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        items = ()
+    if not any(isinstance(item, (dict, list, tuple)) for item in items):
+        text = "".join(_flat_encoder(depth + 1)(value, 0))
+        # the C encoder opens and closes a container without a line break
+        return f"{text[0]}\n{'  ' * (depth + 1)}{text[1:-1]}\n{'  ' * depth}{text[-1]}" if items else text
+    if isinstance(value, dict):
+        key = _flat_encoder(0)  # a key is written as the C encoder writes it in a one-item dict
+        parts = ["".join(key({k: 0}, 0))[1:-4] + ": " + _report_text(v, depth + 1) for k, v in sorted(value.items())]
+        brackets = "{}"
+    else:
+        parts = [_report_text(v, depth + 1) for v in value]
+        brackets = "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(parts) + "\n" + "  " * depth + brackets[1]
+
+
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = _report_text(report) + "\n"
     if out:
         Path(out).write_text(text)
     else:

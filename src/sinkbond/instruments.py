@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import _MAX_NOMINAL_STEPS, _MAX_STEPS, TimeGrid, _merge_close_dates, build_time_grid
+from .market_data import (
+    _MAX_NOMINAL_STEPS,
+    _MAX_STEPS,
+    TimeGrid,
+    _atol,
+    _checked_grid_size,
+    _merge_close_dates,
+    build_time_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -188,5 +196,12 @@ def bond_event_dates(spec: SinkingBondSpec) -> tuple[float, ...]:
 
 
 def bond_grid(spec: SinkingBondSpec, steps_per_year: int) -> TimeGrid:
-    """Time grid for the bond with every event date as an exact grid member."""
+    """Time grid for the bond with every event date as an exact grid member.
+
+    Coupon dates further apart than the merge tolerance each stay a grid
+    date, so their count bounds the grid's size before any date list is built.
+    """
+    if 1.0 / spec.coupon_frequency > _atol(spec.maturity):
+        n_coupons = round(spec.maturity * spec.coupon_frequency) if spec.coupon_rate > 0.0 else 0
+        _checked_grid_size(spec.maturity, steps_per_year, n_coupons)
     return build_time_grid(spec.maturity, steps_per_year, bond_event_dates(spec))

@@ -92,17 +92,7 @@ def build_time_grid(
     grid has at most as many steps as uniform steps plus event dates; more
     than ``_MAX_STEPS`` of those are refused before any list is built.
     """
-    if not maturity > 0.0:
-        raise ValueError("maturity must be positive")
-    if int(steps_per_year) != steps_per_year or steps_per_year < 1:
-        raise ValueError("steps_per_year must be a positive integer")
-    steps_per_year = int(steps_per_year)
-    if not maturity * steps_per_year + len(event_dates) <= _MAX_STEPS:
-        raise ValueError(
-            f"maturity {maturity!r} at {steps_per_year} steps per year with {len(event_dates)} event dates "
-            f"is not a finite step count of at most {_MAX_STEPS}"
-        )
-
+    steps_per_year = _checked_grid_size(maturity, steps_per_year, len(event_dates))
     events = _validated_events(event_dates, maturity)
 
     h = 1.0 / steps_per_year
@@ -125,6 +115,22 @@ def build_time_grid(
 
     grid = TimeGrid(tuple(float(t) for t in pts))
     return grid
+
+
+def _checked_grid_size(maturity: float, steps_per_year: int, n_events: int) -> int:
+    """``steps_per_year`` as an int, once the maturity, the density and the bound
+    of uniform steps plus ``n_events`` event dates on the step count pass."""
+    if not maturity > 0.0:
+        raise ValueError("maturity must be positive")
+    if int(steps_per_year) != steps_per_year or steps_per_year < 1:
+        raise ValueError("steps_per_year must be a positive integer")
+    steps_per_year = int(steps_per_year)
+    if not maturity * steps_per_year + n_events <= _MAX_STEPS:
+        raise ValueError(
+            f"maturity {maturity!r} at {steps_per_year} steps per year with {n_events} event dates "
+            f"is not a finite step count of at most {_MAX_STEPS}"
+        )
+    return steps_per_year
 
 
 def _validated_events(event_dates: Sequence[float], maturity: float) -> list[float]:

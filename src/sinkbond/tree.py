@@ -42,6 +42,9 @@ band, and many steps of a long grid repeat an earlier one.  The build keeps
 one read-only :class:`LayerTransition` per distinct step and one
 :class:`TreeLayer` per distinct (spacing, node range), so ``layers`` and
 ``transitions`` may hold the same object at several indices.
+:func:`validate_tree` runs its node checks once per distinct step, keyed by
+the objects the checks read and the step length, so it needs no word from
+the build on which steps repeat.
 """
 
 from __future__ import annotations
@@ -452,7 +455,7 @@ class TreeDiagnostics:
 
 
 def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
-    """Re-check probability normalization and moment matching, node by node.
+    """Re-check probability normalization and moment matching, each distinct step once.
 
     Sums (survival-scaled branches plus default) and moments are checked on
     live nodes; leaves must carry no probability at all.  Moment errors are
@@ -464,31 +467,56 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
     gives each layer's truncated mass (the mass arriving at its leaves); a
     total above ``_TRUNCATION_TOL`` is a violation.  A NaN fails every check.
 
-    The node checks run on blocks of consecutive layers of at most
-    ``_BLOCK_NODES`` nodes (a larger layer is a block of its own), as
-    whole-block array operations with per-layer maxima and minima taken by
-    ``reduceat``; violation texts are built only for flagged layers.  The
-    mass pass stays one ``push`` per layer.
+    A step's node checks read only its layer, its transition, the next layer
+    and its length, so they run once per distinct (layer, transition, next
+    layer) by identity and dt, and every step with that key gets the same
+    statistics and the same violations under its own layer number; nothing
+    is taken on trust from the build.  The checks run on blocks of distinct
+    steps of at most ``_BLOCK_NODES`` nodes (a larger layer is a block of
+    its own), as whole-block array operations with per-step maxima and
+    minima taken by ``reduceat``; violation texts are built only for flagged
+    steps.  The mass pass stays one ``push`` per layer, with each distinct
+    step's leaves and clipped successors found once.
     """
-    sizes = [layer.size for layer in tree.layers]
-    violations: list[str] = []
-    stats, clipped = [], set()
-    for a, b in _blocks(sizes[:-1]):
-        block_stats, block_clipped = _check_block(tree, sizes, a, b, violations)
+    layers, transitions = tree.layers, tree.transitions
+    sizes = [layer.size for layer in layers]
+    steps = tree.grid.steps.tolist()
+    position: dict[tuple, int] = {}
+    distinct, owner = [], []  # first step of each key; per step, its key's position
+    for n, tr in enumerate(transitions):
+        key = (id(layers[n]), id(tr), id(layers[n + 1]), steps[n])
+        if key not in position:
+            position[key] = len(distinct)
+            distinct.append(n)
+        owner.append(position[key])
+
+    stats, flagged, clipped = [], {}, set()
+    for a, b in _blocks([sizes[n] for n in distinct]):
+        block_stats, block_flagged, block_clipped = _check_block(tree, sizes, distinct[a:b])
         stats.append(block_stats)
+        flagged.update(block_flagged)
         clipped.update(block_clipped)
-    columns = [np.concatenate(col).tolist() for col in zip(*stats)] or [[]] * 5
+    columns = [np.concatenate(col)[owner].tolist() for col in zip(*stats)] or [[]] * 5
     sum_errs, min_probs, max_probs, mean_errs, var_errs = columns
     if tree.params is None:  # a chain's variance is zero by design
         var_errs = [None] * tree.n_steps
 
+    passes = []  # per distinct step: its leaf mask (None without leaves) and the transition that pushes its mass
+    for n in distinct:
+        tr = transitions[n]
+        if n in clipped:
+            tr = dataclasses.replace(tr, succ=np.clip(tr.succ, 0, sizes[n + 1] - 1), next_size=sizes[n + 1])
+        passes.append((~tr.live if np.count_nonzero(tr.live) < tr.live.size else None, tr))
+
+    violations: list[str] = []
     reports = []
     mass = np.ones(1)
     total_truncated = 0.0
-    for n, tr in enumerate(tree.transitions):
-        if n in clipped:
-            tr = dataclasses.replace(tr, succ=np.clip(tr.succ, 0, sizes[n + 1] - 1), next_size=sizes[n + 1])
-        truncated = float(mass[~tr.live].sum())
+    for n, d in enumerate(owner):
+        if distinct[d] in flagged:
+            violations.extend(f"layer {n}{text}" for text in flagged[distinct[d]])
+        leaves, tr = passes[d]
+        truncated = 0.0 if leaves is None else float(mass[leaves].sum())
         total_truncated += truncated
         mass = tr.push(mass)
         reports.append(
@@ -515,13 +543,13 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
         max_prob_sum_error=max([0.0, *sum_errs]),
         max_mean_error=max([0.0, *mean_errs]),
         max_variance_error=max(variances, default=None),
-        second_moment_constant=max((v / float(dt) ** 2 for v, dt in zip(variances, tree.grid.steps)), default=None),
+        second_moment_constant=max((v / dt**2 for v, dt in zip(variances, steps)), default=None),
         total_truncated_mass=total_truncated,
     )
 
 
 def _blocks(sizes: list[int]):
-    """Runs a..b-1 of consecutive layers holding at most ``_BLOCK_NODES`` nodes, or one layer."""
+    """Runs a..b-1 of consecutive entries of ``sizes`` summing to at most ``_BLOCK_NODES``, or one entry."""
     a, nodes = 0, 0
     for n, size in enumerate(sizes):
         if nodes and nodes + size > _BLOCK_NODES:
@@ -532,20 +560,22 @@ def _blocks(sizes: list[int]):
         yield a, len(sizes)
 
 
-def _check_block(tree: IntensityTree, layer_sizes: list[int], a: int, b: int, violations: list[str]):
-    """Node checks of layers a..b-1: appends their violations in layer order and
-    returns their per-layer (sum error, min and max branch probability, mean
-    error, variance error) and the layers whose successors were clipped."""
-    layers, trs = tree.layers, tree.transitions[a:b]
-    sizes, next_sizes = np.array(layer_sizes[a:b]), np.array(layer_sizes[a + 1:b + 1])
+def _check_block(tree: IntensityTree, layer_sizes: list[int], steps: list[int]):
+    """Node checks of the given steps: returns their per-step (sum error, min and
+    max branch probability, mean error, variance error), the violation texts of
+    each flagged step after its "layer n" in per-layer order, and the steps
+    whose successors were clipped."""
+    layers, trs = tree.layers, [tree.transitions[n] for n in steps]
+    sizes = np.array([layer_sizes[n] for n in steps])
+    next_sizes = np.array([layer_sizes[n + 1] for n in steps])
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    dt = np.asarray(tree.grid.steps[a:b], dtype=float)
+    dt = tree.grid.steps[steps]
 
     live = np.concatenate([tr.live for tr in trs])
     live_ends = np.concatenate(([0], np.cumsum(live)))[np.cumsum(sizes)]
     live_counts = np.diff(live_ends, prepend=0)
     if not live_counts.all():
-        raise ValueError(f"layer {a + int(np.argmin(live_counts))} has no live node")
+        raise ValueError(f"layer {steps[int(np.argmin(live_counts))]} has no live node")
     live_starts = live_ends - live_counts
     probs = np.concatenate([tr.probs for tr in trs], axis=1)
     default_prob = np.concatenate([tr.default_prob for tr in trs])
@@ -567,12 +597,12 @@ def _check_block(tree: IntensityTree, layer_sizes: list[int], a: int, b: int, vi
     # take keeps the (3, m) gathers C-ordered: a boolean [:, live] gather is not,
     # and NumPy's axis-0 reductions over it run about ten times slower
     live_nodes = np.flatnonzero(live)
-    x = np.concatenate([layers[n].x for n in range(a, b)])[live_nodes]
+    x = np.concatenate([layers[n].x for n in steps])[live_nodes]
     branch = np.concatenate([tr.branch_probs for tr in trs], axis=1).take(live_nodes, axis=1)
     live_dt = np.repeat(dt, live_counts)
     drift = np.zeros_like(x) if tree.params is None else x_state(tree.params, x)[2]
     target = x + drift * live_dt
-    next_x = np.concatenate([layers[n + 1].x for n in range(a, b)])
+    next_x = np.concatenate([layers[n + 1].x for n in steps])
     next_starts = np.concatenate(([0], np.cumsum(next_sizes)[:-1]))
     succ_x = next_x[(succ + np.repeat(next_starts, sizes)).take(live_nodes, axis=1)]
     mean_err = np.maximum.reduceat(np.abs((branch * succ_x).sum(axis=0) - target), live_starts)
@@ -584,22 +614,20 @@ def _check_block(tree: IntensityTree, layer_sizes: list[int], a: int, b: int, vi
     max_prob = np.maximum.reduceat(live_probs.max(axis=0), live_starts)
 
     sum_bad = ~(sum_err <= _PROB_TOL)
+    flagged = {}
     for i in np.flatnonzero(sum_bad | node_flagged | succ_bad | var_bad):
-        n, lo, hi = a + int(i), int(starts[i]), int(starts[i] + sizes[i])
+        lo, hi = int(starts[i]), int(starts[i] + sizes[i])
+        texts = flagged[steps[i]] = []
         if sum_bad[i]:
             worst = int(np.argmax(sum_errs[lo:hi]))
-            violations.append(f"layer {n} node {worst}: probabilities sum to {sums[lo + worst]!r}")
+            texts.append(f" node {worst}: probabilities sum to {sums[lo + worst]!r}")
         for row, node in np.argwhere(outside[:, lo:hi]):
-            violations.append(
-                f"layer {n} node {int(node)}: probability {all_probs[row, lo + node]!r} outside [0, 1]"
-            )
+            texts.append(f" node {int(node)}: probability {all_probs[row, lo + node]!r} outside [0, 1]")
         for node in np.flatnonzero(leafy[lo:hi]):
-            violations.append(f"layer {n} node {int(node)}: leaf carries probability")
+            texts.append(f" node {int(node)}: leaf carries probability")
         if succ_bad[i]:
-            violations.append(f"layer {n}: successor index outside the next layer")
+            texts.append(": successor index outside the next layer")
         if var_bad[i]:
-            violations.append(
-                f"layer {n}: branch variance misses dt = {float(dt[i])!r} by {float(var_err[i])!r}"
-            )
-    clipped = (a + np.flatnonzero(succ_bad)).tolist()
-    return (sum_err, min_prob, max_prob, mean_err, var_err), clipped
+            texts.append(f": branch variance misses dt = {float(dt[i])!r} by {float(var_err[i])!r}")
+    clipped = [steps[i] for i in np.flatnonzero(succ_bad)]
+    return (sum_err, min_prob, max_prob, mean_err, var_err), flagged, clipped

@@ -7,8 +7,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import per_layer_validate_tree
 
+from sinkbond import cli
 from sinkbond.cli import load_config, main
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams
@@ -177,7 +180,9 @@ class TestPriceCommand:
         monkeypatch.setattr("sinkbond.cli.build_trinomial", refuse)
         # 10^6 coupon dates pass the coupon cap; with 16 uniform steps they exceed the grid's
         bond = dict(maturity=4.0, coupon_rate=0.05, coupon_frequency=250_000)
+        start = time.perf_counter()
         code, report = run(tmp_path, "price", dict(BASE, bond=bond, grid={"steps_per_year": 4}))
+        assert time.perf_counter() - start < 0.2
         assert code == 2
         assert report["error"]["type"] == "config"
         assert "with 1000000 event dates is not a finite step count" in report["error"]["message"]
@@ -665,3 +670,50 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | st.text(),
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(value=json_values)
+def test_report_text_is_json_dumps(value):
+    assert cli._report_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_report_text_of_non_ascii_keys_and_empty_containers():
+    value = {"\u00e9t\u00e9": [], "\u65e5": {}, "z": [{}, [[]], {"\U0001f600": -0.0}], "a": (math.nan, -math.inf, None, True)}
+    assert cli._report_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+README_BOND = {
+    "maturity": 10.0, "coupon_rate": 0.08, "coupon_frequency": 1,
+    "redemption_dates": [float(y) for y in range(1, 10)], "admissible_fractions": [0.05, 0.10],
+    "alpha": 75.0, "recovery": 0.4, "full_call": True,
+}
+
+
+@pytest.mark.parametrize(
+    "command, sections",
+    [
+        ("price", {"bond": README_BOND}),
+        ("validate-tree", {"bond": README_BOND}),
+        ("zspread", {"bond": README_BOND, "zspread": {"market_price": 1.1}}),
+        ("worst", {"bond": README_BOND, "worst": {"spread": 0.01}}),
+        ("mc-check", {"bond": README_BOND, "mc": {"n_paths": 2000, "seed": 3}}),
+        ("calibrate", {"quotes": [{"tenor": 3.0, "spread": 0.003}],
+                       "calibration": {"steps_per_year": 12, "fixed_sigma": 2.8199, "fixed_beta": -0.6}}),
+    ],
+)
+def test_emitted_report_is_json_dumps_of_the_report(tmp_path, monkeypatch, command, sections):
+    reports = []
+    runner = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, lambda config, args: reports.append(runner(config, args)) or reports[0])
+    config, out = write_config(tmp_path, dict(BASE, **sections)), tmp_path / "report.json"
+    assert main([command, "--config", config, "--out", str(out), "--steps-per-year", "12"]) == 0
+    assert out.read_text() == json.dumps(reports[0], indent=2, sort_keys=True) + "\n"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,19 @@ class TestSpecValidation:
         spec = SinkingBondSpec(maturity=4.0, coupon_rate=0.05, coupon_frequency=250_000)
         with pytest.raises(ValueError, match="with 1000000 event dates is not a finite step count"):
             bond_grid(spec, 4)
+
+    def test_too_many_coupon_dates_are_refused_before_any_date_list(self, monkeypatch):
+        import sinkbond.instruments
+
+        def refuse(spec):
+            raise AssertionError("listed the coupon dates of a refused grid")
+
+        monkeypatch.setattr(sinkbond.instruments, "coupon_dates", refuse)
+        spec = SinkingBondSpec(maturity=4.0, coupon_rate=0.05, coupon_frequency=250_000)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="with 1000000 event dates is not a finite step count"):
+            bond_grid(spec, 4)
+        assert time.perf_counter() - start < 0.2
 
     def test_explicit_nominal_steps_must_fit_installments(self):
         spec = two_installment_bond(alpha=100.0, nominal_steps=20)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import json
@@ -14,11 +15,12 @@ from oracles import mean_chain, per_layer_validate_tree, per_step_build_trinomia
 
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams, intensity, inverse_transform, transform, x_state
-from sinkbond.market_data import build_time_grid
+from sinkbond.market_data import TimeGrid, build_time_grid
 from sinkbond.pricer import price_zcb
 from sinkbond.tree import (
     LayerTransition,
     TreeConstructionError,
+    TreeLayer,
     augment_default,
     build_trinomial,
     deterministic_tree,
@@ -710,6 +712,85 @@ class TestSharedSteps:
         assert all(v.startswith(f"layer {n} ") for v in diag.violations), diag.violations
         assert validate_tree(tree).ok
 
+    def test_validate_tree_checks_each_distinct_step_once(self, monkeypatch):
+        import sinkbond.tree
+
+        tree = readme_bond_lattice(252)
+        distinct = distinct_steps(tree)
+        assert len(distinct) == 659
+        seen = []
+
+        def recording_x_state(params, x):
+            seen.append(x)
+            return x_state(params, x)
+
+        monkeypatch.setattr(sinkbond.tree, "x_state", recording_x_state)
+        assert validate_tree(tree).ok
+        live_x = [tree.layers[n].x[tree.transitions[n].live] for n in distinct]
+        assert np.array_equal(np.concatenate(seen), np.concatenate(live_x))
+
+    @pytest.mark.parametrize("steps_per_year", [52, 252])
+    @pytest.mark.parametrize("case", ["one-occurrence", "every-occurrence", "successor"])
+    def test_corrupted_shared_step_report_equals_the_per_layer_report(self, steps_per_year, case):
+        trees, steps = shared_corruptions(readme_bond_lattice(steps_per_year))
+        assert len(steps) > 2
+        diag = assert_same_report(trees[case])
+        named = [int(re.match(r"layer (\d+)[ :]", v).group(1)) for v in diag.violations]
+        flagged = steps[1:2] if case == "one-occurrence" else steps
+        assert sorted(set(named)) == flagged and named == sorted(named), diag.violations
+        if case == "successor":
+            assert diag.violations == tuple(f"layer {n}: successor index outside the next layer" for n in steps)
+
+    @pytest.mark.parametrize("steps_per_year", [52, 252])
+    @pytest.mark.parametrize("change", ["step-length", "next-layer"])
+    def test_a_shared_step_with_another_length_or_next_layer_is_checked_on_its_own(self, steps_per_year, change):
+        tree = readme_bond_lattice(steps_per_year)
+        _, steps = shared_corruptions(tree)
+        n = steps[1]
+        if change == "step-length":
+            times = list(tree.grid.times)
+            times[n + 1] = times[n] + 1.05 * (times[n + 1] - times[n])
+            tree = dataclasses.replace(tree, grid=TimeGrid(tuple(times)))
+        else:
+            layer = tree.layers[n + 1]
+            shifted = TreeLayer(layer.x + 0.1 * math.sqrt(3.0 * tree.grid.steps[n]), layer.z_level, layer.intensity)
+            tree = dataclasses.replace(tree, layers=tree.layers[: n + 1] + (shifted,) + tree.layers[n + 2:])
+        diag = assert_same_report(tree)
+        assert any(v.startswith(f"layer {n}: branch variance") for v in diag.violations), diag.violations
+
+
+def distinct_steps(tree):
+    """The first step of each distinct key of what a step's checks read: both
+    layers and the transition by identity, and dt."""
+    layers, steps, first = tree.layers, tree.grid.steps.tolist(), {}
+    for n, tr in enumerate(tree.transitions):
+        first.setdefault((id(layers[n]), id(tr), id(layers[n + 1]), steps[n]), n)
+    return list(first.values())
+
+
+def shared_corruptions(tree):
+    """Copies of ``tree`` with a transition shared by several steps corrupted, and
+    the steps of that transition."""
+    ids = [id(tr) for tr in tree.transitions]
+    most = collections.Counter(ids).most_common(1)[0][0]
+    steps = [n for n in range(tree.n_steps) if ids[n] == most]
+    tr = tree.transitions[steps[0]]
+    live = np.flatnonzero(tr.live)
+    probs = tr.probs.copy()
+    probs[1, live[0]] = 1.5
+    succ = tr.succ.copy()
+    succ[2, live[-1]] = tr.next_size + 2
+    bad_probs, bad_succ = dataclasses.replace(tr, probs=probs), dataclasses.replace(tr, succ=succ)
+
+    def everywhere(bad):
+        return dataclasses.replace(tree, transitions=tuple(bad if i == most else t for i, t in zip(ids, tree.transitions)))
+
+    return {
+        "one-occurrence": with_transition(tree, steps[1], bad_probs),
+        "every-occurrence": everywhere(bad_probs),
+        "successor": everywhere(bad_succ),
+    }, steps
+
 
 def assert_same_report(tree):
     """The block validator's report, to the byte, is the per-layer validator's."""
@@ -778,9 +859,12 @@ class TestBlockValidator:
         from sinkbond.tree import _BLOCK_NODES, _blocks
 
         tree = readme_lattice(52)
-        sizes = list(tree.layer_sizes()[:-1])
-        boundary = list(_blocks(sizes))[1][0]
-        assert sum(sizes[:boundary]) <= _BLOCK_NODES < sum(sizes[: boundary + 1])
+        distinct = distinct_steps(tree)  # the steps the validator checks, in block order
+        sizes = [tree.layers[n].size for n in distinct]
+        j = list(_blocks(sizes))[1][0]
+        boundary = distinct[j]
+        assert distinct[j - 1] == boundary - 1
+        assert sum(sizes[:j]) <= _BLOCK_NODES < sum(sizes[: j + 1])
         corrupted = corruptions(corruptions(tree, boundary - 1)[case], boundary)[case]
         diag = assert_same_report(corrupted)
         if case != "truncation":  # a leaf's lost mass is reported as one total
