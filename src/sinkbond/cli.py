@@ -37,6 +37,7 @@ from .calibration import (
 from .instruments import SinkingBondSpec, bond_grid
 from .jdcev import JDCEVParams
 from .market_data import DiscountCurve, build_time_grid
+from . import mc
 from .mc import mc_price_fixed_policy, simulate_paths
 from .pricer import (
     DEFAULT_Z_SPREAD_BRACKET,
@@ -200,8 +201,8 @@ def _steps_per_year(config: Mapping[str, Any], args: argparse.Namespace) -> int:
 def _mc_settings(config: Mapping[str, Any], args: argparse.Namespace) -> tuple[int, int, Any]:
     section = _section(config, "mc", required=False)
     n_paths = section.get("n_paths", DEFAULT_MC_PATHS)
-    if n_paths < 2:
-        raise ConfigError(f"mc.n_paths must be at least 2 to estimate a standard error, got {n_paths}")
+    if not 2 <= n_paths <= mc._MAX_PATHS:  # checked before any lattice is built
+        raise ConfigError(f"mc.n_paths must be between 2 and {mc._MAX_PATHS}, got {n_paths}")
     seed = args.seed if args.seed is not None else section.get("seed", DEFAULT_MC_SEED)
     return n_paths, seed, section.get("schedule", DEFAULT_MC_SCHEDULE)
 

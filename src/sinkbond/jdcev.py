@@ -7,13 +7,14 @@ stock level directly: a power-law change of variable maps it to a coordinate
 with unit diffusion, where equally spaced lattice nodes are natural.  This
 module holds the parameter set, the intensity map, the coordinate change
 and :func:`x_state`, the one map from a coordinate to the stock level,
-intensity and drift that the lattice and the simulation need there.
+intensity and drift that the lattice and the simulation need there, in
+whole-array passes that can fill caller-owned buffers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -69,14 +70,20 @@ def intensity(params: JDCEVParams, z_level: ArrayLike) -> ArrayLike:
     the intensity is identically zero and so is its boundary value.
     """
     z = np.asarray(z_level, dtype=float)
-    scalar = z.ndim == 0
+    lam = _intensity(params, np.where(z > 0.0, z, 0.0), np.empty(z.shape))
+    return _maybe_scalar(lam, z.ndim == 0)
+
+
+def _intensity(params: JDCEVParams, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The capped intensity at levels z >= 0, written into ``out``: the cap at 0 unless lambda0 = 0."""
     if params.lambda0 == 0.0:
-        return _maybe_scalar(np.zeros_like(z), scalar)
-    ratio = np.where(z > 0.0, z / params.z0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):  # a ratio underflowing to 0 diverges: capped below
-        lam = params.lambda0 * ratio ** (2.0 * params.beta)
-    lam = np.where(z > 0.0, np.minimum(lam, params.lambda_cap), params.lambda_cap)
-    return _maybe_scalar(lam, scalar)
+        out[...] = 0.0
+        return out
+    np.divide(z, params.z0, out=out)
+    with np.errstate(divide="ignore", over="ignore"):  # a ratio at or underflowing to 0 diverges: capped below
+        out **= 2.0 * params.beta
+        out *= params.lambda0
+    return np.fmin(out, params.lambda_cap, out=out)
 
 
 def transform(params: JDCEVParams, z_level: ArrayLike) -> ArrayLike:
@@ -98,24 +105,34 @@ def inverse_transform(params: JDCEVParams, x: ArrayLike) -> ArrayLike:
     return _maybe_scalar(_level(params, arr), scalar)
 
 
-def _level(params: JDCEVParams, x: np.ndarray) -> np.ndarray:
+def _level(params: JDCEVParams, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The stock level (sigma |beta| x)^(-1/beta); 0 at x = 0."""
-    return (params.sigma * abs(params.beta) * x) ** (-1.0 / params.beta)
+    z = np.multiply(x, params.sigma * abs(params.beta), out=out)
+    z **= -1.0 / params.beta
+    return z
 
 
-def _drift(params: JDCEVParams, z: np.ndarray, lam: ArrayLike) -> np.ndarray:
+def _drift(params: JDCEVParams, z: np.ndarray, lam: ArrayLike, out: Optional[np.ndarray] = None,
+           where: Union[bool, np.ndarray] = True) -> np.ndarray:
     """Ito drift nu(x) of the unit-diffusion coordinate at level z > 0 with intensity lam.
 
     The stock diffusion dZ = lambda(Z) Z dt + sigma Z^(beta+1) dW maps to
     dx = nu(x) dt + dW with
 
         nu(x) = lambda(z) * z^(-beta) / sigma + 0.5 * (-beta - 1) * sigma * z^beta.
+
+    The powers are taken only where ``where`` holds; elsewhere the drift is 0,
+    with no floating-point flag, if ``out`` holds zeros and lam is finite.
     """
-    drift = lam * z ** (-params.beta) / params.sigma
-    return drift + 0.5 * (-params.beta - 1.0) * params.sigma * z ** params.beta
+    drift = np.power(z, -params.beta, out=out, where=where)
+    drift *= lam
+    drift /= params.sigma
+    convexity = np.power(z, params.beta, out=np.zeros_like(z), where=where)
+    np.multiply(convexity, 0.5 * (-params.beta - 1.0) * params.sigma, out=convexity, where=where)
+    return np.add(drift, convexity, out=drift)
 
 
-def x_state(params: JDCEVParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def x_state(params: JDCEVParams, x: np.ndarray, out: Optional[tuple] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stock level, capped intensity and drift at the coordinates ``x``.
 
     x <= 0 is the default boundary: level 0 and the boundary intensity of
@@ -125,13 +142,16 @@ def x_state(params: JDCEVParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     boundary drift would only stretch lattice layers (and move simulated
     paths after their default) for mass of size exp(-cap * dt).
 
-    Every column is whole-array arithmetic.  Where a formula does not apply,
-    its input is replaced first by a value on which it raises no
-    floating-point flag (x by 0, the level by 1, the intensity by 0), so the
-    warnings are those of evaluating it only where it applies.
+    Whole-array passes with no gather: ``fmax`` clamps the level's input at 0
+    (NaN too), ``fmin`` caps the intensity, and the drift's powers run under
+    one ``live`` mask, so values, warnings and errors are those of each
+    formula taken only where it applies.  ``out``, a (level, intensity,
+    drift) triple of float arrays of x's shape other than x, is filled.
     """
-    z = _level(params, np.where(x > 0.0, x, 0.0))  # NaN and x <= 0 give level +0.0
-    lam = np.asarray(intensity(params, z), dtype=float)
-    live = (z > 0.0) & (lam < params.lambda_cap)
-    drift = _drift(params, np.where(live, z, 1.0), np.where(live, lam, 0.0))
-    return z, lam, np.where(live, drift, 0.0)
+    z, lam, drift = out if out is not None else (np.empty(np.shape(x)) for _ in range(3))
+    np.add(np.fmax(x, 0.0, out=z), 0.0, out=z)  # + 0.0: fmax may keep -0.0, which an odd power keeps
+    _level(params, z, out=z)
+    _intensity(params, z, lam)
+    live = z > 0.0 if params.lambda0 == 0.0 else lam < params.lambda_cap  # lambda0 > 0 caps level 0
+    drift.fill(0.0)
+    return z, lam, _drift(params, z, lam, out=drift, where=live)

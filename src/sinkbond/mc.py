@@ -18,14 +18,15 @@ The kernel is a pipeline.  The calling thread draws the blocks of
 ``_CHUNK`` paths from the one stream, in path order, while two worker
 threads evolve the blocks already drawn; NumPy releases the GIL inside the
 draws and the array arithmetic, so the three overlap.  At most two blocks
-are alive at a time, the one being drawn included: the caller draws the
-next block only once a worker has finished with one.  The result cannot
-depend on thread timing.  Which normals a block holds is fixed by the draw
-order alone, a path's evolution reads no other path, and each block writes
-only its own slice of ``default_step``.  So every path's default step is
-the one a sequential loop over the blocks gives.  Workers call only
-:func:`sinkbond.jdcev.x_state` and array arithmetic, run in a copy of the
-caller's context (so its ``np.errstate`` holds there), and are joined
+are alive at a time, the one being drawn included.  A block allocates its
+state buffers once and steps them in place, one ``x_state`` call per step
+into the same buffers.  A path whose hazard has passed its threshold is
+parked at x0: the hazard never decreases, so its default step is fixed,
+and ``pow`` never sees the zero level of a path below the boundary.  The
+result cannot depend on thread timing: which normals a block holds is fixed
+by the draw order alone, a path's evolution reads no other path, and each
+block writes only its own slice of ``default_step``.  Workers run in a copy
+of the caller's context (so its ``np.errstate`` holds there) and are joined
 before :func:`simulate_paths` returns or raises; a worker's exception is
 raised on the calling thread.
 """
@@ -46,6 +47,7 @@ from .market_data import DiscountCurve, TimeGrid, discount_factors
 from .pricer import schedule_cashflows
 
 _CHUNK = 4096  # paths per block of draws
+_MAX_PATHS = 10**7  # refused above: 80 MB of default steps, and about a minute at 120 steps
 _WORKERS = 2  # threads evolving blocks while the caller draws the next
 
 
@@ -78,8 +80,8 @@ def simulate_paths(params: JDCEVParams, grid: TimeGrid, n_paths: int, seed: int)
     in path order: the first two give the path's unit-mean exponential
     threshold 0.5 * (z0**2 + z1**2), the other N its Euler shocks.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
+    if not 1 <= n_paths <= _MAX_PATHS:
+        raise ValueError(f"n_paths must be between 1 and {_MAX_PATHS}, got {n_paths}")
     if int(seed) != seed or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
 
@@ -98,20 +100,22 @@ def simulate_paths(params: JDCEVParams, grid: TimeGrid, n_paths: int, seed: int)
         shocks = block[:, 2:]
         shocks *= sqrt_steps
         x = np.full(block.shape[0], x0)
-        _, lam, drift = x_state(params, x)
+        _, lam, drift = state = x_state(params, x)
         hazard = np.zeros_like(x)
-        # the hazard never decreases, so the steps that end with it at or below
-        # the threshold are the ones before the default step
-        below = np.zeros(x.shape, dtype=np.intp)
+        # the hazard never decreases: the steps ending above the threshold are the default step on
+        dead = np.empty(x.shape, dtype=bool)
+        dead_steps = np.zeros(x.shape, dtype=np.intp)
         for n, dt in enumerate(steps):
             lam *= dt
             hazard += lam
-            below += hazard <= thresholds
+            np.greater(hazard, thresholds, out=dead)
+            dead_steps += dead
             drift *= dt
             x += drift
             x += shocks[:, n]
-            _, lam, drift = x_state(params, x)
-        default_step[start:start + x.size] = np.where(below < n_steps, below + 1, -1)
+            np.copyto(x, x0, where=dead)  # parked: a defaulted path's steps cannot move its default step
+            x_state(params, x, out=state)
+        default_step[start:start + x.size] = np.where(dead_steps > 0, n_steps + 1 - dead_steps, -1)
 
     _pipeline(range(0, n_paths, _CHUNK), draw, evolve)
     return PathSet(grid=grid, default_step=default_step)

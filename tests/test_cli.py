@@ -358,6 +358,33 @@ class TestMcCheckCommand:
         assert report["error"]["type"] == "config"
         assert "mc.n_paths" in report["error"]["message"]
 
+    def test_path_cap_is_inclusive(self, tmp_path, monkeypatch):
+        import sinkbond.mc
+
+        monkeypatch.setattr(sinkbond.mc, "_MAX_PATHS", 300)
+        payload = dict(BASE, bond={"maturity": 2.0}, grid={"steps_per_year": 4})
+        code, report = run(tmp_path, "mc-check", dict(payload, mc={"n_paths": 300}))
+        assert code == 0 and report["n_paths"] == 300
+        code, report = run(tmp_path, "mc-check", dict(payload, mc={"n_paths": 301}))
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert "mc.n_paths must be between 2 and 300, got 301" in report["error"]["message"]
+
+    def test_a_trillion_paths_exit_2_before_any_lattice(self, tmp_path, monkeypatch):
+        import sinkbond.cli
+
+        def no_lattice(*args, **kwargs):
+            raise AssertionError("a lattice was built")
+
+        monkeypatch.setattr(sinkbond.cli, "build_trinomial", no_lattice)
+        payload = dict(BASE, bond=sinking_bond_section(), mc={"n_paths": 10**12})
+        start = time.perf_counter()
+        code, report = run(tmp_path, "mc-check", payload)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert "mc.n_paths" in report["error"]["message"]
+
     @pytest.mark.parametrize(
         "schedule", [5, ["max"], None, True, {"1.0": None}], ids=["int", "list", "null", "bool", "null-fraction"]
     )

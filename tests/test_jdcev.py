@@ -196,12 +196,18 @@ def test_x_state_boundary_and_cap_conventions(fitted_params):
     assert drift[3:] == pytest.approx(ito, rel=1e-14)
 
 
-#: README set, the default-free limit, a steep one and the sigma 50 / beta -1e-3 box corner
+#: README set, the default-free limit, a steep one, the sigma 50 / beta -1e-3 box corner, and
+#: exponents where signed zeros and infinite powers matter: -1/beta odd (1 and 3, so a level keeps
+#: the sign of a -0.0 input), 2*beta = -1 (beta -0.5), and beta -2 with a z0 below 1 (z / z0 overflows)
 ORACLE_PARAMS = {
     "readme": JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-0.6, z0=30.0),
     "lambda0-0": JDCEVParams(lambda0=0.0, sigma=2.8199, beta=-0.6, z0=30.0),
     "steep": JDCEVParams(lambda0=0.05, sigma=20.0, beta=-0.9, z0=5.0),
     "corner": JDCEVParams(lambda0=0.004, sigma=50.0, beta=-1e-3, z0=30.0),
+    "beta-1": JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-1.0, z0=30.0),
+    "beta-1/3": JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-1.0 / 3.0, z0=30.0),
+    "beta-0.5": JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-0.5, z0=30.0),
+    "beta-2": JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-2.0, z0=0.5),
 }
 
 
@@ -215,21 +221,38 @@ def oracle_coordinates(params):
     ])
 
 
-def recorded(fn, *args):
+def recorded(fn, *args, **kwargs):
+    """fn's result or the type and text of what it raised, and the warnings it gave."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = fn(*args)
+        try:
+            result = fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            result = (type(exc), str(exc))
     return result, [(w.category, str(w.message)) for w in caught]
+
+
+def same_bytes(got, want):
+    return len(got) == len(want) and all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("name", list(ORACLE_PARAMS))
 def test_x_state_equals_the_masked_reference_bit_for_bit_with_its_warnings(name):
     params = ORACLE_PARAMS[name]
     x = oracle_coordinates(params)
-    # the whole array at once, and each value alone (so every value's own warnings show)
-    for sample in [x] + [x[i:i + 1] for i in range(x.size)]:
-        (got, got_warnings), (want, want_warnings) = recorded(x_state, params, sample), recorded(
-            masked_x_state, params, sample)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (name, sample)
-        assert got_warnings == want_warnings, (name, sample)
+    # the whole array at once, and each value alone (so every value's own warnings show), in the
+    # default error state and in the CLI's, which raises on the first flag
+    for errors in ("warn", "raise"):
+        with np.errstate(divide=errors, over=errors, invalid=errors):
+            for sample in [x] + [x[i:i + 1] for i in range(x.size)]:
+                (got, got_warnings), (want, want_warnings) = recorded(x_state, params, sample), recorded(
+                    masked_x_state, params, sample)
+                assert got_warnings == want_warnings, (name, errors, sample)
+                if isinstance(want[0], type):  # raised: the same error with the same text
+                    assert got == want, (name, errors, sample)
+                    continue
+                assert same_bytes(got, want), (name, errors, sample)
+                buffers = tuple(np.full(sample.shape, 7.0) for _ in range(3))
+                with_buffers, buffer_warnings = recorded(x_state, params, sample, out=buffers)
+                assert same_bytes(with_buffers, want) and same_bytes(buffers, want), (name, errors, sample)
+                assert buffer_warnings == want_warnings, (name, errors, sample)

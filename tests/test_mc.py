@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import mean_chain, one_call_default_steps, path_major_normals
+from test_jdcev import ORACLE_PARAMS
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams
 from sinkbond.market_data import build_time_grid
@@ -64,6 +65,22 @@ class TestSimulatePaths:
         default_step = one_call_default_steps(risky_params, grid, self.PREFIX, 7)
         assert np.array_equal(result[0].default_step, default_step)
 
+    @pytest.mark.parametrize("name", ["steep", "corner"])
+    def test_parked_defaulted_paths_keep_the_unparked_default_steps(self, name):
+        # the kernel parks a path at x0 once its hazard passes its threshold;
+        # the reference keeps evolving it, so its x can reach 0 and the cap
+        params = ORACLE_PARAMS[name]
+        grid = build_time_grid(1.0, 12)
+        paths = simulate_paths(params, grid, self.PREFIX, seed=7)
+        assert np.array_equal(paths.default_step, one_call_default_steps(params, grid, self.PREFIX, 7))
+
+    def test_path_count_cap_is_inclusive(self, fitted_params, monkeypatch):
+        monkeypatch.setattr(sinkbond.mc, "_MAX_PATHS", 5_000)
+        grid = build_time_grid(1.0, 4)
+        assert simulate_paths(fitted_params, grid, 5_000, seed=1).n_paths == 5_000
+        with pytest.raises(ValueError, match="between 1 and 5000, got 5001"):
+            simulate_paths(fitted_params, grid, 5_001, seed=1)
+
     def test_same_seed_same_paths(self, risky_params):
         grid = build_time_grid(1.0, 12)
         a = simulate_paths(risky_params, grid, self.PREFIX, seed=3)
@@ -100,6 +117,8 @@ class TestSimulatePaths:
         grid = build_time_grid(1.0, 4)
         with pytest.raises(ValueError):
             simulate_paths(fitted_params, grid, 0, seed=1)
+        with pytest.raises(ValueError, match="between 1 and 10000000"):
+            simulate_paths(fitted_params, grid, 10**12, seed=1)
         with pytest.raises(ValueError):
             simulate_paths(fitted_params, grid, 10, seed=-1)
 
@@ -143,12 +162,12 @@ class TestReadmeBondKernel:
         calls = []
         lock = threading.Lock()
 
-        def fails_in_the_third_block(params, x):
+        def fails_in_the_third_block(params, x, out=None):
             with lock:
                 calls.append(None)
                 if len(calls) > 2 * calls_per_block:
                     raise FloatingPointError("third block")
-            return x_state(params, x)
+            return x_state(params, x, out=out)
 
         monkeypatch.setattr(sinkbond.mc, "x_state", fails_in_the_third_block)
         before = threading.active_count()
