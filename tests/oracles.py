@@ -180,34 +180,41 @@ def per_nominal_policy_value(
     return float(values[initial_index][0])
 
 
-def path_major_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """The Monte Carlo stream in one call: row i is path i's block of N + 2 normals."""
-    return np.random.Generator(np.random.Philox(seed)).standard_normal((n_paths, n_steps + 2))
+def block_generators(seed: int, n_paths: int, chunk: int) -> list:
+    """The Monte Carlo streams: block b, paths b * chunk onward, reads ``Philox(seed).jumped(b)``."""
+    return [np.random.Generator(np.random.Philox(seed).jumped(b)) for b in range(-(-n_paths // chunk))]
 
 
-def one_call_default_steps(params, grid, n_paths: int, seed: int, *, zero_shock: bool = False):
-    """Reference Monte Carlo default steps: every path's normals drawn at once, no chunking.
+def block_default_steps(params, grid, n_paths: int, seed: int, chunk: int, *, zero_shock: bool = False):
+    """Reference Monte Carlo default steps: one block after another on one thread, no parking.
 
-    The first two normals of a row make the path's threshold, the rest its
-    Euler shocks (all zero with ``zero_shock``, which puts every path on the
-    mean chain); the stepping and default rule are those of ``sinkbond.mc``.
+    A block draws ``chunk`` exponential thresholds from its stream, then
+    ``chunk`` normals at each step, that step's Euler shocks (left out with
+    ``zero_shock``, which puts every path on the mean chain); the rows past
+    ``n_paths`` are dropped.  The stepping and default rule are those of
+    ``sinkbond.mc``, but a defaulted path keeps evolving.
     """
     from sinkbond.jdcev import transform, x_state
 
-    normals = path_major_normals(seed, n_paths, grid.n_steps)
-    thresholds = 0.5 * (normals[:, 0] ** 2 + normals[:, 1] ** 2)
-    shocks = np.zeros_like(normals[:, 2:]) if zero_shock else normals[:, 2:]
-    x = np.full(n_paths, float(transform(params, params.z0)))
-    _, lam, drift = x_state(params, x)
-    default_step = np.full(n_paths, -1, dtype=np.intp)
-    hazard_sum = np.zeros(n_paths)
-    for n, dt in enumerate(grid.steps):
-        hazard_sum += lam * dt
-        newly = (default_step < 0) & (hazard_sum > thresholds)
-        default_step[newly] = n + 1
-        x = x + drift * dt + np.sqrt(grid.steps)[n] * shocks[:, n]
+    sqrt_steps = np.sqrt(grid.steps)
+    blocks = []
+    for gen in block_generators(seed, n_paths, chunk):
+        thresholds = gen.standard_exponential(chunk)
+        x = np.full(chunk, float(transform(params, params.z0)))
         _, lam, drift = x_state(params, x)
-    return default_step
+        default_step = np.full(chunk, -1, dtype=np.intp)
+        hazard_sum = np.zeros(chunk)
+        for n, dt in enumerate(grid.steps):
+            shock = gen.standard_normal(chunk)
+            hazard_sum += lam * dt
+            newly = (default_step < 0) & (hazard_sum > thresholds)
+            default_step[newly] = n + 1
+            x = x + drift * dt
+            if not zero_shock:
+                x = x + sqrt_steps[n] * shock
+            _, lam, drift = x_state(params, x)
+        blocks.append(default_step)
+    return np.concatenate(blocks)[:n_paths]
 
 
 def masked_x_state(params, x):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import mean_chain, one_call_default_steps, path_major_normals
+from oracles import block_default_steps, block_generators, mean_chain
 from test_jdcev import ORACLE_PARAMS
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams
@@ -27,8 +27,8 @@ def risky_params(fitted_params):
 
 
 class TestSimulatePaths:
-    # above _CHUNK (4096), so a chunk boundary and a partial chunk fall in the prefix
-    PREFIX, FULL = 4_100, 5_000
+    # above _CHUNK (8192), so a block boundary falls in the prefix and it ends in a partial block
+    PREFIX, FULL = 8_200, 10_000
 
     def test_common_prefix_is_bitwise_identical(self, risky_params):
         grid = build_time_grid(1.0, 12)
@@ -41,7 +41,7 @@ class TestSimulatePaths:
     def test_chunked_stream_matches_the_one_call_reference(self, risky_params, seed):
         grid = build_time_grid(1.0, 12)
         paths = simulate_paths(risky_params, grid, self.PREFIX, seed=seed)
-        default_step = one_call_default_steps(risky_params, grid, self.PREFIX, seed)
+        default_step = block_default_steps(risky_params, grid, self.PREFIX, seed, sinkbond.mc._CHUNK)
         assert np.array_equal(paths.default_step, default_step)
         assert 0.2 < np.mean(default_step > 0) < 0.5
 
@@ -62,8 +62,22 @@ class TestSimulatePaths:
         finally:
             sys.setswitchinterval(interval)
         assert not caller.is_alive()
-        default_step = one_call_default_steps(risky_params, grid, self.PREFIX, 7)
+        default_step = block_default_steps(risky_params, grid, self.PREFIX, 7, 64)
         assert np.array_equal(result[0].default_step, default_step)
+
+    def test_blocks_run_under_the_callers_error_state(self, risky_params, monkeypatch):
+        seen = []
+
+        def recording(params, x, out=None):
+            seen.append(np.geterr()["over"])
+            return x_state(params, x, out=out)
+
+        monkeypatch.setattr(sinkbond.mc, "x_state", recording)
+        grid = build_time_grid(1.0, 12)
+        with np.errstate(over="raise"):  # as the CLI runs
+            simulate_paths(risky_params, grid, self.FULL, seed=7)
+        # two blocks, each calling x_state once per step and once at the start
+        assert len(seen) == 2 * (grid.n_steps + 1) and set(seen) == {"raise"}
 
     @pytest.mark.parametrize("name", ["steep", "corner"])
     def test_parked_defaulted_paths_keep_the_unparked_default_steps(self, name):
@@ -72,7 +86,8 @@ class TestSimulatePaths:
         params = ORACLE_PARAMS[name]
         grid = build_time_grid(1.0, 12)
         paths = simulate_paths(params, grid, self.PREFIX, seed=7)
-        assert np.array_equal(paths.default_step, one_call_default_steps(params, grid, self.PREFIX, 7))
+        reference = block_default_steps(params, grid, self.PREFIX, 7, sinkbond.mc._CHUNK)
+        assert np.array_equal(paths.default_step, reference)
 
     def test_path_count_cap_is_inclusive(self, fitted_params, monkeypatch):
         monkeypatch.setattr(sinkbond.mc, "_MAX_PATHS", 5_000)
@@ -98,13 +113,14 @@ class TestSimulatePaths:
     def test_zero_diffusion_survival_matches_the_mean_chain(self, fitted_params):
         grid = build_time_grid(3.0, 12)
         n_paths, seed = 20_000, 11
-        default_step = one_call_default_steps(fitted_params, grid, n_paths, seed, zero_shock=True)
+        chunk = sinkbond.mc._CHUNK
+        default_step = block_default_steps(fitted_params, grid, n_paths, seed, chunk, zero_shock=True)
         chain = mean_chain(fitted_params, grid)
         # the chain's cumulative hazard through each step, summed in step order
         hazard = np.cumsum([float(chain.layers[n].intensity[0]) * float(grid.steps[n])
                             for n in range(grid.n_steps)])
-        normals = path_major_normals(seed, n_paths, grid.n_steps)
-        thresholds = 0.5 * (normals[:, 0] ** 2 + normals[:, 1] ** 2)
+        gens = block_generators(seed, n_paths, chunk)
+        thresholds = np.concatenate([gen.standard_exponential(chunk) for gen in gens])[:n_paths]
         # a path defaults in the first step whose cumulative hazard exceeds its threshold
         first = np.searchsorted(hazard, thresholds, side="right") + 1
         assert np.array_equal(default_step, np.where(first <= grid.n_steps, first, -1))
@@ -133,11 +149,12 @@ README_BOND = SinkingBondSpec(
     recovery=0.4,
 )
 #: sha256 of default_step as int64 bytes, and the number of defaults, for
-#: 100,000 README-bond paths, computed with the sequential one-thread kernel
+#: 100,000 README-bond paths, computed with one worker and equal to the
+#: unparked block-substream reference
 README_DEFAULT_STEPS = {
-    (12, 1): ("510ebb5104386bf645a58dfc19fdef9d4a4ea070d06c858ec6331db0ba9ffa19", 29_924),
-    (12, 20270615): ("85ee660d51c8e741315ef2fd1fa9790566f322281b03a403e23ceb04d7865cc0", 30_103),
-    (52, 7): ("87b41fe6630ce5a79bd8e3b59f00926aa2178248c154d1405cd49033eda6fe7a", 30_695),
+    (12, 1): ("27b1406629b36352caa44bbbbd8c9b135f9799986774c5fdb2fbcbe333c889a4", 30_113),
+    (12, 20270615): ("2ee5fc9f30dbcdf2084f75dbdf7eb64857624f7f8e4547e3a9e1de244dba852d", 30_141),
+    (52, 7): ("e143f7235703cca962903595aef96edc8830683354585fa206dcde9434476c5a", 30_522),
 }
 
 
@@ -152,9 +169,16 @@ class TestReadmeBondKernel:
     def test_default_steps_are_pinned_to_the_bit(self, fitted_params, steps_per_year, seed):
         assert readme_fingerprint(fitted_params, steps_per_year, seed) == README_DEFAULT_STEPS[steps_per_year, seed]
 
-    def test_block_size_does_not_move_a_bit(self, fitted_params, monkeypatch):
-        monkeypatch.setattr(sinkbond.mc, "_CHUNK", 1_000)
-        assert readme_fingerprint(fitted_params, 12, 1) == README_DEFAULT_STEPS[12, 1]
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_worker_count_does_not_move_a_bit(self, fitted_params, monkeypatch, workers):
+        monkeypatch.setattr(sinkbond.mc, "_WORKERS", workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fingerprint = readme_fingerprint(fitted_params, 12, 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert fingerprint == README_DEFAULT_STEPS[12, 1]
 
     def test_a_failing_block_is_raised_and_no_thread_outlives_the_call(self, fitted_params, monkeypatch):
         grid = bond_grid(README_BOND, 12)
@@ -176,16 +200,20 @@ class TestReadmeBondKernel:
         assert threading.active_count() == before
         assert len(calls) > 2 * calls_per_block
 
-    def test_peak_memory_holds_at_most_two_blocks(self, fitted_params):
-        grid = bond_grid(README_BOND, 12)
-        tracemalloc.start()
-        try:
-            simulate_paths(fitted_params, grid, 100_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a block of draws is 4,096 paths x 122 normals, 3.9 MB; default_step is 0.8 MB
-        assert peak <= 10 * 2**20
+    def test_peak_memory_does_not_grow_with_the_step_count(self, fitted_params):
+        def peak(steps_per_year):
+            grid = bond_grid(README_BOND, steps_per_year)
+            tracemalloc.start()
+            try:
+                simulate_paths(fitted_params, grid, 20_000, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a block holds one step of normals: its buffers are a few 8,192-path vectors, 64 kB each
+        coarse, fine = peak(12), peak(252)
+        assert fine <= coarse + 2**20
+        assert fine < 4 * 2**20
 
 
 def sinking_spec():
