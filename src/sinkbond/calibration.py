@@ -1,13 +1,14 @@
 """Fitting the intensity model to credit default swap quotes.
 
-CDS legs are sums over the survival curve the lattice records while it
-builds: the protection leg collects discounted default mass times the loss
-given default, the premium leg collects discounted survival-weighted accrual
-(accrual on default is ignored; the effect is one order below the fit
-tolerance).  Calibration scans a coarse parameter grid first and then
-polishes the best point with a derivative-free simplex search on a
-penalized least-squares objective, so the objective stays finite wherever
-the optimizer probes.
+CDS legs are two streams valued by :func:`sinkbond.market_data.stream_values`
+on the survival curve the lattice records while it builds, each once up to
+the longest tenor and read at every tenor's end: the protection leg pays the
+loss given default on each step's default mass, the premium leg each
+period's accrual to survivors (accrual on default is ignored; the effect is
+one order below the fit tolerance).  Calibration scans a coarse parameter
+grid first and then polishes the best point with a derivative-free simplex
+search on a penalized least-squares objective, so the objective stays
+finite wherever the optimizer probes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .jdcev import DEFAULT_INTENSITY_CAP, JDCEVParams
-from .market_data import _MAX_STEPS, DiscountCurve, TimeGrid, _merge_close_dates, build_time_grid, discount_factors
+from .market_data import _DATE_TOL, _MAX_STEPS, DiscountCurve, TimeGrid, _merge_close_dates, build_time_grid
+from .market_data import discount_factors, stream_values
 from .tree import IntensityTree, augment_default, build_trinomial
 
 
@@ -41,10 +43,10 @@ class CDSQuote:
     side: str = "mid"
 
     def __post_init__(self) -> None:
-        if not self.tenor > 0.0:
-            raise ValueError("tenor must be positive")
-        if self.spread < 0.0:
-            raise ValueError("spread must be nonnegative")
+        if not 0.0 < self.tenor < math.inf:
+            raise ValueError(f"tenor must be positive and finite, got {self.tenor!r}")
+        if not 0.0 <= self.spread < math.inf:
+            raise ValueError(f"spread must be nonnegative and finite, got {self.spread!r}")
         if self.side not in ("bid", "ask", "mid"):
             raise ValueError(f"unknown quote side {self.side!r}")
 
@@ -128,6 +130,10 @@ class CalibrationResult:
 
 
 def premium_dates(tenor: float, premium_frequency: int) -> tuple[float, ...]:
+    return tuple(j / premium_frequency for j in range(1, _premium_periods(tenor, premium_frequency) + 1))
+
+
+def _premium_periods(tenor: float, premium_frequency: int) -> int:
     periods = tenor * premium_frequency
     n_periods = round(periods) if periods <= _MAX_STEPS else 0  # every premium date is a grid date
     if abs(n_periods - periods) > 1e-9 or n_periods < 1:
@@ -135,7 +141,7 @@ def premium_dates(tenor: float, premium_frequency: int) -> tuple[float, ...]:
             f"tenor {tenor!r} is not a whole number of premium periods, at most {_MAX_STEPS}, "
             f"at frequency {premium_frequency}"
         )
-    return tuple(j / premium_frequency for j in range(1, n_periods + 1))
+    return n_periods
 
 
 def cds_grid(
@@ -164,23 +170,21 @@ def _par_spreads(
     if not 0.0 <= recovery <= 1.0:
         raise ValueError("recovery must lie in [0, 1]")
     grid = tree.grid
-    for tenor in tenors:
-        if tenor > grid.maturity + 1e-9:
-            raise ValueError(f"tenor {tenor!r} exceeds the tree horizon {grid.maturity!r}")
+    if max(tenors) > grid.maturity + 1e-9:
+        raise ValueError(f"tenor {max(tenors)!r} exceeds the tree horizon {grid.maturity!r}")
     ends = [grid.index_of(tenor) for tenor in tenors]
+    periods = max(_premium_periods(tenor, premium_frequency) for tenor in tenors)
+    j = np.rint(grid.times_array * premium_frequency)  # premium date j / frequency accrues from (j - 1) / frequency
+    paid = (j >= 1) & (j <= periods) & (np.abs(grid.times_array - j / premium_frequency) <= _DATE_TOL)
+    if not np.array_equal(j[paid], np.arange(1, periods + 1)):
+        raise ValueError(f"the premium dates at frequency {premium_frequency} are not all grid dates")
+    accrual = np.where(paid, j / premium_frequency - (j - 1) / premium_frequency, 0.0)
     dfv = discount_factors(curve, grid)
-    # running sums of the discounted loss on each step's default mass
-    protection = np.concatenate([[0.0], np.cumsum(dfv[1:] * tree.default_mass * (1.0 - recovery))])
-
-    spreads = []
-    for tenor, end in zip(tenors, ends):
-        dates = premium_dates(tenor, premium_frequency)
-        paid = [grid.index_of(date) for date in dates]
-        annuity = sum(dfv[i] * tree.survival[i] * (b - a) for i, a, b in zip(paid, (0.0,) + dates, dates))
-        if annuity <= 0.0:
-            raise ValueError("premium annuity is not positive")
-        spreads.append(protection[end] / annuity)
-    return np.array(spreads)
+    annuity = stream_values(dfv, accrual, 0.0, tree.survival, tree.default_mass)[ends]
+    if np.any(annuity <= 0.0):
+        raise ValueError("premium annuity is not positive")
+    protection = stream_values(dfv, np.zeros_like(dfv), 1.0 - recovery, tree.survival, tree.default_mass)
+    return protection[ends] / annuity
 
 
 def price_cds(
@@ -229,11 +233,8 @@ def calibration_error(
     lam0, sigma, beta = (float(v) for v in values)
     boxes = (LAMBDA0_BOUNDS, SIGMA_BOUNDS, BETA_BOUNDS)
     clamped = tuple(_clamp(v, box) for v, box in zip((lam0, sigma, beta), boxes))
-    penalty = 0.0
-    for v, c, box in zip((lam0, sigma, beta), clamped, boxes):
-        width = box[1] - box[0]
-        penalty += ((v - c) / width) ** 2
-    penalty *= config.penalty_weight
+    excursions = (((v - c) / (box[1] - box[0])) ** 2 for v, c, box in zip((lam0, sigma, beta), clamped, boxes))
+    penalty = config.penalty_weight * sum(excursions)
 
     if not all(math.isfinite(v) for v in (lam0, sigma, beta)):
         return float("inf")
@@ -298,37 +299,21 @@ def calibrate(
         raise CalibrationError("no parameter-grid point produced a finite objective")
     grid_start = best[1]
 
-    free: list[str] = ["lambda0"]
-    if config.fixed_sigma is None:
-        free.append("sigma")
-    if config.fixed_beta is None:
-        free.append("beta")
-
-    def pack(lam0: float, sigma: float, beta: float) -> list[float]:
-        u = [math.log(lam0)]
-        if "sigma" in free:
-            u.append(math.log(sigma))
-        if "beta" in free:
-            u.append(beta)
-        return u
+    # u holds log lambda0, then log sigma and beta unless they are fixed
+    free_sigma, free_beta = config.fixed_sigma is None, config.fixed_beta is None
+    start = np.array([math.log(grid_start[0]), math.log(grid_start[1]), grid_start[2]])[[True, free_sigma, free_beta]]
 
     def unpack(u: np.ndarray) -> tuple[float, float, float]:
-        lam0 = math.exp(u[0])
-        pos = 1
-        if "sigma" in free:
-            sigma = math.exp(u[pos])
-            pos += 1
-        else:
-            sigma = float(config.fixed_sigma)
-        beta = float(u[pos]) if "beta" in free else float(config.fixed_beta)
-        return lam0, sigma, beta
+        sigma = math.exp(u[1]) if free_sigma else float(config.fixed_sigma)
+        beta = float(u[1 + free_sigma]) if free_beta else float(config.fixed_beta)
+        return math.exp(u[0]), sigma, beta
 
     def objective(u: np.ndarray) -> float:
         return calibration_error(unpack(u), quotes, z0, curve, recovery, config)
 
     result = optimize.minimize(
         objective,
-        np.asarray(pack(*grid_start)),
+        start,
         method="Nelder-Mead",
         options={
             "fatol": config.function_tolerance,

@@ -288,7 +288,7 @@ def _run_mc_check(config: dict, args: argparse.Namespace) -> dict:
         "mc_estimate": estimate.estimate,
         "mc_std_error": estimate.std_error,
         "difference": gap,
-        "within_three_std_errors": bool(abs(gap) <= 3.0 * estimate.std_error),
+        "within_three_std_errors": bool(abs(gap) <= 3.0 * estimate.std_error + 1e-12),
         "n_paths": n_paths,
         "seed": seed,
         "config": _config_echo("mc-check", spy, schedule=str(schedule)),

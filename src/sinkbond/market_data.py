@@ -1,4 +1,4 @@
-"""Time grids and deterministic discounting.
+"""Time grids, deterministic discounting and the survival-weighted stream value.
 
 Times are year fractions from the valuation date. Rates are continuously
 compounded instantaneous forwards, piecewise constant between pillars, so
@@ -6,6 +6,9 @@ discounting over grid steps is an exact exponential sum rather than an
 interpolation artifact.  A spread z over the curve is an argument of the
 discount kernel, not a new curve: one spread or a vector of them, each
 integrated as r + z, so a fan of spreads costs one array expression.
+:func:`stream_values` is the one valuation of a cashflow stream against a
+survival curve; fixed redemption schedules, both CDS legs and the Monte
+Carlo estimate all read it.
 """
 
 from __future__ import annotations
@@ -238,3 +241,14 @@ def discount_factors(
     """Factors from t_0 to every grid date at r + ``spread``, one row per date."""
     integrals = step_rate_integrals(curve, grid, spread)
     return np.exp(-np.concatenate((np.zeros((1,) + integrals.shape[1:]), np.cumsum(integrals, axis=0))))
+
+
+def stream_values(dfv, cash, recovered, survival, default_mass) -> np.ndarray:
+    """t_0 value of the stream paid through each grid date, weighted by a survival curve.
+
+    ``cash[n]`` is paid at t_n to survivors and ``recovered[n]`` at t_{n+1} on the
+    mass defaulting in step n.  ``values[n]`` adds the first n steps' terms in
+    date order, so reading it at t_n gives the bits of the stream cut there."""
+    values = np.zeros(len(dfv))
+    np.cumsum(dfv[1:] * survival[1:] * cash[1:] + dfv[1:] * default_mass * recovered, out=values[1:])
+    return values

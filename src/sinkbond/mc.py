@@ -7,8 +7,8 @@ builds its nodes with.  Default is decided exactly as on the lattice: the
 running sum of left-endpoint intensities times step widths is compared
 against an independent unit-mean exponential draw per path.  A fixed
 schedule is "max", "min" or a date-to-fraction map (anything else raises
-ValueError); its cashflows come from :func:`sinkbond.pricer.schedule_cashflows`,
-the same ones the lattice weights by its survival curve.
+ValueError); :func:`sinkbond.market_data.stream_values` values its cashflows
+on the survival curve counted from the paths' default steps, as on the lattice.
 
 Paths come in blocks of ``_CHUNK``, and block b draws from its own
 counter-based substream ``Philox(seed).jumped(b)``: first one exponential
@@ -40,7 +40,7 @@ import numpy as np
 
 from .instruments import SinkingBondSpec
 from .jdcev import JDCEVParams, transform, x_state
-from .market_data import DiscountCurve, TimeGrid, discount_factors
+from .market_data import DiscountCurve, TimeGrid, discount_factors, stream_values
 from .pricer import _check_same_horizon, schedule_cashflows
 
 _CHUNK = 8192  # paths per block, each with its own substream
@@ -137,22 +137,23 @@ def mc_price_fixed_policy(
     The schedule fixes the nominal trajectory, so a path's payout depends
     only on its default step: coupons and redemptions while alive, then the
     recovery fraction of the remaining nominal at the end of the default
-    step.  Needs at least two paths, so the standard error exists.
+    step.  The average is the schedule's :func:`stream_values` on the survival
+    curve counted from the paths' default steps, and the standard error
+    weighs each default step's payout by its count.  Needs at least two
+    paths, so the standard error exists.
     """
-    if paths.n_paths < 2:
-        raise ValueError(f"need at least 2 paths to estimate a standard error, got {paths.n_paths}")
-    grid = paths.grid
+    n_paths, grid = paths.n_paths, paths.grid
+    if n_paths < 2:
+        raise ValueError(f"need at least 2 paths to estimate a standard error, got {n_paths}")
     _check_same_horizon(grid, spec)
     cash, nominal = schedule_cashflows(spec, grid, schedule)
     dfv = discount_factors(curve, grid)
-    cum_cash = np.cumsum(cash * dfv)
-    # payout if the default lands in step m: cashflows through t_{m-1} plus
-    # the discounted recovery on the nominal held entering the step
-    payout_by_step = np.zeros_like(cum_cash)
-    payout_by_step[1:] = cum_cash[:-1] + dfv[1:] * spec.recovery * nominal[:-1] / spec.nominal_steps
-    survive_payout = cum_cash[-1]
-
-    d = paths.default_step
-    payouts = np.where(d > 0, payout_by_step[np.maximum(d, 0)], survive_payout)
-    std_error = float(np.std(payouts, ddof=1) / math.sqrt(paths.n_paths))
-    return MCEstimate(estimate=float(np.mean(payouts)), std_error=std_error)
+    recovered = spec.recovery * nominal[:-1] / spec.nominal_steps
+    counts = np.bincount(paths.default_step + 1, minlength=grid.n_steps + 2)  # survivors, 0, then steps 1..N
+    alive = n_paths - np.concatenate(([0], np.cumsum(counts[2:])))
+    estimate = stream_values(dfv, cash, recovered, alive / n_paths, counts[2:] / n_paths)[-1]
+    # a path defaulting in step m is paid the cash through t_{m-1} and the recovery at t_m
+    cum_cash = stream_values(dfv, cash, 0.0, np.ones_like(dfv), 0.0)
+    payout = np.concatenate(([cum_cash[-1], 0.0], cum_cash[:-1] + dfv[1:] * recovered))
+    std_error = math.sqrt(counts @ (payout - estimate) ** 2 / (n_paths - 1) / n_paths)
+    return MCEstimate(estimate=float(estimate), std_error=std_error)

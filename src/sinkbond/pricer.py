@@ -4,13 +4,14 @@ Zero-coupon bonds run as a backward recursion, sinking bonds through the
 decision engine; a plain coupon bond is a spec without redemption dates.
 A fixed redemption schedule -- "max", "min" or a date-to-fraction map,
 nothing else -- sets the nominal path in advance, so its cashflows are
-weighted by the survival curve the lattice recorded while building, with no
-engine run.  Spreads are the default-free cases: the bond discounts at
-r + z, a spread argument of the discount kernel.  With no default the
-engine's node axis is free, so :func:`spread_prices` runs it over a fan of
-trial spreads, one column of step discounts per node, and the z-spread
-narrows its bracket one fan per solve; the worst-case quote discounts its
-cashflows at r + z in the same kernel.
+valued by :func:`sinkbond.market_data.stream_values` on the survival curve
+the lattice recorded while building, with no engine run.  Spreads are the
+default-free cases: the bond discounts at r + z, a spread argument of the
+discount kernel.  With no default the engine's node axis is free, so
+:func:`spread_prices` runs it over a fan of trial spreads, one column of
+step discounts per node, and the z-spread narrows its bracket one fan per
+solve; the worst-case quote discounts its cashflows at r + z in the same
+kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .instruments import SinkingBondSpec, action_table, coupons_on_grid, redemption_stages
-from .market_data import DiscountCurve, TimeGrid, discount_factors, step_discounts
+from .market_data import DiscountCurve, TimeGrid, discount_factors, step_discounts, stream_values
 from .mdp import MDPSolution, StageProblem, backward_induction
 from .mdp import evaluate_policy  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
 from .tree import IntensityTree, LayerTransition
@@ -194,9 +195,8 @@ def price_fixed_schedule(
     _require_augmented(tree)
     _check_same_horizon(tree.grid, spec)
     cash, nominal = schedule_cashflows(spec, tree.grid, schedule)
-    df = discount_factors(curve, tree.grid)
     recovered = spec.recovery * nominal[:-1] / spec.nominal_steps
-    return float(df[1:] @ (cash[1:] * tree.survival[1:] + recovered * tree.default_mass))
+    return float(stream_values(discount_factors(curve, tree.grid), cash, recovered, tree.survival, tree.default_mass)[-1])
 
 
 def _fan(width: int) -> LayerTransition:

@@ -217,6 +217,28 @@ def block_default_steps(params, grid, n_paths: int, seed: int, chunk: int, *, ze
     return np.concatenate(blocks)[:n_paths]
 
 
+def per_path_mc_estimate(paths, spec, schedule, curve) -> tuple[float, float]:
+    """Reference Monte Carlo estimate and standard error: one payout per path.
+
+    A path defaulting in step m is paid the discounted cashflows through
+    t_{m-1} plus the discounted recovery on the nominal held entering the
+    step; a surviving path is paid every cashflow.  The estimate is the mean
+    of the payouts and the standard error their sample deviation over the
+    square root of the path count.
+    """
+    from sinkbond.market_data import discount_factors
+    from sinkbond.pricer import schedule_cashflows
+
+    cash, nominal = schedule_cashflows(spec, paths.grid, schedule)
+    dfv = discount_factors(curve, paths.grid)
+    cum_cash = np.cumsum(cash * dfv)
+    payout_by_step = np.zeros_like(cum_cash)
+    payout_by_step[1:] = cum_cash[:-1] + dfv[1:] * spec.recovery * nominal[:-1] / spec.nominal_steps
+    d = paths.default_step
+    payouts = np.where(d > 0, payout_by_step[np.maximum(d, 0)], cum_cash[-1])
+    return float(np.mean(payouts)), float(np.std(payouts, ddof=1) / math.sqrt(paths.n_paths))
+
+
 def masked_x_state(params, x):
     """Reference ``jdcev.x_state``: each formula gathered to the nodes it applies to.
 

@@ -37,6 +37,16 @@ class TestQuoteValidation:
         with pytest.raises(ValueError):
             CDSQuote(tenor=5.0, spread=0.01, side="offer")
 
+    @pytest.mark.parametrize("spread", [math.nan, math.inf, -math.inf])
+    def test_spread_must_be_finite(self, spread):
+        with pytest.raises(ValueError, match="spread must be nonnegative and finite"):
+            CDSQuote(tenor=5.0, spread=spread)
+
+    @pytest.mark.parametrize("tenor", [math.nan, math.inf, -math.inf])
+    def test_tenor_must_be_finite(self, tenor):
+        with pytest.raises(ValueError, match="tenor must be positive and finite"):
+            CDSQuote(tenor=tenor, spread=0.01)
+
 
 def test_premium_dates_must_fit_a_grid():
     assert len(premium_dates(2.0, 500_000)) == 10**6
@@ -62,6 +72,14 @@ class TestPriceCds:
         reference = forward_pass_par_spreads(tree, flat_curve, 0.4, tenors, FAST.premium_frequency)
         assert spreads.tolist() == reference.tolist()
 
+    def test_non_dyadic_accruals_equal_the_forward_pass_bit_for_bit(self, fitted_params, flat_curve):
+        # monthly accruals j / 12 - (j - 1) / 12 are not all the same double
+        config = CalibrationConfig(steps_per_year=4, premium_frequency=12)
+        tenors = (1.0, 2.5, 4.0)
+        spreads = model_spreads(fitted_params, tenors, flat_curve, 0.4, config)
+        tree = augment_default(build_trinomial(fitted_params, cds_grid(tenors, 4, 12)))
+        assert spreads.tolist() == forward_pass_par_spreads(tree, flat_curve, 0.4, tenors, 12).tolist()
+
     def test_zero_intensity_zero_spread(self, flat_curve):
         assert price_cds(chain_tree(0.0), flat_curve, 0.4, 5.0) == 0.0
 
@@ -83,6 +101,11 @@ class TestPriceCds:
         s_low = price_cds(tree, flat_curve, 0.2, 5.0)
         s_high = price_cds(tree, flat_curve, 0.6, 5.0)
         assert s_high < s_low
+
+    def test_premium_dates_off_the_grid_rejected(self, flat_curve):
+        # a 1/yr grid holds none of the quarterly premium dates
+        with pytest.raises(ValueError, match="grid date"):
+            price_cds(chain_tree(0.01, steps_per_year=1), flat_curve, 0.4, 5.0)
 
     def test_tenor_beyond_horizon_rejected(self, flat_curve):
         with pytest.raises(ValueError, match="horizon"):

@@ -400,6 +400,21 @@ class TestMcCheckCommand:
         assert code == 2
         assert "mc.schedule" in report["error"]["message"]
 
+    def test_default_free_run_agrees(self, tmp_path):
+        # every path pays the same, so the sides differ by rounding at most and the error is zero
+        payload = dict(
+            BASE,
+            model=dict(BASE["model"], lambda0=0),
+            bond=README_BOND,
+            grid={"steps_per_year": 12},
+            mc={"n_paths": 1000, "seed": 1, "schedule": "max"},
+        )
+        code, report = run(tmp_path, "mc-check", payload)
+        assert code == 0
+        assert report["mc_std_error"] == 0.0
+        assert abs(report["difference"]) <= 1e-12
+        assert report["within_three_std_errors"] is True
+
 
 class TestCalibrateCommand:
     def test_single_quote_fit(self, tmp_path):

@@ -14,6 +14,7 @@ from sinkbond.market_data import (
     discount_factors,
     step_discounts,
     step_rate_integrals,
+    stream_values,
 )
 
 
@@ -292,3 +293,21 @@ class TestSpreadAxis:
         grid = build_time_grid(2.0, 12)
         assert np.array_equal(step_discounts(curve, grid, 0.0), step_discounts(curve, grid))
         assert np.array_equal(step_rate_integrals(curve, grid, [0.0])[:, 0], step_rate_integrals(curve, grid))
+
+
+def test_stream_values_add_each_step_in_date_order():
+    rng = np.random.default_rng(3)
+    n = 40
+    dfv, survival = np.exp(-0.02 * np.arange(n + 1) / 4), np.linspace(1.0, 0.8, n + 1)
+    cash, recovered = np.where(rng.random(n + 1) < 0.3, 0.02, 0.0), rng.random(n) * 0.4
+    default_mass = -np.diff(survival)
+    values = stream_values(dfv, cash, recovered, survival, default_mass)
+    total, expected = 0.0, [0.0]
+    for m in range(1, n + 1):
+        total += dfv[m] * survival[m] * cash[m] + dfv[m] * default_mass[m - 1] * recovered[m - 1]
+        expected.append(total)
+    assert values.tolist() == expected
+    # a shorter stream read off a longer one: zero terms beyond its end add nothing
+    short = np.where(np.arange(n + 1) <= 20, cash, 0.0)
+    assert stream_values(dfv, short, 0.0, survival, default_mass)[20] == stream_values(
+        dfv[:21], cash[:21], 0.0, survival[:21], default_mass[:20])[-1]

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import block_default_steps, block_generators, mean_chain
+from oracles import block_default_steps, block_generators, mean_chain, per_path_mc_estimate
 from test_jdcev import ORACLE_PARAMS
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams
@@ -283,6 +283,18 @@ class TestMcPriceFixedPolicy:
         paths = simulate_paths(fitted_params, grid, 100, seed=1)
         with pytest.raises(ValueError, match="not admissible"):
             mc_price_fixed_policy(paths, spec, {1.0: 0.10, 2.0: 0.0}, flat_curve)
+
+    @pytest.mark.parametrize("steps_per_year, seed", [(12, 1), (52, 7)])
+    @pytest.mark.parametrize("schedule", ["max", {1.0: 0.10, 2.0: 0.05, 3.0: 0.10, 4.0: 0.05, 5.0: 0.10,
+                                                  6.0: 0.05, 7.0: 0.10, 8.0: 0.05, 9.0: 0.10}], ids=["max", "map"])
+    def test_counted_survival_curve_equals_the_per_path_mean(
+        self, fitted_params, flat_curve, steps_per_year, seed, schedule
+    ):
+        paths = simulate_paths(fitted_params, bond_grid(README_BOND, steps_per_year), 20_000, seed)
+        estimate = mc_price_fixed_policy(paths, README_BOND, schedule, flat_curve)
+        reference, std_error = per_path_mc_estimate(paths, README_BOND, schedule, flat_curve)
+        assert abs(estimate.estimate - reference) <= 4 * np.spacing(reference)
+        assert estimate.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
 
     def test_single_path_rejected(self, fitted_params, flat_curve):
         spec = sinking_spec()
