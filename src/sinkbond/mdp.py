@@ -23,11 +23,11 @@ redemption dates and the final stage).  Every other stage redeems nothing
 from every row, so its rows continue to themselves and its Bellman step is
 a plain discounted expectation: the engine *carries* it, as the kernel's
 arithmetic at action 0 with no continuation lookup and no minimization.
-Solutions keep {nominal index: row} value tables only at decision stages,
-at stage 0 (the root) and at the horizon; a carried stage's values are
-``None`` and :func:`value_tables` recomputes them from the next stored
-stage.  Policy tables exist at every stage, over the same rows: a carried
-stage maps each row to a shared read-only zero row.
+A solution keeps a stage as a :class:`StageTable`, its sorted rows and
+(R, m) array.  Values are kept only at decision stages, at stage 0 (the
+root) and at the horizon; elsewhere they are ``None`` and
+:func:`value_tables` recomputes them from the next stored stage.  Policies
+exist at every stage; a carried stage's is the (R, 1) zero column of its table.
 """
 
 from __future__ import annotations
@@ -78,23 +78,43 @@ class StageProblem:
         return self.transition.survival.shape[0]
 
 
+class StageTable(Mapping[int, np.ndarray]):
+    """A stage's sorted nominal ``rows`` and (R, m) ``array``, read as
+    {row: array[i]}; a row the stage does not hold raises KeyError.  A carried
+    policy's array is (R, 1): broadcast it before indexing the node axis."""
+
+    def __init__(self, rows: np.ndarray, array: np.ndarray):
+        self.rows, self.array = rows, array
+
+    def __getitem__(self, s_index: int) -> np.ndarray:
+        i = int(np.searchsorted(self.rows, s_index))
+        if i == self.rows.size or self.rows[i] != s_index:
+            raise KeyError(s_index)
+        return self.array[i]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.rows.tolist())
+
+    def __len__(self) -> int:
+        return self.rows.size
+
+
 @dataclass
 class MDPSolution:
-    """Value tables, optimal policy and the headline root value.
+    """Per-stage value and policy tables, and the headline root value.
 
-    ``policy[n]`` maps each nominal index reachable at stage n to its
-    per-node actions.  ``values[n]`` maps the same rows to their per-node
-    values at decision stages, at stage 0 and at the horizon n = N, and is
-    ``None`` at carried stages (see :func:`value_tables`).
+    ``policy[n]`` holds the actions of the rows reachable at stage n: an
+    (R, m) array at a decision stage, an (R, 1) zero column at a carried
+    one.  ``values[n]`` holds their (R, m) values at decision stages, stage
+    0 (one row, the full notional) and the horizon, else ``None``.
     """
 
-    values: tuple[Optional[dict[int, np.ndarray]], ...]
-    policy: tuple[dict[int, np.ndarray], ...]
-    initial_index: int
+    values: tuple[Optional[StageTable], ...]
+    policy: tuple[StageTable, ...]
 
     @property
     def root_value(self) -> float:
-        return float(self.values[0][self.initial_index][0])
+        return float(self.values[0].array[0, 0])
 
 
 @dataclass(frozen=True)
@@ -188,12 +208,6 @@ def _next_rows(rows: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.bincount((rows[:, None] - actions).ravel()))
 
 
-def _table(rows: np.ndarray, array: np.ndarray) -> dict[int, np.ndarray]:
-    # rows are copied out: stage arrays kept alive as views among freed
-    # temporaries fragment the heap (5 MB more peak RSS at 252 steps/yr)
-    return {s: row.copy() for s, row in zip(rows.tolist(), array)}
-
-
 def backward_induction(stages: Sequence[StageProblem], nominal_steps: int) -> MDPSolution:
     """Solve the decision problem; the root value is the instrument's price.
 
@@ -201,10 +215,9 @@ def backward_induction(stages: Sequence[StageProblem], nominal_steps: int) -> MD
     decision stages; a carried stage keeps its rows.  Backward, a decision
     stage evaluates the kernel once per action column, descending, and only
     a strictly smaller value replaces the running best, so exact ties go to
-    the largest redemption; a carried stage is one :func:`_carry`.  Value
-    tables are kept at decision stages, stage 0 and the horizon; each
-    carried stage's policy maps its rows to a slice of one read-only zero
-    row.  The root row is the full notional, ``nominal_steps``.
+    the largest redemption; a carried stage is one :func:`_carry`.  The
+    solution's tables wrap the engine's own arrays (see :class:`MDPSolution`).
+    The root row is the full notional, ``nominal_steps``.
     """
     decides = _decides(stages, nominal_steps)
     rows, grids = [np.array([nominal_steps])], []
@@ -213,19 +226,13 @@ def backward_induction(stages: Sequence[StageProblem], nominal_steps: int) -> MD
         rows.append(_next_rows(rows[n], grids[n]) if decides[n] else rows[n])
 
     nxt = np.zeros((len(rows[-1]), stages[-1].transition.next_size))
-    values: list[Optional[dict[int, np.ndarray]]] = [None] * len(stages) + [_table(rows[-1], nxt)]
-    policy: list[Optional[dict[int, np.ndarray]]] = [None] * len(stages)
-    zero_rows: dict[np.dtype, np.ndarray] = {}  # per table dtype, the read-only zero row carried stages slice
-    width = max(stage.size for stage in stages)
+    values: list[Optional[StageTable]] = [None] * len(stages) + [StageTable(rows[-1], nxt)]
+    policy: list[Optional[StageTable]] = [None] * len(stages)
     for n in range(len(stages) - 1, -1, -1):
         stage, grid = stages[n], grids[n]
         if grid is None:
             nxt = _carry(stage, rows[n][:, None] / nominal_steps, nxt)
-            zero = zero_rows.get(stage.table.dtype)
-            if zero is None:
-                zero = zero_rows[stage.table.dtype] = np.zeros(width, stage.table.dtype)
-                zero.flags.writeable = False
-            policy[n] = dict.fromkeys(rows[n].tolist(), zero[:stage.size])
+            policy[n] = StageTable(rows[n], stage.table[rows[n], :1])
             continue
         best = stage_values(stage, rows[n], grid[:, :1], rows[n + 1], nxt, nominal_steps)
         chosen = np.repeat(grid[:, :1], stage.size, axis=1)
@@ -234,11 +241,11 @@ def backward_induction(stages: Sequence[StageProblem], nominal_steps: int) -> MD
             better = trial < best
             best = np.where(better, trial, best)
             chosen = np.where(better, grid[:, col:col + 1], chosen)
-        values[n], policy[n] = _table(rows[n], best), _table(rows[n], chosen)
+        values[n], policy[n] = StageTable(rows[n], best), StageTable(rows[n], chosen)
         nxt = best
     if values[0] is None:
-        values[0] = _table(rows[0], nxt)
-    return MDPSolution(tuple(values), tuple(policy), nominal_steps)
+        values[0] = StageTable(rows[0], nxt)
+    return MDPSolution(tuple(values), tuple(policy))
 
 
 def evaluate_policy(
@@ -291,26 +298,20 @@ def evaluate_policy(
     return PolicyValue(root_value=float(values[0, 0]))
 
 
-def _stacked(table: Mapping[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.array(sorted(table))
-    return rows, np.stack([table[s] for s in rows.tolist()])
-
-
 def value_tables(
     stages: Sequence[StageProblem], nominal_steps: int, solution: MDPSolution
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Every stage's sorted rows and (R, m) values, from the horizon n = N back to 0.
 
-    Stored tables are stacked as they are; a carried stage (no stored
-    table) is recomputed from the next stage by the engine's carry.
+    A stored table (always the horizon's) yields its own rows and array; a
+    carried stage is recomputed from the next stage by the engine's carry.
     """
-    rows, values = _stacked(solution.values[-1])
-    yield len(stages), rows, values
-    for n in range(len(stages) - 1, -1, -1):
-        if solution.values[n] is None:
+    for n in range(len(stages), -1, -1):
+        table = solution.values[n]
+        if table is None:
             values = _carry(stages[n], rows[:, None] / nominal_steps, values)
         else:
-            rows, values = _stacked(solution.values[n])
+            rows, values = table.rows, table.array
         yield n, rows, values
 
 
@@ -331,8 +332,7 @@ def bellman_residual(
     _, next_rows, nxt = next(tables)
     for n, rows, stored in tables:
         stage = stages[n]
-        chosen = np.stack([solution.policy[n][s] for s in rows.tolist()])
-        at_policy = stage_values(stage, rows, chosen, next_rows, nxt, nominal_steps)
+        at_policy = stage_values(stage, rows, solution.policy[n].array, next_rows, nxt, nominal_steps)
         fixed_point = max(fixed_point, float(np.max(np.abs(at_policy - stored))))
         grid = _admissible(stage, rows, n)
         for col in range(grid.shape[1]):

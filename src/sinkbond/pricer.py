@@ -316,15 +316,15 @@ def price_report(
     # redemption there says nothing about the policy
     summary = []
     for n in sorted(redemption_stages(spec, tree.grid)):
-        live = tree.transitions[n].live
-        for s_index in sorted(solution.policy[n]):
-            chosen = solution.policy[n][s_index][live]
+        table, live = solution.policy[n], tree.transitions[n].live
+        chosen = np.broadcast_to(table.array, (table.rows.size, live.size))[:, live]
+        for s_index, lo, hi in zip(table.rows.tolist(), chosen.min(axis=1).tolist(), chosen.max(axis=1).tolist()):
             summary.append(
                 {
                     "time": tree.grid.times[n],
                     "nominal": s_index / spec.nominal_steps,
-                    "action_min": int(chosen.min()) / spec.nominal_steps,
-                    "action_max": int(chosen.max()) / spec.nominal_steps,
+                    "action_min": lo / spec.nominal_steps,
+                    "action_max": hi / spec.nominal_steps,
                 }
             )
     return {

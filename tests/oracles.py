@@ -305,6 +305,31 @@ def loop_schedule_cashflows(spec, grid, schedule):
     return cash, nominal
 
 
+def per_row_policy_summary(solution, tree, spec) -> list[dict]:
+    """Reference ``price_report`` policy summary: one row of one redemption stage at a time.
+
+    Each (redemption date, nominal) entry gives the smallest and largest
+    action over the stage's live nodes, read through the policy mapping; a
+    carried stage's (1,) row is broadcast over the nodes first.
+    """
+    from sinkbond.instruments import redemption_stages
+
+    summary = []
+    for n in sorted(redemption_stages(spec, tree.grid)):
+        live = tree.transitions[n].live
+        for s_index in sorted(solution.policy[n]):
+            chosen = np.broadcast_to(solution.policy[n][s_index], live.shape)[live]
+            summary.append(
+                {
+                    "time": tree.grid.times[n],
+                    "nominal": s_index / spec.nominal_steps,
+                    "action_min": int(chosen.min()) / spec.nominal_steps,
+                    "action_max": int(chosen.max()) / spec.nominal_steps,
+                }
+            )
+    return summary
+
+
 def push_pass_mass_curve(tree):
     """Reference survival curve: one ``push`` per step from unit root mass.
 

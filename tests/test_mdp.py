@@ -177,9 +177,8 @@ class TestBackwardInduction:
         stored = [table is not None for table in solution.values]
         n = next(n for n in range(1, len(stages)) if stored[n] and not stored[n - 1])
         s_index = min(solution.values[n])
-        row = solution.values[n][s_index].copy()
+        row = solution.values[n][s_index]  # a view into the stored (R, m) array
         row[row.size // 2] += 1e-9
-        solution.values[n][s_index] = row
         assert bellman_residual(stages, spec.nominal_steps, solution)["fixed_point"] > 1e-12
 
 
@@ -289,11 +288,55 @@ def test_engine_equals_per_nominal_reference(spec, steps_per_year, fitted_params
         assert rows.tolist() == sorted(values[n])
         for s_index, row in zip(rows.tolist(), array):
             assert np.array_equal(row, values[n][s_index])
+    # a carried stage's policy rows are (1,) columns that broadcast over the nodes
     for n in range(len(stages)):
         assert sorted(solution.policy[n]) == sorted(policy[n])
         for s_index, row in policy[n].items():
-            assert np.array_equal(solution.policy[n][s_index], row)
+            assert np.array_equal(np.broadcast_to(solution.policy[n][s_index], row.shape), row)
     for rule in ("max", "min"):
         fn = fixed_schedule_policy(stages, spec, grid, rule)
         reference = per_nominal_policy_value(stages, spec.nominal_steps, fn, spec.nominal_steps)
         assert evaluate_policy(stages, spec.nominal_steps, fn).root_value == reference
+
+
+class TestStageTables:
+    def test_a_row_off_the_table_raises_key_error(self, fitted_params, flat_curve):
+        spec, stages = sinking_instance(fitted_params, flat_curve)
+        solution = backward_induction(stages, spec.nominal_steps)
+        k = spec.nominal_steps
+        tables = list(solution.policy) + [table for table in solution.values if table is not None]
+        for table in tables:
+            for bad in (k + 1, -1):
+                assert bad not in table
+                with pytest.raises(KeyError):
+                    table[bad]
+        # stage 0 holds only the full notional
+        assert list(solution.values[0]) == [k]
+        with pytest.raises(KeyError):
+            solution.values[0][k - 1]
+
+    def test_value_tables_yield_the_stored_arrays(self, fitted_params, flat_curve):
+        spec, stages = sinking_instance(fitted_params, flat_curve)
+        solution = backward_induction(stages, spec.nominal_steps)
+        stored = 0
+        for n, rows, array in value_tables(stages, spec.nominal_steps, solution):
+            table = solution.values[n]
+            if table is not None:
+                assert rows is table.rows and array is table.array
+                stored += 1
+        assert 2 < stored < len(stages)
+
+    def test_carried_policies_are_zero_columns(self, fitted_params, flat_curve):
+        spec = README_BOND
+        tree = augment_default(build_trinomial(fitted_params, bond_grid(spec, 12)))
+        stages = build_stage_problems(tree, flat_curve, spec)
+        solution = backward_induction(stages, spec.nominal_steps)
+        carried = [n for n, stage in enumerate(stages) if not stage.table.any()]
+        assert len(carried) == len(stages) - 10
+        for n in carried:
+            policy = solution.policy[n]
+            assert policy.array.shape == (len(policy), 1)
+            assert not policy.array.any()
+        residuals = bellman_residual(stages, spec.nominal_steps, solution)
+        assert residuals["fixed_point"] <= 1e-12
+        assert residuals["minimality"] <= 1e-12

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import deterministic_bond_pv, discount_factor, loop_schedule_cashflows, mean_chain, zcb_closed_form
+from oracles import (
+    deterministic_bond_pv,
+    discount_factor,
+    loop_schedule_cashflows,
+    mean_chain,
+    per_row_policy_summary,
+    zcb_closed_form,
+)
 from policies import fixed_schedule_policy
 
 from sinkbond.instruments import SinkingBondSpec, action_table, bond_grid, coupons_on_grid
@@ -549,6 +556,27 @@ class TestPriceReport:
         for entry in price_report(tree, flat_curve, spec)["policy_summary"]:
             assert entry["action_min"] == pytest.approx(smallest, abs=1e-15)
             assert entry["action_max"] == pytest.approx(smallest, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "spec, steps_per_year",
+    [
+        (README_BOND, 12),
+        (README_BOND, 52),
+        (README_BOND, 252),
+        (SKIP_CALL_BOND, 4),
+        (SinkingBondSpec(maturity=3.0, redemption_dates=(1.0, 2.0), allow_skip=True), 12),
+    ],
+    ids=["readme-12", "readme-52", "readme-252", "skip-call-K20", "no-choice-redemptions"],
+)
+def test_policy_summary_equals_the_per_row_loop(spec, steps_per_year, fitted_params, flat_curve):
+    # SKIP_CALL_BOND's full_call column ties with the largest installment; the
+    # last bond's redemption-date table is all zeros, so those stages are
+    # carried and their (R, 1) policy columns must broadcast over the nodes
+    tree = augment_default(build_trinomial(fitted_params, bond_grid(spec, steps_per_year)))
+    solution = price_sinking_bond(tree, flat_curve, spec).solution
+    summary = price_report(tree, flat_curve, spec)["policy_summary"]
+    assert summary == per_row_policy_summary(solution, tree, spec)
 
 
 def test_price_report_peak_memory_stays_bounded_at_252_steps_per_year(fitted_params, flat_curve):
