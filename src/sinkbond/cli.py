@@ -254,6 +254,8 @@ def _run_worst(config: dict, args: argparse.Namespace) -> dict:
 
 
 def _run_calibrate(config: dict, args: argparse.Namespace) -> dict:
+    if args.steps_per_year is not None:
+        raise ConfigError("calibrate takes its grid density from calibration.steps_per_year, not --steps-per-year")
     curve = _build_curve(config)
     z0 = _required(config, "model", "z0")
     if not config.get("quotes"):

@@ -21,8 +21,8 @@ policy is stored in the grid's dtype.
 The issuer chooses only where a stage's table holds a nonzero amount (the
 redemption dates and the final stage).  Every other stage redeems nothing
 from every row, so its rows continue to themselves and its Bellman step is
-a plain discounted expectation: the engine *carries* it, as the kernel's
-arithmetic at action 0 with no continuation lookup and no minimization.
+a plain discounted expectation: the engine *carries* it, as :func:`stage_cost`
+at action 0 plus that expectation, with no continuation lookup or minimization.
 A solution keeps a stage as a :class:`StageTable`, its sorted rows and
 (R, m) array.  Values are kept only at decision stages, at stage 0 (the
 root) and at the horizon; elsewhere they are ``None`` and
@@ -170,16 +170,11 @@ def stage_values(
     return stage_cost(stage, rows[:, None], actions, nominal_steps) + cont[pos, np.arange(stage.size)]
 
 
-def _carry(stage: StageProblem, s: np.ndarray, next_values: np.ndarray) -> np.ndarray:
-    """A no-choice stage's values: :func:`stage_values` at action 0, bit for bit.
-
-    ``s`` is the (R, 1) column of nominal fractions of rows that continue to
-    themselves, so no continuation row is looked up; the cost is
-    :func:`stage_cost`'s expression with its zero action term dropped.
-    """
-    tr = stage.transition
-    cost = stage.discount * ((stage.coupon * s) * tr.survival + tr.default_prob * stage.recovery * s)
-    return cost + stage.discount * tr.expect(next_values)
+def _carry(stage: StageProblem, rows: np.ndarray, next_values: np.ndarray, nominal_steps: int) -> np.ndarray:
+    """A no-choice stage's values, bit for bit :func:`stage_values` at action 0:
+    its ``rows`` continue to themselves, so they are :func:`stage_cost` at
+    action 0 plus the discounted expectation, without the continuation lookup."""
+    return stage_cost(stage, rows[:, None], 0, nominal_steps) + stage.discount * stage.transition.expect(next_values)
 
 
 def _decides(stages: Sequence[StageProblem], nominal_steps: int) -> list[bool]:
@@ -231,7 +226,7 @@ def backward_induction(stages: Sequence[StageProblem], nominal_steps: int) -> MD
     for n in range(len(stages) - 1, -1, -1):
         stage, grid = stages[n], grids[n]
         if grid is None:
-            nxt = _carry(stage, rows[n][:, None] / nominal_steps, nxt)
+            nxt = _carry(stage, rows[n], nxt, nominal_steps)
             policy[n] = StageTable(rows[n], stage.table[rows[n], :1])
             continue
         best = stage_values(stage, rows[n], grid[:, :1], rows[n + 1], nxt, nominal_steps)
@@ -292,7 +287,7 @@ def evaluate_policy(
     values = np.zeros((len(rows[-1]), stages[-1].transition.next_size))
     for n in range(len(stages) - 1, -1, -1):
         if taken[n] is None:
-            values = _carry(stages[n], rows[n][:, None] / nominal_steps, values)
+            values = _carry(stages[n], rows[n], values, nominal_steps)
         else:
             values = stage_values(stages[n], rows[n], taken[n], rows[n + 1], values, nominal_steps)
     return PolicyValue(root_value=float(values[0, 0]))
@@ -309,7 +304,7 @@ def value_tables(
     for n in range(len(stages), -1, -1):
         table = solution.values[n]
         if table is None:
-            values = _carry(stages[n], rows[:, None] / nominal_steps, values)
+            values = _carry(stages[n], rows, values, nominal_steps)
         else:
             rows, values = table.rows, table.array
         yield n, rows, values

@@ -25,7 +25,7 @@ from .instruments import SinkingBondSpec, action_table, coupons_on_grid, redempt
 from .market_data import DiscountCurve, TimeGrid, discount_factors, step_discounts, stream_values
 from .mdp import MDPSolution, StageProblem, backward_induction
 from .mdp import evaluate_policy  # noqa: F401 -- unused; perfbench/tracer.py wraps this name
-from .tree import IntensityTree, LayerTransition
+from .tree import IntensityTree, LayerTransition, _band_transition
 from .tree import augment_default, deterministic_tree  # noqa: F401 -- unused; perfbench/tracer.py wraps these names
 
 
@@ -124,62 +124,45 @@ def schedule_cashflows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Survival cashflows and nominal path of a fixed redemption schedule.
 
-    ``schedule`` is the rule "max" or "min" (any case) or a map from every
-    redemption date to the installment fraction chosen there; anything else
-    raises ValueError, as does an inadmissible action.  ``cash[n]`` is paid
-    at t_n per unit notional; ``nominal[n]`` is the nominal index held over
-    step n.
+    ``schedule`` is "max" or "min" (any case), a column of each redemption
+    stage's table, or a map from every redemption date (and any other) to a
+    fraction.  The walk takes these stages in order, then the last, which
+    redeems what is left; any other schedule, or an action off its table
+    row for the nominal held, raises ValueError.  ``cash[n]`` is paid at
+    t_n per unit notional; ``nominal[n]`` is the nominal index over step n.
     """
     if not isinstance(schedule, (str, Mapping)):
         raise ValueError(f"a fixed schedule is 'max', 'min' or a date-to-fraction map, not {type(schedule).__name__}")
     actions = action_table(spec, grid)
-    n_steps, k = grid.n_steps, spec.nominal_steps
-    last = n_steps - 1
-    # only redemption stages and the last one offer a choice: every other
-    # stage redeems 0, which its all-zero table admits
-    redemption = redemption_stages(spec, grid)
+    k, last = spec.nominal_steps, grid.n_steps - 1
     if isinstance(schedule, str):
         rule = schedule.lower()
         if rule not in ("max", "min"):
             raise ValueError(f"unknown schedule rule {schedule!r}")
         col = 0 if rule == "max" else -1
-        picks = {}  # grid units redeemed at each stage with a choice
-        s_index = k
-        for n in sorted(redemption | {last}):
-            picks[n] = int(actions[n][s_index, col])
-            s_index -= picks[n]
+        choices = dict.fromkeys(redemption_stages(spec, grid))  # None: read the rule's column
     else:
-        stage_actions = {
+        choices = {
             grid.index_of(float(date)): spec.fraction_to_index(float(fraction))
             for date, fraction in schedule.items()
         }
-        missing = redemption - set(stage_actions)
+        missing = redemption_stages(spec, grid) - set(choices)
         if missing:
             raise ValueError(
                 f"schedule does not cover the redemption dates at stages {sorted(missing)}"
             )
-        # a mapped date off the redemption dates is checked like one; the
-        # last stage redeems what is left, whatever the map says there
-        picks = {n: a for n, a in stage_actions.items() if n < last}
-        picks[last] = k - sum(picks.values())
-    stages = sorted(picks)
-    amounts = np.zeros(n_steps, dtype=np.int64)
-    # an amount outside 0..k is refused below whatever it is; clipped, it fits
-    amounts[stages] = [min(max(picks[n], -1), k + 1) for n in stages]
+    amounts = np.zeros(grid.n_steps, dtype=np.int64)  # other stages redeem 0, which their tables admit
+    s_index = k
+    for n in [*sorted(n for n in choices if n < last), last]:
+        action = choices[n] if n < last else s_index  # the last stage redeems what is left
+        if action is None:
+            action = int(actions[n][s_index, col])
+        if action not in actions[n][s_index]:
+            raise ValueError(f"stage {n}, nominal index {s_index}: action {action} not admissible")
+        amounts[n] = action
+        s_index -= action
     held = k - np.concatenate(([0], np.cumsum(amounts)))  # nominal index over each step
-    coupons = coupons_on_grid(spec, grid)
-
-    # one comparison of every pick against its table row: up to the first
-    # refusal the nominal held is exact, past it the rows read are clipped
-    width = max(actions[n].shape[1] for n in stages)
-    rows = np.stack([np.broadcast_to(actions[n][s], (width,))
-                     for n, s in zip(stages, np.clip(held[stages], 0, k))])
-    refused = ~(rows == amounts[stages, None]).any(axis=1)
-    if refused.any():
-        n = stages[int(np.argmax(refused))]
-        raise ValueError(f"stage {n}, nominal index {held[n]}: action {picks[n]} not admissible")
-    cash = np.zeros(n_steps + 1)
-    cash[1:] = (amounts + coupons[1:] * held[:-1]) / k
+    cash = np.concatenate(([0.0], (amounts + coupons_on_grid(spec, grid)[1:] * held[:-1]) / k))
     return cash, held.astype(float)
 
 
@@ -201,16 +184,8 @@ def price_fixed_schedule(
 
 def _fan(width: int) -> LayerTransition:
     """Read-only default-free step carrying each of ``width`` nodes to itself."""
-    branch = np.broadcast_to([[0.0], [1.0], [0.0]], (3, width))
-    return LayerTransition(
-        succ=np.broadcast_to(np.arange(width), (3, width)),
-        branch_probs=branch,
-        survival=np.broadcast_to(1.0, (width,)),
-        default_prob=np.broadcast_to(0.0, (width,)),
-        probs=branch,
-        live=np.broadcast_to(True, (width,)),
-        next_size=width,
-    )
+    identity = np.array([[0.0], [1.0], [0.0], [1.0], [0.0]])  # down, mid, up, survival, default
+    return _band_transition(np.arange(width), identity, slice(0, width), width, 0, width - 1)
 
 
 def spread_prices(

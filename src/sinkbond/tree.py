@@ -14,6 +14,7 @@ the jump leading to the absorbing default state.
 A step's :class:`LayerTransition` is the one lattice operator: ``expect``
 takes next-layer values back to the current layer (every backward recursion
 and decision stage uses it) and ``push``, its adjoint, carries mass forward.
+One function freezes every step: bands, chains and the pricer's spread fan.
 
 Construction records the survival curve of that push, so CDS legs and
 node-independent redemption schedules are sums over it, with no sweep.
@@ -191,14 +192,6 @@ def _check_branch_probs(probs: np.ndarray, layer: int, first: int = 0) -> None:
         )
 
 
-def _transition(succ: np.ndarray, branch: np.ndarray, survival: np.ndarray, default_prob: np.ndarray,
-                live: np.ndarray, next_size: int) -> LayerTransition:
-    """Freeze one step's branching; leaves (``live`` False) carry all-zero columns."""
-    probs = branch * survival
-    _read_only(succ, branch, survival, default_prob, probs, live)
-    return LayerTransition(succ, branch, survival, default_prob, probs, live, next_size)
-
-
 def _node_columns(params: JDCEVParams, x0: float, dx: float, k: np.ndarray):
     """Rows x, level, intensity and drift of node x0 + k * dx; clean where none can raise."""
     x = x0 + k * dx
@@ -233,7 +226,7 @@ def _branch_columns(params: JDCEVParams, x0: float, dx_prev: float, dt: float, k
 def _band_transition(succ: np.ndarray, floats: np.ndarray, band: slice, size: int, lo: int, hi: int) -> LayerTransition:
     """Freeze one step of a layer of ``size`` nodes from its band's successors,
     numbered from ``lo`` to ``hi`` in the next layer, and :func:`_branch_columns`
-    rows; nodes off the band are leaves with all-zero columns.
+    rows, or one column broadcast over the band; nodes off it are all-zero leaves.
 
     Padding is one zeroed block per dtype: branch, survival, default
     probability and the survival-scaled branches are rows of one float block.
@@ -387,12 +380,11 @@ def deterministic_tree(grid: TimeGrid, intensities: Union[float, Sequence[float]
     z = np.full(1, np.nan)
     lam = path.reshape(n_dates, 1).copy()
     succ = np.zeros((3, 1), dtype=np.intp)
-    branch = np.array([[0.0], [1.0], [0.0]])
-    live = np.ones(1, dtype=bool)
     _read_only(x, z, lam)
     layers = tuple(TreeLayer(x=x, z_level=z, intensity=lam[n]) for n in range(n_dates))
     transitions = tuple(
-        _transition(succ, branch, np.exp(-lam[n] * dt), -np.expm1(-lam[n] * dt), live, 1)
+        _band_transition(succ, np.vstack(([[0.0], [1.0], [0.0]], np.exp(-lam[n] * dt), -np.expm1(-lam[n] * dt))),
+                         slice(0, 1), 1, 0, 0)
         for n, dt in enumerate(grid.steps)
     )
     # a chain's push multiplies its one mass by the step survival, bit for bit

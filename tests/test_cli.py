@@ -483,6 +483,13 @@ class TestCalibrateCommand:
         assert code == 2
         assert "quotes" in report["error"]["message"]
 
+    def test_steps_per_year_flag_exits_2_naming_the_calibration_key(self, tmp_path):
+        payload = dict(BASE, quotes=[{"tenor": 2.0, "spread": 0.002}], calibration={"steps_per_year": 2})
+        code, report = run(tmp_path, "calibrate", payload, "--steps-per-year", "52")
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert "calibration.steps_per_year" in report["error"]["message"]
+
 
 @pytest.mark.parametrize(
     "command, section, key, value",
@@ -757,5 +764,6 @@ def test_emitted_report_is_json_dumps_of_the_report(tmp_path, monkeypatch, comma
     runner = cli._COMMANDS[command]
     monkeypatch.setitem(cli._COMMANDS, command, lambda config, args: reports.append(runner(config, args)) or reports[0])
     config, out = write_config(tmp_path, dict(BASE, **sections)), tmp_path / "report.json"
-    assert main([command, "--config", config, "--out", str(out), "--steps-per-year", "12"]) == 0
+    density = [] if command == "calibrate" else ["--steps-per-year", "12"]  # calibrate reads its own key
+    assert main([command, "--config", config, "--out", str(out), *density]) == 0
     assert out.read_text() == json.dumps(reports[0], indent=2, sort_keys=True) + "\n"

@@ -663,7 +663,7 @@ def test_schedule_cashflows_equal_the_stage_by_stage_loop(name, steps_per_year):
         assert same_bits(schedule_cashflows(spec, grid, rule), loop_schedule_cashflows(spec, grid, rule))
 
 
-@pytest.mark.parametrize("steps_per_year", [1, 12])
+@pytest.mark.parametrize("steps_per_year", [1, 12, 52, 252])
 def test_schedule_maps_equal_the_stage_by_stage_loop(steps_per_year):
     spec = README_BOND
     grid = bond_grid(spec, steps_per_year)

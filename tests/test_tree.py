@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import mean_chain, per_layer_validate_tree, per_step_build_trinomial, push_pass_mass_curve
 
+from sinkbond import pricer
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams, intensity, inverse_transform, transform, x_state
 from sinkbond.market_data import TimeGrid, build_time_grid
@@ -158,6 +159,41 @@ class TestDeterministicTree:
         assert [float(layer.intensity[0]) for layer in tree.layers] == [0.01, 0.03, 0.0]
         with pytest.raises(ValueError):
             deterministic_tree(grid, [0.01, 0.03])
+
+    def test_chain_and_fan_transitions_are_read_only_and_keep_their_bits(self):
+        """Chain steps and the spread fan equal hand-built transitions field by field, bit for bit."""
+        grid = build_time_grid(1.0, 2)
+        lam = np.array([[0.01], [0.03], [0.0]])
+        chain = [
+            LayerTransition(
+                succ=np.zeros((3, 1), dtype=np.intp),
+                branch_probs=np.array([[0.0], [1.0], [0.0]]),
+                survival=np.exp(-lam[n] * dt),
+                default_prob=-np.expm1(-lam[n] * dt),
+                probs=np.array([[0.0], [1.0], [0.0]]) * np.exp(-lam[n] * dt),
+                live=np.ones(1, dtype=bool),
+                next_size=1,
+            )
+            for n, dt in enumerate(grid.steps)
+        ]
+        fan = LayerTransition(
+            succ=np.broadcast_to(np.arange(64), (3, 64)),
+            branch_probs=np.broadcast_to([[0.0], [1.0], [0.0]], (3, 64)),
+            survival=np.ones(64),
+            default_prob=np.zeros(64),
+            probs=np.broadcast_to([[0.0], [1.0], [0.0]], (3, 64)),
+            live=np.ones(64, dtype=bool),
+            next_size=64,
+        )
+        fields = [f.name for f in dataclasses.fields(LayerTransition) if f.name != "next_size"]
+        pairs = [*zip(deterministic_tree(grid, [0.01, 0.03, 0.0]).transitions, chain), (pricer._fan(64), fan)]
+        for got, want in pairs:
+            assert got.next_size == want.next_size
+            for name in fields:
+                g, w = getattr(got, name), getattr(want, name)
+                assert not g.flags.writeable, name
+                assert g.dtype == w.dtype and g.shape == w.shape, name
+                assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes(), name
 
     def test_negative_intensity_rejected(self):
         # a spread is a curve shift, never an intensity: survival above one
