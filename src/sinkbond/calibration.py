@@ -40,15 +40,12 @@ class CDSQuote:
 
     tenor: float
     spread: float
-    side: str = "mid"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tenor < math.inf:
             raise ValueError(f"tenor must be positive and finite, got {self.tenor!r}")
         if not 0.0 <= self.spread < math.inf:
             raise ValueError(f"spread must be nonnegative and finite, got {self.spread!r}")
-        if self.side not in ("bid", "ask", "mid"):
-            raise ValueError(f"unknown quote side {self.side!r}")
 
 
 @dataclass(frozen=True)

@@ -72,8 +72,8 @@ class SinkingBondSpec:
                 raise ValueError("maturity must be a whole number of coupon periods")
         if not 0.0 <= self.recovery <= 1.0:
             raise ValueError("recovery must lie in [0, 1]")
-        for d in self.redemption_dates:
-            if not 0.0 < d < self.maturity:
+        for d in self.redemption_dates:  # a date within rounding of maturity would merge with it
+            if not (0.0 < d and self.maturity - d > _atol(self.maturity)):
                 raise ValueError(
                     f"redemption date {d!r} must lie strictly inside (0, maturity); "
                     "full redemption at maturity is implicit"

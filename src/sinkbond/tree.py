@@ -466,74 +466,45 @@ def validate_tree(tree: IntensityTree) -> TreeDiagnostics:
     is taken on trust from the build.  The checks run on blocks of distinct
     steps of at most ``_BLOCK_NODES`` nodes (a larger layer is a block of
     its own), as whole-block array operations with per-step maxima and
-    minima taken by ``reduceat``; violation texts are built only for flagged
-    steps.  The mass pass stays one ``push`` per layer, with each distinct
-    step's leaves and clipped successors found once.
+    minima taken by ``reduceat``, into one record per distinct step: its
+    statistics, violation texts (built only for flagged steps), leaf mask and
+    pushing transition.  One pass over the steps reads the records, names the
+    violations, sums the truncated mass and pushes.
     """
-    layers, transitions = tree.layers, tree.transitions
-    sizes = [layer.size for layer in layers]
+    layers = tree.layers
     steps = tree.grid.steps.tolist()
-    position: dict[tuple, int] = {}
-    distinct, owner = [], []  # first step of each key; per step, its key's position
-    for n, tr in enumerate(transitions):
-        key = (id(layers[n]), id(tr), id(layers[n + 1]), steps[n])
-        if key not in position:
-            position[key] = len(distinct)
-            distinct.append(n)
-        owner.append(position[key])
-
-    stats, flagged, clipped = [], {}, set()
-    for a, b in _blocks([sizes[n] for n in distinct]):
-        block_stats, block_flagged, block_clipped = _check_block(tree, sizes, distinct[a:b])
-        stats.append(block_stats)
-        flagged.update(block_flagged)
-        clipped.update(block_clipped)
-    columns = [np.concatenate(col)[owner].tolist() for col in zip(*stats)] or [[]] * 5
-    sum_errs, min_probs, max_probs, mean_errs, var_errs = columns
-    if tree.params is None:  # a chain's variance is zero by design
-        var_errs = [None] * tree.n_steps
-
-    passes = []  # per distinct step: its leaf mask (None without leaves) and the transition that pushes its mass
-    for n in distinct:
-        tr = transitions[n]
-        if n in clipped:
-            tr = dataclasses.replace(tr, succ=np.clip(tr.succ, 0, sizes[n + 1] - 1), next_size=sizes[n + 1])
-        passes.append((~tr.live if np.count_nonzero(tr.live) < tr.live.size else None, tr))
+    first: dict[tuple, int] = {}
+    owner = [  # per step, the first step with its key
+        first.setdefault((id(layers[n]), id(tr), id(layers[n + 1]), steps[n]), n)
+        for n, tr in enumerate(tree.transitions)
+    ]
+    distinct = list(first.values())
+    records = {}
+    for a, b in _blocks([layers[n].size for n in distinct]):
+        records.update(zip(distinct[a:b], _check_block(tree, distinct[a:b])))
 
     violations: list[str] = []
     reports = []
     mass = np.ones(1)
     total_truncated = 0.0
     for n, d in enumerate(owner):
-        if distinct[d] in flagged:
-            violations.extend(f"layer {n}{text}" for text in flagged[distinct[d]])
-        leaves, tr = passes[d]
+        stats, texts, leaves, pushed = records[d]
+        violations.extend(f"layer {n}{text}" for text in texts)
         truncated = 0.0 if leaves is None else float(mass[leaves].sum())
         total_truncated += truncated
-        mass = tr.push(mass)
-        reports.append(
-            LayerReport(
-                layer=n,
-                size=sizes[n],
-                prob_sum_error=sum_errs[n],
-                min_branch_prob=min_probs[n],
-                max_branch_prob=max_probs[n],
-                mean_error=mean_errs[n],
-                variance_error=var_errs[n],
-                truncated_mass=truncated,
-            )
-        )
+        mass = pushed.push(mass)
+        reports.append(LayerReport(n, layers[n].size, *stats, truncated))
 
     if not total_truncated <= _TRUNCATION_TOL:
         violations.append(f"truncated mass {total_truncated!r} exceeds {_TRUNCATION_TOL!r}")
     # builtin max folds left like a per-layer running maximum: a NaN never replaces an earlier value
-    variances = [] if tree.params is None else var_errs
+    variances = [] if tree.params is None else [r.variance_error for r in reports]
     return TreeDiagnostics(
         layer_reports=tuple(reports),
         violations=tuple(violations),
-        layer_sizes=tuple(sizes),
-        max_prob_sum_error=max([0.0, *sum_errs]),
-        max_mean_error=max([0.0, *mean_errs]),
+        layer_sizes=tree.layer_sizes(),
+        max_prob_sum_error=max([0.0, *(r.prob_sum_error for r in reports)]),
+        max_mean_error=max([0.0, *(r.mean_error for r in reports)]),
         max_variance_error=max(variances, default=None),
         second_moment_constant=max((v / dt**2 for v, dt in zip(variances, steps)), default=None),
         total_truncated_mass=total_truncated,
@@ -552,14 +523,14 @@ def _blocks(sizes: list[int]):
         yield a, len(sizes)
 
 
-def _check_block(tree: IntensityTree, layer_sizes: list[int], steps: list[int]):
-    """Node checks of the given steps: returns their per-step (sum error, min and
-    max branch probability, mean error, variance error), the violation texts of
-    each flagged step after its "layer n" in per-layer order, and the steps
-    whose successors were clipped."""
+def _check_block(tree: IntensityTree, steps: list[int]):
+    """Node checks of the given steps: per step, a record (stats, texts, leaves, pushed)
+    of its (sum error, min and max branch probability, mean error, variance error or
+    None on a chain), its violation texts after "layer n" in per-layer order, its leaf
+    mask or None without leaves, and its transition, successors clipped into the next layer."""
     layers, trs = tree.layers, [tree.transitions[n] for n in steps]
-    sizes = np.array([layer_sizes[n] for n in steps])
-    next_sizes = np.array([layer_sizes[n + 1] for n in steps])
+    sizes = np.array([layers[n].size for n in steps])
+    next_sizes = np.array([layers[n + 1].size for n in steps])
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     dt = tree.grid.steps[steps]
 
@@ -606,20 +577,25 @@ def _check_block(tree: IntensityTree, layer_sizes: list[int], steps: list[int]):
     max_prob = np.maximum.reduceat(live_probs.max(axis=0), live_starts)
 
     sum_bad = ~(sum_err <= _PROB_TOL)
-    flagged = {}
-    for i in np.flatnonzero(sum_bad | node_flagged | succ_bad | var_bad):
-        lo, hi = int(starts[i]), int(starts[i] + sizes[i])
-        texts = flagged[steps[i]] = []
-        if sum_bad[i]:
-            worst = int(np.argmax(sum_errs[lo:hi]))
-            texts.append(f" node {worst}: probabilities sum to {sums[lo + worst]!r}")
-        for row, node in np.argwhere(outside[:, lo:hi]):
-            texts.append(f" node {int(node)}: probability {all_probs[row, lo + node]!r} outside [0, 1]")
-        for node in np.flatnonzero(leafy[lo:hi]):
-            texts.append(f" node {int(node)}: leaf carries probability")
-        if succ_bad[i]:
-            texts.append(": successor index outside the next layer")
-        if var_bad[i]:
-            texts.append(f": branch variance misses dt = {float(dt[i])!r} by {float(var_err[i])!r}")
-    clipped = [steps[i] for i in np.flatnonzero(succ_bad)]
-    return (sum_err, min_prob, max_prob, mean_err, var_err), flagged, clipped
+    flags = (sum_bad | node_flagged | succ_bad | var_bad).tolist()
+    has_leaves = (live_counts < sizes).tolist()
+    var_errs = [None] * len(steps) if tree.params is None else var_err.tolist()
+    records = []
+    for i, stats in enumerate(zip(sum_err.tolist(), min_prob.tolist(), max_prob.tolist(), mean_err.tolist(), var_errs)):
+        tr, texts = trs[i], []
+        if flags[i]:
+            lo, hi = int(starts[i]), int(starts[i] + sizes[i])
+            if sum_bad[i]:
+                worst = int(np.argmax(sum_errs[lo:hi]))
+                texts.append(f" node {worst}: probabilities sum to {sums[lo + worst]!r}")
+            for row, node in np.argwhere(outside[:, lo:hi]):
+                texts.append(f" node {int(node)}: probability {all_probs[row, lo + node]!r} outside [0, 1]")
+            for node in np.flatnonzero(leafy[lo:hi]):
+                texts.append(f" node {int(node)}: leaf carries probability")
+            if succ_bad[i]:
+                texts.append(": successor index outside the next layer")
+                tr = dataclasses.replace(tr, succ=np.clip(tr.succ, 0, next_sizes[i] - 1), next_size=int(next_sizes[i]))
+            if var_bad[i]:
+                texts.append(f": branch variance misses dt = {float(dt[i])!r} by {float(var_err[i])!r}")
+        records.append((stats, texts, ~tr.live if has_leaves[i] else None, tr))
+    return records

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from sinkbond.calibration import (
     premium_dates,
     price_cds,
 )
+from sinkbond.cli import main
 from sinkbond.jdcev import JDCEVParams
 from sinkbond.market_data import DiscountCurve, build_time_grid
 from sinkbond.tree import augment_default, build_trinomial, deterministic_tree
@@ -29,13 +31,16 @@ def chain_tree(intensity, horizon=5.0, steps_per_year=12):
 
 
 class TestQuoteValidation:
-    def test_domains(self):
+    def test_domains(self, tmp_path, capsys):
         with pytest.raises(ValueError):
             CDSQuote(tenor=0.0, spread=0.01)
         with pytest.raises(ValueError):
             CDSQuote(tenor=5.0, spread=-0.01)
-        with pytest.raises(ValueError):
-            CDSQuote(tenor=5.0, spread=0.01, side="offer")
+        # a quote has no side: the key is refused by name, like any unknown key
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"quotes": [{"tenor": 5.0, "spread": 0.01, "side": "offer"}]}))
+        assert main(["calibrate", "--config", str(config)]) == 2
+        assert "unknown key 'quotes[0].side'" in capsys.readouterr().out
 
     @pytest.mark.parametrize("spread", [math.nan, math.inf, -math.inf])
     def test_spread_must_be_finite(self, spread):

@@ -269,6 +269,17 @@ class TestWorstCommand:
         assert "callable" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("command, section", [("price", {}), ("worst", {"worst": {"spread": 0.01}})])
+def test_a_redemption_date_within_rounding_of_maturity_exits_2(tmp_path, command, section):
+    bond = dict(sinking_bond_section(), allow_skip=True, full_call=True)
+    bond["redemption_dates"] = [1.0, 2.0, 4.0 - 1e-12]
+    code, report = run(tmp_path, command, dict(BASE, bond=bond, **section))
+    assert code == 2
+    assert "strictly inside (0, maturity)" in report["error"]["message"]
+    bond["redemption_dates"] = [1.0, 2.0, 4.0 - 1e-10]  # its own grid date: it still prices
+    assert run(tmp_path, command, dict(BASE, bond=bond, **section))[0] == 0
+
+
 class TestValidateTreeCommand:
     def test_clean_lattice(self, tmp_path):
         payload = dict(BASE, grid={"steps_per_year": 8, "maturity": 2.0})

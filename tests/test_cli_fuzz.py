@@ -36,7 +36,7 @@ COMMANDS = ("price", "zspread", "worst", "mc-check", "validate-tree", "calibrate
 RECORDS = [(name, None) for name in BASE if name != "quotes"] + [("quotes", 0), ("quotes", 1), ("pillars", 1)]
 KEYS = {
     **{name: list(section) for name, section in BASE.items() if name != "quotes"},
-    "quotes": ["tenor", "spread", "side"],
+    "quotes": ["tenor", "spread"],
     "pillars": ["time", "rate"],
     # also keys the base leaves at their defaults
     "curve": ["pillars", "file"],

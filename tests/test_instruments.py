@@ -95,6 +95,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             two_installment_bond(**overrides)
 
+    def test_a_redemption_date_within_rounding_of_maturity_is_refused(self):
+        with pytest.raises(ValueError, match="strictly inside"):
+            two_installment_bond(redemption_dates=(1.0, 9.999999999999))
+        # a date a rounding step further out keeps its own grid date
+        spec = two_installment_bond(redemption_dates=(1.0, 10.0 - 1e-10))
+        assert len(redemption_stages(spec, bond_grid(spec, 4))) == 2
+
     def test_fractional_coupon_periods_rejected(self):
         with pytest.raises(ValueError, match="coupon periods"):
             SinkingBondSpec(maturity=1.3, coupon_rate=0.05, coupon_frequency=1)

@@ -766,7 +766,7 @@ class TestSharedSteps:
         assert np.array_equal(np.concatenate(seen), np.concatenate(live_x))
 
     @pytest.mark.parametrize("steps_per_year", [52, 252])
-    @pytest.mark.parametrize("case", ["one-occurrence", "every-occurrence", "successor"])
+    @pytest.mark.parametrize("case", ["one-occurrence", "every-occurrence", "successor", "successor-and-leaf"])
     def test_corrupted_shared_step_report_equals_the_per_layer_report(self, steps_per_year, case):
         trees, steps = shared_corruptions(readme_bond_lattice(steps_per_year))
         assert len(steps) > 2
@@ -817,6 +817,8 @@ def shared_corruptions(tree):
     succ = tr.succ.copy()
     succ[2, live[-1]] = tr.next_size + 2
     bad_probs, bad_succ = dataclasses.replace(tr, probs=probs), dataclasses.replace(tr, succ=succ)
+    leafy = tr.live.copy()
+    leafy[live[-2]] = False  # a leaf that keeps its probabilities; near the band's top, too light to truncate
 
     def everywhere(bad):
         return dataclasses.replace(tree, transitions=tuple(bad if i == most else t for i, t in zip(ids, tree.transitions)))
@@ -825,6 +827,7 @@ def shared_corruptions(tree):
         "one-occurrence": with_transition(tree, steps[1], bad_probs),
         "every-occurrence": everywhere(bad_probs),
         "successor": everywhere(bad_succ),
+        "successor-and-leaf": everywhere(dataclasses.replace(bad_succ, live=leafy)),
     }, steps
 
 
