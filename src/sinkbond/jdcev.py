@@ -4,15 +4,17 @@ The default intensity is a negative power of the pre-default stock level,
 lambda(z) = lambda0 * (z / z0)^(2*beta) with beta < 0, so falling equity means
 rising default risk.  Pricing lattices and simulations do not work on the
 stock level directly: a power-law change of variable maps it to a coordinate
-with unit diffusion, where equally spaced lattice nodes are natural.  This
+with unit diffusion, where equally spaced lattice nodes are natural and the
+model is rational: intensity lambda0 * (x0 / x)^2 and a drift in 1 / x.  This
 module holds the parameter set, the intensity map, the coordinate change
-and :func:`x_state`, the one map from a coordinate to the stock level,
-intensity and drift that the lattice and the simulation need there, in
-whole-array passes that can fill caller-owned buffers.
+and :func:`x_state`, the one map from a coordinate to the intensity and
+drift that the lattice and the simulation need there, in whole-array passes
+with no power that can fill caller-owned buffers.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -70,20 +72,13 @@ def intensity(params: JDCEVParams, z_level: ArrayLike) -> ArrayLike:
     the intensity is identically zero and so is its boundary value.
     """
     z = np.asarray(z_level, dtype=float)
-    lam = _intensity(params, np.where(z > 0.0, z, 0.0), np.empty(z.shape))
-    return _maybe_scalar(lam, z.ndim == 0)
-
-
-def _intensity(params: JDCEVParams, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The capped intensity at levels z >= 0, written into ``out``: the cap at 0 unless lambda0 = 0."""
     if params.lambda0 == 0.0:
-        out[...] = 0.0
-        return out
-    np.divide(z, params.z0, out=out)
+        return _maybe_scalar(np.zeros(z.shape), z.ndim == 0)
+    lam = np.divide(np.where(z > 0.0, z, 0.0), params.z0, out=np.empty(z.shape))
     with np.errstate(divide="ignore", over="ignore"):  # a ratio at or underflowing to 0 diverges: capped below
-        out **= 2.0 * params.beta
-        out *= params.lambda0
-    return np.fmin(out, params.lambda_cap, out=out)
+        lam **= 2.0 * params.beta
+        lam *= params.lambda0
+    return _maybe_scalar(np.fmin(lam, params.lambda_cap, out=lam), z.ndim == 0)
 
 
 def transform(params: JDCEVParams, z_level: ArrayLike) -> ArrayLike:
@@ -112,46 +107,48 @@ def _level(params: JDCEVParams, x: np.ndarray, out: Optional[np.ndarray] = None)
     return z
 
 
-def _drift(params: JDCEVParams, z: np.ndarray, lam: ArrayLike, out: Optional[np.ndarray] = None,
-           where: Union[bool, np.ndarray] = True) -> np.ndarray:
-    """Ito drift nu(x) of the unit-diffusion coordinate at level z > 0 with intensity lam.
+@functools.lru_cache(maxsize=16)
+def _rational(params: JDCEVParams) -> tuple[float, float]:
+    """x0, the coordinate of z0, and the drift's numerator lambda0 * x0^2 * b + (b - 1) / (2b), b = -beta."""
+    x0, b = float(transform(params, params.z0)), -params.beta
+    return x0, params.lambda0 * x0 * x0 * b + 0.5 * (b - 1.0) / b
 
-    The stock diffusion dZ = lambda(Z) Z dt + sigma Z^(beta+1) dW maps to
-    dx = nu(x) dt + dW with
 
-        nu(x) = lambda(z) * z^(-beta) / sigma + 0.5 * (-beta - 1) * sigma * z^beta.
+def x_state(params: JDCEVParams, x: np.ndarray, out: Optional[tuple] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Capped intensity and drift at the coordinates ``x``, with no level and no power.
 
-    The powers are taken only where ``where`` holds; elsewhere the drift is 0,
-    with no floating-point flag, if ``out`` holds zeros and lam is finite.
+    In x the model is rational.  With x0 the coordinate of z0 and b = -beta,
+    z^b = sigma * b * x turns lambda0 * (z / z0)^(2 beta) into
+    lambda0 * (x0 / x)^2, and the Ito drift of dZ = lambda(Z) Z dt +
+    sigma Z^(beta+1) dW, lambda * z^b / sigma + (b - 1) * sigma * z^(-b) / 2,
+    into nu(x) = (lambda0 * x0^2 * b + (b - 1) / (2b)) / x.
+
+    x <= 0 or NaN is the default boundary, with the boundary intensity of
+    :func:`intensity` and drift 0.  Elsewhere the intensity is
+    min(lambda0 * (x0 / x)^2, cap), the ratio taken first so lambda0 * x0^2
+    cannot underflow, and a ratio past the float range is capped quietly.
+    The drift is nu(x) where the intensity is below the cap (at every x > 0
+    when lambda0 = 0) and 0 where it is capped: with lambda0 > 0 such states
+    are numerically certain defaulters, and following the diverging boundary
+    drift would only stretch lattice layers (and move simulated paths after
+    their default) for mass of size exp(-cap * dt).
+
+    Whole-array passes with no gather: ``fmax`` sends the boundary to x0 / 0,
+    ``fmin`` caps the intensity, and the drift's quotient runs under one
+    ``live`` mask, so its values, warnings and errors are those of the
+    formula taken only where it applies.  ``out``, an (intensity, drift)
+    pair of float arrays of x's shape other than x, is filled.
     """
-    drift = np.power(z, -params.beta, out=out, where=where)
-    drift *= lam
-    drift /= params.sigma
-    convexity = np.power(z, params.beta, out=np.zeros_like(z), where=where)
-    np.multiply(convexity, 0.5 * (-params.beta - 1.0) * params.sigma, out=convexity, where=where)
-    return np.add(drift, convexity, out=drift)
-
-
-def x_state(params: JDCEVParams, x: np.ndarray, out: Optional[tuple] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stock level, capped intensity and drift at the coordinates ``x``.
-
-    x <= 0 is the default boundary: level 0 and the boundary intensity of
-    :func:`intensity`.  The drift is zero at level 0, which a positive x can
-    underflow to, and wherever the intensity is capped: with lambda0 > 0 such
-    states are numerically certain defaulters, and following the diverging
-    boundary drift would only stretch lattice layers (and move simulated
-    paths after their default) for mass of size exp(-cap * dt).
-
-    Whole-array passes with no gather: ``fmax`` clamps the level's input at 0
-    (NaN too), ``fmin`` caps the intensity, and the drift's powers run under
-    one ``live`` mask, so values, warnings and errors are those of each
-    formula taken only where it applies.  ``out``, a (level, intensity,
-    drift) triple of float arrays of x's shape other than x, is filled.
-    """
-    z, lam, drift = out if out is not None else (np.empty(np.shape(x)) for _ in range(3))
-    np.add(np.fmax(x, 0.0, out=z), 0.0, out=z)  # + 0.0: fmax may keep -0.0, which an odd power keeps
-    _level(params, z, out=z)
-    _intensity(params, z, lam)
-    live = z > 0.0 if params.lambda0 == 0.0 else lam < params.lambda_cap  # lambda0 > 0 caps level 0
+    lam, drift = out if out is not None else (np.empty(np.shape(x)), np.empty(np.shape(x)))
+    x0, numerator = _rational(params)
+    if params.lambda0 == 0.0:
+        lam.fill(0.0)
+        live = np.greater(x, 0.0)
+    else:
+        with np.errstate(divide="ignore", over="ignore"):  # an infinite or overflowed ratio: capped below
+            np.divide(x0, np.fmax(x, 0.0, out=lam), out=lam)
+            lam *= lam
+            lam *= params.lambda0
+        live = np.fmin(lam, params.lambda_cap, out=lam) < params.lambda_cap
     drift.fill(0.0)
-    return z, lam, _drift(params, z, lam, out=drift, where=live)
+    return lam, np.divide(numerator, x, out=drift, where=live)

@@ -3,7 +3,8 @@
 Paths are Euler steps in the unit-diffusion coordinate (the lattice's own
 coordinate, so no state-dependent-volatility bias separates the two), with
 intensity and drift from :func:`sinkbond.jdcev.x_state`, the map the lattice
-builds its nodes with.  Default is decided exactly as on the lattice: the
+builds its nodes with: rational in x, so a step takes no power and never
+computes a stock level.  Default is decided exactly as on the lattice: the
 running sum of left-endpoint intensities times step widths is compared
 against an independent unit-mean exponential draw per path.  A fixed
 schedule is "max", "min" or a date-to-fraction map (anything else raises
@@ -21,9 +22,8 @@ tail, so the first k paths are bitwise identical however many paths are
 requested, and the bits are the same on any number of workers; changing
 ``_CHUNK`` changes them.  A block allocates its state buffers once and
 steps them in place, one ``x_state`` call per step into the same buffers.
-A path whose hazard has passed its threshold is parked at x0: the hazard
-never decreases, so its default step is fixed, and ``pow`` never sees the
-zero level of a path below the boundary.  Each block runs in a copy of the
+A path keeps stepping after its default: the hazard never decreases, so
+its default step is fixed.  Each block runs in a copy of the
 caller's context (so its ``np.errstate`` holds there); the workers are
 joined before :func:`simulate_paths` returns or raises, and a block's
 exception is raised on the calling thread.
@@ -98,7 +98,7 @@ def simulate_paths(params: JDCEVParams, grid: TimeGrid, n_paths: int, seed: int)
         thresholds = gen.standard_exponential(_CHUNK)
         shock = np.empty(_CHUNK)
         x = np.full(_CHUNK, x0)
-        _, lam, drift = state = x_state(params, x)
+        lam, drift = state = x_state(params, x)
         hazard = np.zeros_like(x)
         # the hazard never decreases: the steps ending above the threshold are the default step on
         dead = np.empty(x.shape, dtype=bool)
@@ -113,7 +113,6 @@ def simulate_paths(params: JDCEVParams, grid: TimeGrid, n_paths: int, seed: int)
             x += drift
             shock *= sqrt_dt
             x += shock
-            np.copyto(x, x0, where=dead)  # parked: a defaulted path's steps cannot move its default step
             x_state(params, x, out=state)
         stop = min(start + _CHUNK, n_paths)
         default_step[start:stop] = np.where(dead_steps > 0, n_steps + 1 - dead_steps, -1)[:stop - start]

@@ -3,9 +3,10 @@
 The lattice lives in the unit-diffusion coordinate of :mod:`sinkbond.jdcev`,
 where a per-layer node spacing of sqrt(3 * dt) together with nearest-node
 centering guarantees branch probabilities inside [0, 1].  Each node carries
-the back-transformed stock level and the (capped) intensity it implies, and
-successors are centred on its drift; all three come from
-:func:`sinkbond.jdcev.x_state`, the map the Monte Carlo paths use too.
+its (capped) intensity, and successors are centred on its drift; both come
+from :func:`sinkbond.jdcev.x_state`, the map the Monte Carlo paths use too,
+with no power.  The node's back-transformed stock level, which no step
+reads, is stored beside them.
 Every node also gets a one-step default probability 1 - exp(-intensity * dt),
 and its diffusion branches scaled by the matching survival factor sum with
 it to one; :func:`augment_default` marks the tree ready for pricing, with
@@ -58,7 +59,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .jdcev import JDCEVParams, transform, x_state
+from .jdcev import JDCEVParams, _level, transform, x_state
 from .market_data import TimeGrid
 
 _PROB_TOL = 1e-12
@@ -195,10 +196,10 @@ def _check_branch_probs(probs: np.ndarray, layer: int, first: int = 0) -> None:
 def _node_columns(params: JDCEVParams, x0: float, dx: float, k: np.ndarray):
     """Rows x, level, intensity and drift of node x0 + k * dx; clean where none can raise."""
     x = x0 + k * dx
-    z, lam, drift = x_state(params, x)
-    with np.errstate(all="ignore"):  # z / z0, the intensity's ratio, overflows before z does
-        clean = np.isfinite(z / params.z0) & np.isfinite(drift)
-    return (np.stack((x, z, lam, drift)),), clean
+    lam, drift = x_state(params, x)
+    with np.errstate(over="ignore"):  # the stored level only: it can overflow where x_state is finite
+        z = _level(params, np.fmax(x, 0.0))
+    return (np.stack((x, z, lam, drift)),), np.isfinite(lam) & np.isfinite(drift)
 
 
 def _branch_columns(params: JDCEVParams, x0: float, dx_prev: float, dt: float, k: np.ndarray):
@@ -563,7 +564,7 @@ def _check_block(tree: IntensityTree, steps: list[int]):
     x = np.concatenate([layers[n].x for n in steps])[live_nodes]
     branch = np.concatenate([tr.branch_probs for tr in trs], axis=1).take(live_nodes, axis=1)
     live_dt = np.repeat(dt, live_counts)
-    drift = np.zeros_like(x) if tree.params is None else x_state(tree.params, x)[2]
+    drift = np.zeros_like(x) if tree.params is None else x_state(tree.params, x)[1]
     target = x + drift * live_dt
     next_x = np.concatenate([layers[n + 1].x for n in steps])
     next_starts = np.concatenate(([0], np.cumsum(next_sizes)[:-1]))

@@ -80,10 +80,10 @@ def mean_chain(params, grid):
     x = np.array([float(transform(params, params.z0))])
     path = []
     for dt in grid.steps:
-        _, lam, drift = x_state(params, x)
+        lam, drift = x_state(params, x)
         path.append(float(lam[0]))
         x = x + drift * dt
-    path.append(float(x_state(params, x)[1][0]))
+    path.append(float(x_state(params, x)[0][0]))
     return deterministic_tree(grid, path)
 
 
@@ -186,13 +186,13 @@ def block_generators(seed: int, n_paths: int, chunk: int) -> list:
 
 
 def block_default_steps(params, grid, n_paths: int, seed: int, chunk: int, *, zero_shock: bool = False):
-    """Reference Monte Carlo default steps: one block after another on one thread, no parking.
+    """Reference Monte Carlo default steps: one block after another on one thread.
 
     A block draws ``chunk`` exponential thresholds from its stream, then
     ``chunk`` normals at each step, that step's Euler shocks (left out with
     ``zero_shock``, which puts every path on the mean chain); the rows past
     ``n_paths`` are dropped.  The stepping and default rule are those of
-    ``sinkbond.mc``, but a defaulted path keeps evolving.
+    ``sinkbond.mc``: a defaulted path keeps evolving.
     """
     from sinkbond.jdcev import transform, x_state
 
@@ -201,7 +201,7 @@ def block_default_steps(params, grid, n_paths: int, seed: int, chunk: int, *, ze
     for gen in block_generators(seed, n_paths, chunk):
         thresholds = gen.standard_exponential(chunk)
         x = np.full(chunk, float(transform(params, params.z0)))
-        _, lam, drift = x_state(params, x)
+        lam, drift = x_state(params, x)
         default_step = np.full(chunk, -1, dtype=np.intp)
         hazard_sum = np.zeros(chunk)
         for n, dt in enumerate(grid.steps):
@@ -212,7 +212,7 @@ def block_default_steps(params, grid, n_paths: int, seed: int, chunk: int, *, ze
             x = x + drift * dt
             if not zero_shock:
                 x = x + sqrt_steps[n] * shock
-            _, lam, drift = x_state(params, x)
+            lam, drift = x_state(params, x)
         blocks.append(default_step)
     return np.concatenate(blocks)[:n_paths]
 
@@ -242,22 +242,26 @@ def per_path_mc_estimate(paths, spec, schedule, curve) -> tuple[float, float]:
 def masked_x_state(params, x):
     """Reference ``jdcev.x_state``: each formula gathered to the nodes it applies to.
 
-    The level is computed only at x > 0 and the drift only at live nodes
-    (level above 0, intensity below the cap), then scattered into zeros, so
-    no floating-point flag can come from a node a formula does not apply to.
+    With x0 the coordinate of z0 and b = -beta, the intensity
+    min(lambda0 * (x0 / x)^2, cap) is computed only at x > 0 (the boundary
+    value of ``intensity`` elsewhere) and the drift
+    (lambda0 * x0^2 * b + (b - 1) / (2b)) / x only at live nodes (x > 0,
+    intensity below the cap), then scattered, so no floating-point flag can
+    come from a node a formula does not apply to.
     """
-    from sinkbond.jdcev import _drift, intensity, inverse_transform
+    from sinkbond.jdcev import intensity, transform
 
-    z = np.zeros_like(x)
+    x0, b = float(transform(params, params.z0)), -params.beta
     pos = x > 0.0
-    if pos.any():
-        z[pos] = inverse_transform(params, x[pos])
-    lam = np.asarray(intensity(params, z), dtype=float)
+    lam = np.full(x.shape, intensity(params, 0.0))
+    if params.lambda0 > 0.0 and pos.any():
+        with np.errstate(over="ignore"):  # a ratio past the float range is capped
+            lam[pos] = np.fmin(params.lambda0 * (x0 / x[pos]) ** 2, params.lambda_cap)
     drift = np.zeros_like(x)
-    live = (z > 0.0) & (lam < params.lambda_cap)
+    live = pos & (lam < params.lambda_cap)
     if live.any():
-        drift[live] = _drift(params, z[live], lam[live])
-    return z, lam, drift
+        drift[live] = (params.lambda0 * x0 * x0 * b + 0.5 * (b - 1.0) / b) / x[live]
+    return lam, drift
 
 
 def loop_schedule_cashflows(spec, grid, schedule):
@@ -409,10 +413,13 @@ def per_step_build_trinomial(params, grid):
     there patches both builds.
     """
     from sinkbond import tree
-    from sinkbond.jdcev import transform
+    from sinkbond.jdcev import inverse_transform, transform
 
     def frozen_layer(x):
-        z, lam, drift = tree.x_state(params, x)
+        lam, drift = tree.x_state(params, x)
+        z = np.zeros_like(x)
+        with np.errstate(over="ignore"):  # the stored level may overflow where the state is finite
+            z[x > 0.0] = inverse_transform(params, x[x > 0.0])
         for arr in (x, z, lam):
             arr.flags.writeable = False
         return tree.TreeLayer(x=x, z_level=z, intensity=lam), drift
@@ -546,7 +553,7 @@ def per_layer_validate_tree(tree):
 
         x = layer.x[live]
         branch = tr.branch_probs[:, live]
-        drift = np.zeros_like(x) if tree.params is None else lattice.x_state(tree.params, x)[2]
+        drift = np.zeros_like(x) if tree.params is None else lattice.x_state(tree.params, x)[1]
         target = x + drift * dt
         succ_x = next_layer.x[succ[:, live]]
         mean_hat = (branch * succ_x).sum(axis=0)

@@ -26,7 +26,7 @@ GATES = [
     ("price", ["--steps-per-year", "252"], 2, 80),
     ("validate-tree", ["--steps-per-year", "252"], 1, 80),
     ("mc-check", [], 2, 60),
-    ("mc-check", ["--steps-per-year", "252"], 1, 80),
+    ("mc-check", ["--steps-per-year", "252"], 2, 80),
     ("calibrate", [], 2, None),
     ("zspread", [], 2, None),
     ("worst", [], 2, None),

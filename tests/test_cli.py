@@ -616,7 +616,7 @@ def test_curve_file_integer_too_large_for_a_float_exits_2(tmp_path):
 
 @pytest.mark.parametrize("command", ["price", "mc-check", "validate-tree"])
 def test_capped_intensity_at_a_box_corner_prices(tmp_path, command):
-    # at beta = -1e-3 the lattice reaches levels whose z / z0 underflows to 0
+    # at beta = -1e-3 the lattice reaches levels that underflow to 0, and the capped boundary
     model = {"lambda0": 0.004, "sigma": 50.0, "beta": -1e-3, "z0": 30.0}
     payload = dict(BASE, model=model, bond=sinking_bond_section(), grid={"steps_per_year": 52, "maturity": 3.0},
                    mc={"n_paths": 200})
@@ -624,9 +624,25 @@ def test_capped_intensity_at_a_box_corner_prices(tmp_path, command):
     assert code == 0
 
 
+def test_box_corner_prices_validates_and_meets_its_monte_carlo(tmp_path):
+    # levels below x ~ 10 underflow to 0 here, yet those nodes are off the boundary: the drift
+    # (nu + 1/2) / x, about -500 / x, carries the mass there.  Seed 28 was named before the first run.
+    model = {"lambda0": 0.004, "sigma": 50.0, "beta": -1e-3, "z0": 30.0}
+    bond = dict(sinking_bond_section(), maturity=3.0, redemption_dates=[1.0, 2.0])
+    payload = dict(BASE, model=model, bond=bond, mc={"n_paths": 20_000, "seed": 28})
+    reports = {}
+    for command in ("price", "validate-tree", "mc-check"):
+        code, reports[command] = run(tmp_path, command, payload)
+        assert code == 0, command
+    assert reports["validate-tree"]["ok"] is True
+    check = reports["mc-check"]
+    assert check["tree_price"] == reports["price"]["forced_max"]
+    assert abs(check["mc_estimate"] - check["tree_price"]) <= 3.0 * check["mc_std_error"]
+
+
 @pytest.mark.parametrize("steps_per_year", [12, 52])
 def test_zero_intensity_at_a_box_corner_is_the_default_free_price(tmp_path, steps_per_year):
-    # lattice levels underflow to 0 here; with lambda0 = 0 they keep intensity 0 and drift 0
+    # lattice levels underflow to 0 here; with lambda0 = 0 those nodes keep intensity 0
     model = {"lambda0": 0.0, "sigma": 50.0, "beta": -1e-3, "z0": 30.0}
     bond = dict(sinking_bond_section(), maturity=10.0, coupon_rate=0.08,
                 redemption_dates=[float(y) for y in range(1, 10)])

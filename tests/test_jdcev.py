@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -56,9 +57,11 @@ class TestParams:
         with np.errstate(divide="raise", over="raise", invalid="raise"):  # as the CLI runs
             assert np.array_equal(intensity(params, np.array([5e-324, 1e-300, 30.0])), [0.0, 0.0, 0.0])
             x = np.array([1e-300, float(transform(params, 30.0))])
-            z, lam, drift = x_state(params, x)
-        assert z[0] == 0.0 and lam[0] == 0.0 and drift[0] == 0.0
-        assert z[1] > 0.0 and drift[1] != 0.0
+            assert inverse_transform(params, x[0]) == 0.0
+            lam, drift = x_state(params, x)
+        # a positive x is off the boundary however small its level: intensity 0, drift (nu + 1/2) / x
+        assert np.array_equal(lam, [0.0, 0.0])
+        assert np.isfinite(drift[0]) and drift[0] < drift[1] < 0.0
 
 
 class TestIntensity:
@@ -160,13 +163,13 @@ class TestBesselDrift:
             diffusion_sq = sigma**2 * z ** (2 * beta + 2)
             expected = float(first * mu + 0.5 * second * diffusion_sq)
             x = transform(params, np.array([float(z)]))  # lambda <= 200, far below the cap
-            assert x_state(params, x)[2][0] == pytest.approx(expected, rel=1e-5)
+            assert x_state(params, x)[1][0] == pytest.approx(expected, rel=1e-5)
 
     def test_convexity_term_vanishes_at_beta_minus_one(self):
         params = JDCEVParams(lambda0=0.05, sigma=1.0, beta=-1.0, z0=2.0)
         z = 3.0
         x = transform(params, np.array([z]))
-        assert x_state(params, x)[2][0] == pytest.approx(intensity(params, z) * z, rel=1e-12)
+        assert x_state(params, x)[1][0] == pytest.approx(intensity(params, z) * z, rel=1e-12)
 
 
 def test_vectorized_calls_match_scalars(fitted_params):
@@ -176,29 +179,35 @@ def test_vectorized_calls_match_scalars(fitted_params):
     for i in range(len(z)):
         assert lam[i] == intensity(fitted_params, float(z[i]))
         assert x[i] == transform(fitted_params, float(z[i]))
-    drift = x_state(fitted_params, x)[2]
+    drift = x_state(fitted_params, x)[1]
     for i in range(len(z)):
-        assert drift[i] == x_state(fitted_params, x[i:i + 1])[2][0]
+        assert drift[i] == x_state(fitted_params, x[i:i + 1])[1][0]
 
 
 def test_x_state_boundary_and_cap_conventions(fitted_params):
     capped = float(transform(fitted_params, 1e-6))  # intensity far above the cap
-    x = np.array([-0.5, 0.0, capped, 1.0, 5.0])
-    z, lam, drift = x_state(fitted_params, x)
-    assert np.array_equal(z[:2], [0.0, 0.0])
-    assert np.array_equal(lam[:3], [fitted_params.lambda_cap] * 3)
-    assert np.array_equal(drift[:3], [0.0, 0.0, 0.0])
-    level = inverse_transform(fitted_params, x[3:])
-    assert np.array_equal(lam[3:], intensity(fitted_params, level))
-    # below the cap: the Ito drift of the unit-diffusion coordinate
-    beta, sigma = fitted_params.beta, fitted_params.sigma
-    ito = lam[3:] * level ** (-beta) / sigma + 0.5 * (-beta - 1.0) * sigma * level**beta
-    assert drift[3:] == pytest.approx(ito, rel=1e-14)
+    x = np.array([-0.5, -0.0, 0.0, np.nan, 5e-324, capped, 1.0, 5.0])
+    lam, drift = x_state(fitted_params, x)
+    # the boundary (x <= 0 and NaN), an overflowed ratio and a capped state: the cap and no drift
+    assert np.array_equal(lam[:6], [fitted_params.lambda_cap] * 6)
+    assert np.array_equal(drift[:6], [0.0] * 6)
+    # below the cap: lambda0 * (x0 / x)^2 and (nu + 1/2) / x, the ratio taken first
+    x0, b = float(transform(fitted_params, fitted_params.z0)), -fitted_params.beta
+    assert np.array_equal(lam[6:], fitted_params.lambda0 * (x0 / x[6:]) ** 2)
+    assert np.array_equal(drift[6:], (fitted_params.lambda0 * x0 * x0 * b + 0.5 * (b - 1.0) / b) / x[6:])
+    zero_lambda0 = dataclasses.replace(fitted_params, lambda0=0.0)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in divide"):
+        lam, drift = x_state(zero_lambda0, x)
+    assert np.array_equal(lam, np.zeros(x.size))
+    # with lambda0 = 0 nothing is capped: the drift is (b - 1) / (2b x) at every x > 0, and at a
+    # subnormal x it overflows with its warning
+    assert np.array_equal(drift[:4], [0.0] * 4)
+    assert drift[4] == -np.inf and np.array_equal(drift[5:], 0.5 * (b - 1.0) / b / x[5:])
 
 
 #: README set, the default-free limit, a steep one, the sigma 50 / beta -1e-3 box corner, and
-#: exponents where signed zeros and infinite powers matter: -1/beta odd (1 and 3, so a level keeps
-#: the sign of a -0.0 input), 2*beta = -1 (beta -0.5), and beta -2 with a z0 below 1 (z / z0 overflows)
+#: exponents where the level's signed zeros and infinite powers matter: -1/beta odd (1 and 3, so a
+#: level keeps the sign of a -0.0 input), 2*beta = -1 (beta -0.5), and beta -2 with a z0 below 1
 ORACLE_PARAMS = {
     "readme": JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-0.6, z0=30.0),
     "lambda0-0": JDCEVParams(lambda0=0.0, sigma=2.8199, beta=-0.6, z0=30.0),
@@ -252,7 +261,30 @@ def test_x_state_equals_the_masked_reference_bit_for_bit_with_its_warnings(name)
                     assert got == want, (name, errors, sample)
                     continue
                 assert same_bytes(got, want), (name, errors, sample)
-                buffers = tuple(np.full(sample.shape, 7.0) for _ in range(3))
+                buffers = tuple(np.full(sample.shape, 7.0) for _ in range(2))
                 with_buffers, buffer_warnings = recorded(x_state, params, sample, out=buffers)
                 assert same_bytes(with_buffers, want) and same_bytes(buffers, want), (name, errors, sample)
                 assert buffer_warnings == want_warnings, (name, errors, sample)
+
+
+#: relative tolerance of the rational state against the level form it rewrites
+LEVEL_FORM_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PARAMS))
+def test_x_state_equals_the_level_form_of_the_model(name):
+    # where the level z = inverse_transform(x) is a normal float and the intensity is below the cap,
+    # lambda0 * (x0 / x)^2 is intensity(z) and (nu + 1/2) / x the Ito drift in z, written out
+    params = ORACLE_PARAMS[name]
+    b, sigma = -params.beta, params.sigma
+    x = np.geomspace(1e-4, 1e4, 8001) * float(transform(params, params.z0))
+    with np.errstate(over="ignore", under="ignore"):
+        z = inverse_transform(params, x)
+    level_lam = intensity(params, z)
+    keep = (z >= np.finfo(float).tiny) & (z <= np.finfo(float).max) & (level_lam < params.lambda_cap)
+    assert keep.sum() >= 100
+    x, z, level_lam = x[keep], z[keep], level_lam[keep]
+    ito = level_lam * z**b / sigma + 0.5 * (b - 1.0) * sigma * z ** (-b)
+    lam, drift = x_state(params, x)
+    assert lam == pytest.approx(level_lam, rel=LEVEL_FORM_RTOL, abs=0.0)
+    assert drift == pytest.approx(ito, rel=LEVEL_FORM_RTOL, abs=0.0)

@@ -13,6 +13,7 @@ from test_jdcev import ORACLE_PARAMS
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.jdcev import JDCEVParams
 from sinkbond.market_data import build_time_grid
+import sinkbond.jdcev
 import sinkbond.mc
 from sinkbond.jdcev import x_state
 from sinkbond.mc import mc_price_fixed_policy, simulate_paths
@@ -80,9 +81,8 @@ class TestSimulatePaths:
         assert len(seen) == 2 * (grid.n_steps + 1) and set(seen) == {"raise"}
 
     @pytest.mark.parametrize("name", ["steep", "corner"])
-    def test_parked_defaulted_paths_keep_the_unparked_default_steps(self, name):
-        # the kernel parks a path at x0 once its hazard passes its threshold;
-        # the reference keeps evolving it, so its x can reach 0 and the cap
+    def test_defaulted_paths_through_the_boundary_and_the_cap_match_the_reference(self, name):
+        # a defaulted path keeps stepping, so its x can reach 0 and the cap
         params = ORACLE_PARAMS[name]
         grid = build_time_grid(1.0, 12)
         paths = simulate_paths(params, grid, self.PREFIX, seed=7)
@@ -150,7 +150,7 @@ README_BOND = SinkingBondSpec(
 )
 #: sha256 of default_step as int64 bytes, and the number of defaults, for
 #: 100,000 README-bond paths, computed with one worker and equal to the
-#: unparked block-substream reference
+#: block-substream reference
 README_DEFAULT_STEPS = {
     (12, 1): ("27b1406629b36352caa44bbbbd8c9b135f9799986774c5fdb2fbcbe333c889a4", 30_113),
     (12, 20270615): ("2ee5fc9f30dbcdf2084f75dbdf7eb64857624f7f8e4547e3a9e1de244dba852d", 30_141),
@@ -179,6 +179,17 @@ class TestReadmeBondKernel:
         finally:
             sys.setswitchinterval(interval)
         assert fingerprint == README_DEFAULT_STEPS[12, 1]
+
+    def test_the_kernel_never_asks_for_a_stock_level(self, fitted_params, monkeypatch):
+        # the state is rational in x: intensity lambda0 * (x0 / x)^2 and drift (nu + 1/2) / x
+        grid = bond_grid(README_BOND, 12)
+        expected = simulate_paths(fitted_params, grid, 1_000, seed=1).default_step
+
+        def no_level(*args, **kwargs):
+            raise AssertionError("the Monte Carlo kernel computed a stock level")
+
+        monkeypatch.setattr(sinkbond.jdcev, "_level", no_level)
+        assert np.array_equal(simulate_paths(fitted_params, grid, 1_000, seed=1).default_step, expected)
 
     def test_a_failing_block_is_raised_and_no_thread_outlives_the_call(self, fitted_params, monkeypatch):
         grid = bond_grid(README_BOND, 12)

@@ -43,7 +43,7 @@ class TestBuildTrinomial:
         tr = tree.transitions[0]
         assert tr.branch_probs.sum() == pytest.approx(1.0, abs=1e-14)
         x0 = float(tree.layers[0].x[0])
-        target = x0 + x_state(fitted_params, np.array([x0]))[2][0] * 0.25
+        target = x0 + x_state(fitted_params, np.array([x0]))[1][0] * 0.25
         succ_x = tree.layers[1].x[tr.succ[:, 0]]
         assert float(np.dot(tr.branch_probs[:, 0], succ_x)) == pytest.approx(target, abs=1e-12)
 
@@ -143,7 +143,7 @@ class TestDeterministicTree:
         # side-by-side Euler iteration of the conditional mean
         x = transform(fitted_params, np.array([fitted_params.z0]))
         for n in range(grid.n_steps):
-            x = x + x_state(fitted_params, x)[2] * float(grid.steps[n])
+            x = x + x_state(fitted_params, x)[1] * float(grid.steps[n])
             expected = intensity(fitted_params, inverse_transform(fitted_params, float(x[0])))
             assert float(tree.layers[n + 1].intensity[0]) == pytest.approx(expected, rel=1e-14)
 
@@ -553,8 +553,8 @@ class TestStepLengthWindows:
         grid = build_time_grid(maturity, 12)
         assert_same_tree(build_trinomial(params, grid), per_step_build_trinomial(params, grid))
 
-    # z / z0 underflows to 0 over most of the lattice at z0 = 30; at z0 = 1e295
-    # the level overflows a few nodes above the root, inside the windows' margin
+    # the level underflows to 0 over much of the lattice at z0 = 30; at z0 = 1e295 it
+    # overflows a few nodes above the root, inside the windows' margin, and is stored as inf
     @pytest.mark.parametrize("lambda0, z0", [(0.0, 30.0), (0.004, 30.0), (0.004, 1e295)])
     @pytest.mark.parametrize("steps_per_year", [12, 52])
     def test_box_corner_equals_the_per_step_build(self, lambda0, z0, steps_per_year):
@@ -562,19 +562,27 @@ class TestStepLengthWindows:
         grid = build_time_grid(10.0, steps_per_year)
         assert_same_tree(build_trinomial(params, grid), per_step_build_trinomial(params, grid))
 
-    def test_a_column_whose_intensity_ratio_overflows_is_not_clean(self):
-        # at beta = -1 the level is sigma * x: finite here, but z / z0 is not,
-        # and x_state warns on it while every column it returns is finite
+    def test_a_column_is_clean_unless_its_drift_overflows(self):
+        # the rational state caps an overflowed x0 / x quietly, and a level past the float range is
+        # stored as inf quietly: both columns stay clean.  Only a drift past the float range, as
+        # lambda0 = 0 gives at a subnormal x, flags its column (x_state warns on it).
         from sinkbond.tree import _node_columns
 
-        params = JDCEVParams(lambda0=0.004, sigma=1.0, beta=-1.0, z0=0.5)
-        k = np.array([0.0, 1.0])
+        corner = JDCEVParams(lambda0=0.004, sigma=50.0, beta=-1e-3, z0=30.0)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):  # as the CLI runs
+            (columns,), clean = _node_columns(corner, 0.0, 1.0, np.array([5e-324, 1e-5, 1e3]))
+        assert clean.tolist() == [True, True, True]
+        x, z, lam, drift = columns
+        assert lam[:2].tolist() == [corner.lambda_cap] * 2 and drift[:2].tolist() == [0.0, 0.0]
+        assert z[2] == math.inf and np.isfinite(lam[2]) and np.isfinite(drift[2])
+
+        default_free = dataclasses.replace(corner, lambda0=0.0)
         with pytest.warns(RuntimeWarning, match="overflow"):
-            x_state(params, 1.5e308 * k)
+            x_state(default_free, np.array([5e-324]))
         with np.errstate(all="ignore"):
-            columns, clean = _node_columns(params, 0.0, 1.5e308, k)
-        assert all(np.isfinite(col).all() for col in columns)
-        assert clean.tolist() == [True, False]
+            (columns,), clean = _node_columns(default_free, 0.0, 5e-324, np.array([0.0, 1.0, 2e300]))
+        assert clean.tolist() == [True, False, True]
+        assert columns[3, 1] == -math.inf
 
     @given(
         lambda0=st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
@@ -614,8 +622,8 @@ class TestStepLengthWindows:
         target = reference.layers[layer].x[live[live.size // 2]]
 
         def bad_drift_at_target(params, x):
-            z, lam, good = x_state(params, x)
-            return z, lam, np.where(x == target, drift, good)
+            lam, good = x_state(params, x)
+            return lam, np.where(x == target, drift, good)
 
         monkeypatch.setattr(sinkbond.tree, "x_state", bad_drift_at_target)
         outcome = build_outcome(build_trinomial, params, grid)
@@ -631,8 +639,8 @@ class TestStepLengthWindows:
         target = reference.layers[30].x[live[live.size // 2]]
 
         def nan_drift_at_target(params, x):
-            z, lam, good = x_state(params, x)
-            return z, lam, np.where(x == target, math.nan, good)
+            lam, good = x_state(params, x)
+            return lam, np.where(x == target, math.nan, good)
 
         monkeypatch.setattr(sinkbond.tree, "x_state", nan_drift_at_target)
         with np.errstate(invalid="ignore"):
