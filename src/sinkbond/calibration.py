@@ -276,6 +276,8 @@ def calibrate(
         raise ValueError(f"calibration.recovery must lie in [0, 1], got {recovery!r}")
     quotes = tuple(quotes)
     config = config or CalibrationConfig()
+    # the grid does not depend on the parameters: one it refuses is a config error, not a failed objective
+    cds_grid([q.tenor for q in quotes], config.steps_per_year, config.premium_frequency)
 
     if config.lambda0_grid is not None:
         lam_grid = config.lambda0_grid

@@ -100,9 +100,9 @@ def inverse_transform(params: JDCEVParams, x: ArrayLike) -> ArrayLike:
     return _maybe_scalar(_level(params, arr), scalar)
 
 
-def _level(params: JDCEVParams, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _level(params: JDCEVParams, x: np.ndarray) -> np.ndarray:
     """The stock level (sigma |beta| x)^(-1/beta); 0 at x = 0."""
-    z = np.multiply(x, params.sigma * abs(params.beta), out=out)
+    z = np.multiply(x, params.sigma * abs(params.beta))
     z **= -1.0 / params.beta
     return z
 

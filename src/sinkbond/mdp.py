@@ -14,9 +14,12 @@ default is worth zero.
 Action sets are keyed by the remaining nominal alone (the intensity node
 never restricts what an issuer may redeem), so a stage's admissible actions
 are one lookup ``stage.actions(rows)`` returning an (R, A) grid, largest
-amount first, and the minimization is one kernel call per column.  Ties are
-broken toward the largest redemption so policies are reproducible, and a
-policy is stored in the grid's dtype.
+amount first.  Finding the optimal policy and valuing a fixed one are one
+sweep: forward it collects the reachable rows and each stage's candidate
+actions, the admissible grid or the policy's single choice; backward it
+takes the smallest value over the candidates, one kernel call per column.
+Ties go to the earlier candidate, so to the largest redemption, and
+policies are reproducible and stored in the candidates' dtype.
 
 The issuer chooses only where a stage's table holds a nonzero amount (the
 redemption dates and the final stage).  Every other stage redeems nothing
@@ -117,13 +120,6 @@ class MDPSolution:
         return float(self.values[0].array[0, 0])
 
 
-@dataclass(frozen=True)
-class PolicyValue:
-    """Expected discounted cost of a fixed (not necessarily optimal) policy."""
-
-    root_value: float
-
-
 def stage_cost(
     stage: StageProblem,
     s_index: Union[int, np.ndarray],
@@ -198,65 +194,75 @@ def _admissible(stage: StageProblem, rows: np.ndarray, n: int) -> np.ndarray:
     return grid
 
 
-def _next_rows(rows: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Sorted distinct continuation rows s - a; actions never exceed their row."""
-    return np.flatnonzero(np.bincount((rows[:, None] - actions).ravel()))
+def _next_rows(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Sorted distinct continuation rows s - a of (R, C, k) candidates; actions never exceed their row."""
+    return np.flatnonzero(np.bincount((rows[:, None, None] - candidates).ravel()))
 
 
-def backward_induction(stages: Sequence[StageProblem], nominal_steps: int) -> MDPSolution:
-    """Solve the decision problem; the root value is the instrument's price.
+def _minimize(
+    stage: StageProblem, rows: np.ndarray, candidates: np.ndarray, next_rows: np.ndarray, next_values: np.ndarray,
+    nominal_steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest :func:`stage_values` of each (row, node) over the (R, C, k)
+    ``candidates``' columns, and the (R, m) actions giving it; only a strictly
+    smaller value replaces the running best, so ties go to the earlier column."""
+    best = stage_values(stage, rows, candidates[:, 0], next_rows, next_values, nominal_steps)
+    chosen = np.broadcast_to(candidates[:, 0], best.shape).copy()
+    for col in range(1, candidates.shape[1]):
+        trial = stage_values(stage, rows, candidates[:, col], next_rows, next_values, nominal_steps)
+        better = trial < best
+        best = np.where(better, trial, best)
+        chosen = np.where(better, candidates[:, col], chosen)
+    return best, chosen
 
-    A forward pass collects the reachable rows and action grids of the
-    decision stages; a carried stage keeps its rows.  Backward, a decision
-    stage evaluates the kernel once per action column, descending, and only
-    a strictly smaller value replaces the running best, so exact ties go to
-    the largest redemption; a carried stage is one :func:`_carry`.  The
-    solution's tables wrap the engine's own arrays (see :class:`MDPSolution`).
-    The root row is the full notional, ``nominal_steps``.
-    """
-    decides = _decides(stages, nominal_steps)
+
+def _sweep(
+    stages: Sequence[StageProblem], nominal_steps: int, candidates: Callable[[int, np.ndarray], Optional[np.ndarray]]
+) -> MDPSolution:
+    """The Bellman recursion of both solvers.  Forward from the full notional,
+    ``candidates(n, rows)`` gives stage n's (R, C, k) candidate actions, or
+    ``None`` at a carried stage, which keeps its rows; backward, a carried
+    stage is one :func:`_carry` and any other one :func:`_minimize`."""
     rows, grids = [np.array([nominal_steps])], []
-    for n, stage in enumerate(stages):
-        grids.append(_admissible(stage, rows[n], n) if decides[n] else None)
-        rows.append(_next_rows(rows[n], grids[n]) if decides[n] else rows[n])
+    for n in range(len(stages)):
+        grids.append(candidates(n, rows[n]))
+        rows.append(rows[n] if grids[n] is None else _next_rows(rows[n], grids[n]))
 
     nxt = np.zeros((len(rows[-1]), stages[-1].transition.next_size))
     values: list[Optional[StageTable]] = [None] * len(stages) + [StageTable(rows[-1], nxt)]
     policy: list[Optional[StageTable]] = [None] * len(stages)
     for n in range(len(stages) - 1, -1, -1):
-        stage, grid = stages[n], grids[n]
-        if grid is None:
+        stage = stages[n]
+        if grids[n] is None:
             nxt = _carry(stage, rows[n], nxt, nominal_steps)
             policy[n] = StageTable(rows[n], stage.table[rows[n], :1])
             continue
-        best = stage_values(stage, rows[n], grid[:, :1], rows[n + 1], nxt, nominal_steps)
-        chosen = np.repeat(grid[:, :1], stage.size, axis=1)
-        for col in range(1, grid.shape[1]):
-            trial = stage_values(stage, rows[n], grid[:, col:col + 1], rows[n + 1], nxt, nominal_steps)
-            better = trial < best
-            best = np.where(better, trial, best)
-            chosen = np.where(better, grid[:, col:col + 1], chosen)
-        values[n], policy[n] = StageTable(rows[n], best), StageTable(rows[n], chosen)
-        nxt = best
+        nxt, chosen = _minimize(stage, rows[n], grids[n], rows[n + 1], nxt, nominal_steps)
+        values[n], policy[n] = StageTable(rows[n], nxt), StageTable(rows[n], chosen)
     if values[0] is None:
         values[0] = StageTable(rows[0], nxt)
     return MDPSolution(tuple(values), tuple(policy))
 
 
-def evaluate_policy(
-    stages: Sequence[StageProblem],
-    nominal_steps: int,
-    policy: PolicyLike,
-) -> PolicyValue:
-    """Expected discounted cost of a fixed admissible policy.
+def backward_induction(stages: Sequence[StageProblem], nominal_steps: int) -> MDPSolution:
+    """Solve the decision problem; the root value is the instrument's price.
+    A deciding stage's candidates are its admissible (R, A, 1) grid."""
+    decides = _decides(stages, nominal_steps)
+    return _sweep(
+        stages, nominal_steps, lambda n, rows: _admissible(stages[n], rows, n)[:, :, None] if decides[n] else None
+    )
 
-    Only states the policy can actually visit are materialized, so schedule
-    maps need not be defined away from their own trajectory.  Each stage's
-    actions are checked against its (R, A) table in one comparison, and an
-    inadmissible action raises, naming the offending state.  Backward, a
-    no-choice stage (the check leaves it action 0 everywhere) is carried as
-    in :func:`backward_induction`.  The root row is the full notional,
-    ``nominal_steps``.
+
+def evaluate_policy(stages: Sequence[StageProblem], nominal_steps: int, policy: PolicyLike) -> MDPSolution:
+    """The engine's solution of a fixed admissible policy.
+
+    A deciding stage's one candidate is the policy's (R, 1, m) actions, so
+    only states the policy visits are materialized and schedule maps need
+    not be defined away from their own trajectory; :func:`bellman_residual`
+    refuses such a solution where a rival action leaves those states.  Every
+    stage's actions, carried ones included, are checked against its (R, A)
+    table in one comparison, and an inadmissible action raises, naming the
+    offending state.
     """
     if callable(policy):
         fn = policy
@@ -266,31 +272,21 @@ def evaluate_policy(
         def fn(stage: int, s_index: int):
             return tables[stage][s_index]
 
-    # forward pass: policy-reachable rows, and the (R, m) actions taken at
-    # decision stages only, so no carried stage's action array is kept
     decides = _decides(stages, nominal_steps)
-    rows = [np.array([nominal_steps])]
-    taken = []
-    for n, stage in enumerate(stages):
-        acts = np.empty((rows[n].size, stage.size), dtype=np.intp)
-        for i, s_index in enumerate(rows[n].tolist()):
+
+    def taken(n: int, rows: np.ndarray) -> Optional[np.ndarray]:
+        acts = np.empty((rows.size, stages[n].size), dtype=np.intp)
+        for i, s_index in enumerate(rows.tolist()):
             acts[i] = fn(n, s_index)
-        admissible = (acts[:, :, None] == stage.actions(rows[n])[:, None, :]).any(axis=2)
+        admissible = (acts[:, :, None] == stages[n].actions(rows)[:, None, :]).any(axis=2)
         if not admissible.all():
             r = int(np.flatnonzero(~admissible.all(axis=1))[0])
             raise ValueError(
-                f"stage {n}, nominal index {rows[n][r]}: action {acts[r][~admissible[r]].min()} not admissible"
+                f"stage {n}, nominal index {rows[r]}: action {acts[r][~admissible[r]].min()} not admissible"
             )
-        taken.append(acts if decides[n] else None)
-        rows.append(_next_rows(rows[n], acts) if decides[n] else rows[n])
+        return acts[:, None, :] if decides[n] else None
 
-    values = np.zeros((len(rows[-1]), stages[-1].transition.next_size))
-    for n in range(len(stages) - 1, -1, -1):
-        if taken[n] is None:
-            values = _carry(stages[n], rows[n], values, nominal_steps)
-        else:
-            values = stage_values(stages[n], rows[n], taken[n], rows[n + 1], values, nominal_steps)
-    return PolicyValue(root_value=float(values[0, 0]))
+    return _sweep(stages, nominal_steps, taken)
 
 
 def value_tables(
@@ -329,9 +325,7 @@ def bellman_residual(
         stage = stages[n]
         at_policy = stage_values(stage, rows, solution.policy[n].array, next_rows, nxt, nominal_steps)
         fixed_point = max(fixed_point, float(np.max(np.abs(at_policy - stored))))
-        grid = _admissible(stage, rows, n)
-        for col in range(grid.shape[1]):
-            trial = stage_values(stage, rows, grid[:, col:col + 1], next_rows, nxt, nominal_steps)
-            minimality = max(minimality, float(np.max(stored - trial)))
+        best, _ = _minimize(stage, rows, _admissible(stage, rows, n)[:, :, None], next_rows, nxt, nominal_steps)
+        minimality = max(minimality, float(np.max(stored - best)))
         next_rows, nxt = rows, stored
     return {"fixed_point": fixed_point, "minimality": minimality}

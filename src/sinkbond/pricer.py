@@ -16,7 +16,6 @@ kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -104,19 +103,10 @@ def _stages(
     ]
 
 
-@dataclass(frozen=True)
-class SinkingBondPrice:
-    price: float
-    solution: MDPSolution
-
-
-def price_sinking_bond(
-    tree: IntensityTree, curve: DiscountCurve, spec: SinkingBondSpec
-) -> SinkingBondPrice:
-    """Fair value under the issuer's optimal redemption behaviour."""
-    stages = build_stage_problems(tree, curve, spec)
-    solution = backward_induction(stages, spec.nominal_steps)
-    return SinkingBondPrice(price=solution.root_value, solution=solution)
+def price_sinking_bond(tree: IntensityTree, curve: DiscountCurve, spec: SinkingBondSpec) -> MDPSolution:
+    """The engine's solution under the issuer's optimal redemption behaviour;
+    its ``root_value`` is the fair value per unit notional."""
+    return backward_induction(build_stage_problems(tree, curve, spec), spec.nominal_steps)
 
 
 def schedule_cashflows(
@@ -282,7 +272,7 @@ def price_report(
     option_value is what the freedom to deviate from the always-redeem-max
     schedule is worth to the issuer.
     """
-    solution = backward_induction(build_stage_problems(tree, curve, spec), spec.nominal_steps)
+    solution = price_sinking_bond(tree, curve, spec)
     price = solution.root_value
     forced_max = price_fixed_schedule(tree, curve, spec, "max")
     forced_min = price_fixed_schedule(tree, curve, spec, "min")

@@ -226,14 +226,29 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="at least one quote"):
             calibrate([], 30.0, flat_curve, 0.4, FAST)
 
-    def test_unpriceable_quotes_fail_loudly(self, flat_curve):
-        from sinkbond.calibration import CalibrationError
+    def test_unpriceable_quotes_fail_loudly(self, flat_curve, monkeypatch):
+        # 2.3y is not a whole number of quarterly premium periods: the CDS grid
+        # refuses it before any objective is evaluated, naming the tenor
+        import sinkbond.calibration as calibration
 
-        # 2.3y is not a whole number of quarterly premium periods, so every
-        # grid point evaluates to an infinite objective
+        def no_objective(*args, **kwargs):
+            raise AssertionError("objective evaluated")
+
+        monkeypatch.setattr(calibration, "model_spreads", no_objective)
         broken = [CDSQuote(tenor=2.3, spread=0.002)]
-        with pytest.raises(CalibrationError, match="finite objective"):
+        with pytest.raises(ValueError, match="tenor 2.3 is not a whole number of premium periods"):
             calibrate(broken, 30.0, flat_curve, 0.4, FAST)
+
+    def test_numerically_failing_grid_fails_loudly(self, flat_curve, monkeypatch):
+        # every grid point fails numerically, so no point can start the simplex
+        import sinkbond.calibration as calibration
+
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("overflow")
+
+        monkeypatch.setattr(calibration, "model_spreads", overflow)
+        with pytest.raises(calibration.CalibrationError, match="finite objective"):
+            calibrate([CDSQuote(tenor=2.0, spread=0.002)], 30.0, flat_curve, 0.4, FAST)
 
     def test_report_is_json_ready(self, fitted_params, flat_curve):
         import json

@@ -494,6 +494,24 @@ class TestCalibrateCommand:
         assert code == 2
         assert "quotes" in report["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "quote, calibration, reason",
+        [
+            ({"tenor": 5.1, "spread": 0.002}, {}, "tenor 5.1 is not a whole number of premium periods"),
+            ({"tenor": 5.0, "spread": 0.002}, {"steps_per_year": 400000}, "not a finite step count of at most 1000000"),
+        ],
+        ids=["tenor-off-the-premium-dates", "grid-over-the-step-cap"],
+    )
+    def test_unbuildable_cds_grid_exits_2_before_any_objective(self, tmp_path, monkeypatch, quote, calibration, reason):
+        def no_objective(*args, **kwargs):
+            raise AssertionError("objective evaluated")
+
+        monkeypatch.setattr("sinkbond.calibration.model_spreads", no_objective)
+        code, report = run(tmp_path, "calibrate", dict(BASE, quotes=[quote], calibration=calibration))
+        assert code == 2
+        assert report["error"]["type"] == "config"
+        assert reason in report["error"]["message"]
+
     def test_steps_per_year_flag_exits_2_naming_the_calibration_key(self, tmp_path):
         payload = dict(BASE, quotes=[{"tenor": 2.0, "spread": 0.002}], calibration={"steps_per_year": 2})
         code, report = run(tmp_path, "calibrate", payload, "--steps-per-year", "52")

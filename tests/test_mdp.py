@@ -200,10 +200,21 @@ def sinking_instance(params, curve, *, allow_skip=False):
 
 class TestEvaluatePolicy:
     def test_optimal_policy_reproduces_value(self, fitted_params, flat_curve):
-        spec, stages = sinking_instance(fitted_params, flat_curve)
-        solution = backward_induction(stages, spec.nominal_steps)
-        evaluated = evaluate_policy(stages, spec.nominal_steps, solution)
-        assert evaluated.root_value == pytest.approx(solution.root_value, abs=1e-12)
+        # replaying the engine's own policy is the same sweep with one candidate
+        # per stage: the root and every stored table on the rows the replay
+        # visits are bit-equal to the engine's
+        cases = [sinking_instance(fitted_params, flat_curve)]
+        for steps_per_year in (4, 12):
+            tree = augment_default(build_trinomial(fitted_params, bond_grid(README_BOND, steps_per_year)))
+            cases.append((README_BOND, build_stage_problems(tree, flat_curve, README_BOND)))
+        for spec, stages in cases:
+            solution = backward_induction(stages, spec.nominal_steps)
+            evaluated = evaluate_policy(stages, spec.nominal_steps, solution)
+            assert evaluated.root_value == solution.root_value
+            for replayed, engine in zip(evaluated.values, solution.values, strict=True):
+                assert (replayed is None) == (engine is None)
+                for s_index in replayed or ():
+                    assert np.array_equal(replayed[s_index], engine[s_index])
 
     def test_random_policies_never_beat_the_optimum(self, fitted_params, flat_curve):
         spec, stages = sinking_instance(fitted_params, flat_curve)

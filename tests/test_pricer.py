@@ -103,7 +103,7 @@ class TestPriceVanillaBond:
     def prices(tree, curve, spec):
         return (
             price_fixed_schedule(tree, curve, spec, "max"),
-            price_sinking_bond(tree, curve, spec).price,
+            price_sinking_bond(tree, curve, spec).root_value,
         )
 
     def test_zero_coupons_reduce_to_zcb(self, fitted_params, flat_curve):
@@ -152,14 +152,14 @@ class TestPriceSinkingBond:
         grid = bond_grid(spec, 4)
         tree = augment_default(build_trinomial(fitted_params, grid))
         result = price_sinking_bond(tree, flat_curve, spec)
-        assert result.price == pytest.approx(price_zcb(tree, flat_curve, 0.4), abs=1e-12)
+        assert result.root_value == pytest.approx(price_zcb(tree, flat_curve, 0.4), abs=1e-12)
 
     def test_premium_bond_ordering(self, fitted_params, flat_curve):
         # above-par bond: the issuer prefers fast redemption, so
         # optimal <= forced-max <= forced-min
         spec = premium_spec()
         tree = stochastic_tree(fitted_params, 5.0, 4, events=spec.redemption_dates)
-        optimal = price_sinking_bond(tree, flat_curve, spec).price
+        optimal = price_sinking_bond(tree, flat_curve, spec).root_value
         forced_max = price_fixed_schedule(tree, flat_curve, spec, "max")
         forced_min = price_fixed_schedule(tree, flat_curve, spec, "min")
         assert optimal > 1.0  # genuinely above par
@@ -169,7 +169,7 @@ class TestPriceSinkingBond:
     def test_optimal_never_exceeds_any_forced_schedule(self, fitted_params, flat_curve):
         spec = premium_spec(coupon_rate=0.03)  # below-par flavour
         tree = stochastic_tree(fitted_params, 5.0, 4, events=spec.redemption_dates)
-        optimal = price_sinking_bond(tree, flat_curve, spec).price
+        optimal = price_sinking_bond(tree, flat_curve, spec).root_value
         for rule in ("max", "min"):
             assert optimal <= price_fixed_schedule(tree, flat_curve, spec, rule) + 1e-12
 
@@ -177,8 +177,8 @@ class TestPriceSinkingBond:
         narrow = premium_spec(admissible_fractions=(0.10,), alpha=100.0)
         wide = premium_spec(admissible_fractions=(0.05, 0.10), alpha=100.0, nominal_steps=20)
         tree = stochastic_tree(fitted_params, 5.0, 4, events=narrow.redemption_dates)
-        v_narrow = price_sinking_bond(tree, flat_curve, narrow).price
-        v_wide = price_sinking_bond(tree, flat_curve, wide).price
+        v_narrow = price_sinking_bond(tree, flat_curve, narrow).root_value
+        v_wide = price_sinking_bond(tree, flat_curve, wide).root_value
         assert v_wide <= v_narrow + 1e-12
 
     def test_horizon_mismatch_rejected(self, fitted_params, flat_curve):
@@ -194,8 +194,8 @@ class TestPriceFixedSchedule:
         tree = stochastic_tree(fitted_params, 5.0, 4, events=spec.redemption_dates)
         result = price_sinking_bond(tree, flat_curve, spec)
         stages = build_stage_problems(tree, flat_curve, spec)
-        replayed = evaluate_policy(stages, spec.nominal_steps, result.solution).root_value
-        assert replayed == pytest.approx(result.price, abs=1e-12)
+        replayed = evaluate_policy(stages, spec.nominal_steps, result).root_value
+        assert replayed == pytest.approx(result.root_value, abs=1e-12)
 
     def test_date_map_schedule(self, fitted_params, flat_curve):
         spec = premium_spec()
@@ -214,7 +214,7 @@ class TestPriceFixedSchedule:
     def test_dominance_over_random_schedules(self, fitted_params, flat_curve):
         spec = premium_spec()
         tree = stochastic_tree(fitted_params, 5.0, 4, events=spec.redemption_dates)
-        optimal = price_sinking_bond(tree, flat_curve, spec).price
+        optimal = price_sinking_bond(tree, flat_curve, spec).root_value
         rng = np.random.default_rng(17)
         for _ in range(20):
             schedule = {d: float(rng.choice([0.05, 0.10])) for d in spec.redemption_dates}
@@ -296,7 +296,7 @@ class TestFixedScheduleEqualsTheEngine:
 
     def test_node_dependent_policy_rejected(self, name):
         spec, tree, curve, stages = fixed_schedule_case(name)
-        solution = price_sinking_bond(tree, curve, spec).solution
+        solution = price_sinking_bond(tree, curve, spec)
         with pytest.raises(ValueError, match="not MDPSolution"):
             price_fixed_schedule(tree, curve, spec, solution)
         with pytest.raises(ValueError, match="not function"):
@@ -574,7 +574,7 @@ def test_policy_summary_equals_the_per_row_loop(spec, steps_per_year, fitted_par
     # last bond's redemption-date table is all zeros, so those stages are
     # carried and their (R, 1) policy columns must broadcast over the nodes
     tree = augment_default(build_trinomial(fitted_params, bond_grid(spec, steps_per_year)))
-    solution = price_sinking_bond(tree, flat_curve, spec).solution
+    solution = price_sinking_bond(tree, flat_curve, spec)
     summary = price_report(tree, flat_curve, spec)["policy_summary"]
     assert summary == per_row_policy_summary(solution, tree, spec)
 
