@@ -17,15 +17,15 @@ are one lookup ``stage.actions(rows)`` returning an (R, A) grid, largest
 amount first.  Finding the optimal policy and valuing a fixed one are one
 sweep: forward it collects the reachable rows and each stage's candidate
 actions, the admissible grid or the policy's single choice; backward it
-takes the smallest value over the candidates, one kernel call per column.
+takes the smallest value over the candidates, one expectation per stage.
 Ties go to the earlier candidate, so to the largest redemption, and
 policies are reproducible and stored in the candidates' dtype.
 
 The issuer chooses only where a stage's table holds a nonzero amount (the
 redemption dates and the final stage).  Every other stage redeems nothing
 from every row, so its rows continue to themselves and its Bellman step is
-a plain discounted expectation: the engine *carries* it, as :func:`stage_cost`
-at action 0 plus that expectation, with no continuation lookup or minimization.
+a plain discounted expectation: the engine *carries* it, :func:`stage_cost` at
+action 0 plus that expectation in a few whole-array operations, bit for bit.
 A solution keeps a stage as a :class:`StageTable`, its sorted rows and
 (R, m) array.  Values are kept only at decision stages, at stage 0 (the
 root) and at the horizon; elsewhere they are ``None`` and
@@ -157,20 +157,31 @@ def stage_values(
     whose sorted row labels are ``next_rows``.  Node j of row s under action
     a continues at row s - a of the next stage.
     """
+    cont = stage.discount * stage.transition.expect(next_values)
+    return _continued(stage, rows, actions, next_rows, cont, nominal_steps)
+
+
+def _continued(stage: StageProblem, rows: np.ndarray, actions: np.ndarray, next_rows: np.ndarray,
+               cont: np.ndarray, nominal_steps: int) -> np.ndarray:
+    """:func:`stage_values` given ``cont``, the stage's discounted expectation of the next stage's values."""
     remaining = rows[:, None] - np.asarray(actions)
     pos = np.searchsorted(next_rows, remaining)
     missing = next_rows.take(pos, mode="clip") != remaining
     if missing.any():
         raise ValueError(f"missing continuation values for nominal index {remaining[missing][0]}")
-    cont = stage.discount * stage.transition.expect(next_values)
     return stage_cost(stage, rows[:, None], actions, nominal_steps) + cont[pos, np.arange(stage.size)]
 
 
-def _carry(stage: StageProblem, rows: np.ndarray, next_values: np.ndarray, nominal_steps: int) -> np.ndarray:
-    """A no-choice stage's values, bit for bit :func:`stage_values` at action 0:
-    its ``rows`` continue to themselves, so they are :func:`stage_cost` at
-    action 0 plus the discounted expectation, without the continuation lookup."""
-    return stage_cost(stage, rows[:, None], 0, nominal_steps) + stage.discount * stage.transition.expect(next_values)
+def _carry(stage: StageProblem, s: np.ndarray, next_values: np.ndarray) -> np.ndarray:
+    """A no-choice stage's values from its rows as nominals ``s``, bit for bit :func:`stage_values` at
+    action 0 with no lookup (rows continue to themselves); a zero coupon's term, +0.0, is skipped."""
+    tr = stage.transition
+    values = (tr.default_prob * stage.recovery) * s
+    if stage.coupon:
+        values += (stage.coupon * s) * tr.survival
+    values *= stage.discount
+    values += stage.discount * tr.expect(next_values)
+    return values
 
 
 def _decides(stages: Sequence[StageProblem], nominal_steps: int) -> list[bool]:
@@ -203,13 +214,14 @@ def _minimize(
     stage: StageProblem, rows: np.ndarray, candidates: np.ndarray, next_rows: np.ndarray, next_values: np.ndarray,
     nominal_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest :func:`stage_values` of each (row, node) over the (R, C, k)
-    ``candidates``' columns, and the (R, m) actions giving it; only a strictly
+    """Smallest :func:`stage_values` of each (row, node) over the (R, C, k) ``candidates``' columns,
+    from one expectation, and the (R, m) actions giving it; only a strictly
     smaller value replaces the running best, so ties go to the earlier column."""
-    best = stage_values(stage, rows, candidates[:, 0], next_rows, next_values, nominal_steps)
+    cont = stage.discount * stage.transition.expect(next_values)
+    best = _continued(stage, rows, candidates[:, 0], next_rows, cont, nominal_steps)
     chosen = np.broadcast_to(candidates[:, 0], best.shape).copy()
     for col in range(1, candidates.shape[1]):
-        trial = stage_values(stage, rows, candidates[:, col], next_rows, next_values, nominal_steps)
+        trial = _continued(stage, rows, candidates[:, col], next_rows, cont, nominal_steps)
         better = trial < best
         best = np.where(better, trial, best)
         chosen = np.where(better, candidates[:, col], chosen)
@@ -231,11 +243,15 @@ def _sweep(
     nxt = np.zeros((len(rows[-1]), stages[-1].transition.next_size))
     values: list[Optional[StageTable]] = [None] * len(stages) + [StageTable(rows[-1], nxt)]
     policy: list[Optional[StageTable]] = [None] * len(stages)
+    carried: dict[tuple[int, int], tuple[np.ndarray, StageTable]] = {}
     for n in range(len(stages) - 1, -1, -1):
         stage = stages[n]
         if grids[n] is None:
-            nxt = _carry(stage, rows[n], nxt, nominal_steps)
-            policy[n] = StageTable(rows[n], stage.table[rows[n], :1])
+            key = (id(rows[n]), id(stage.table))  # a run of carried stages shares its rows; a table, its dtype
+            if key not in carried:
+                carried[key] = rows[n][:, None] / nominal_steps, StageTable(rows[n], stage.table[rows[n], :1])
+            s, policy[n] = carried[key]
+            nxt = _carry(stage, s, nxt)
             continue
         nxt, chosen = _minimize(stage, rows[n], grids[n], rows[n + 1], nxt, nominal_steps)
         values[n], policy[n] = StageTable(rows[n], nxt), StageTable(rows[n], chosen)
@@ -300,9 +316,10 @@ def value_tables(
     for n in range(len(stages), -1, -1):
         table = solution.values[n]
         if table is None:
-            values = _carry(stages[n], rows, values, nominal_steps)
+            values = _carry(stages[n], s, values)
         else:
             rows, values = table.rows, table.array
+            s = rows[:, None] / nominal_steps
         yield n, rows, values
 
 
@@ -313,19 +330,18 @@ def bellman_residual(
 
     Returns the largest deviation from the fixed-point property (value at the
     stored minimizer) and from minimality (no admissible action beats the
-    value).  Values come from :func:`value_tables`, so a carried stretch is
-    checked through the kernel against its carry, and the stored stage
-    before it against the recomputed stretch.
+    value); a NaN deviation makes its key NaN.  Values come from
+    :func:`value_tables`, so a carried stretch is checked through the kernel
+    against its carry, and the stored stage before it against the stretch.
     """
-    fixed_point = 0.0
-    minimality = 0.0
+    fixed_point = minimality = 0.0
     tables = value_tables(stages, nominal_steps, solution)
     _, next_rows, nxt = next(tables)
     for n, rows, stored in tables:
         stage = stages[n]
         at_policy = stage_values(stage, rows, solution.policy[n].array, next_rows, nxt, nominal_steps)
-        fixed_point = max(fixed_point, float(np.max(np.abs(at_policy - stored))))
+        fixed_point = np.maximum(fixed_point, np.max(np.abs(at_policy - stored)))
         best, _ = _minimize(stage, rows, _admissible(stage, rows, n)[:, :, None], next_rows, nxt, nominal_steps)
-        minimality = max(minimality, float(np.max(stored - best)))
+        minimality = np.maximum(minimality, np.max(stored - best))
         next_rows, nxt = rows, stored
-    return {"fixed_point": fixed_point, "minimality": minimality}
+    return {"fixed_point": float(fixed_point), "minimality": float(minimality)}

@@ -126,15 +126,11 @@ class LayerTransition:
         """Survival-weighted expectation of next-layer ``values`` at each node.
 
         The last axis of ``values`` runs over next-layer nodes, so an (R, m')
-        array gives one (R, m) expectation per row.  The adjoint of
-        :meth:`push`: dot(push(m), v) == dot(m, expect(v)).
+        array gives one (R, m) expectation per row, from one gather; the sum
+        over the branch axis adds in order, ((p0 v0 + p1 v1) + p2 v2).  The
+        adjoint of :meth:`push`: dot(push(m), v) == dot(m, expect(v)).
         """
-        probs, succ = self.probs, self.succ
-        return (
-            probs[0] * values.take(succ[0], axis=-1)
-            + probs[1] * values.take(succ[1], axis=-1)
-            + probs[2] * values.take(succ[2], axis=-1)
-        )
+        return (self.probs * values.take(self.succ, axis=-1)).sum(axis=-2)
 
     def push(self, mass: np.ndarray) -> np.ndarray:
         """Carry per-node mass one step forward along the survival-scaled branches."""

@@ -116,13 +116,17 @@ def _row_cost(stage, s_index: int, action, nominal_steps: int) -> np.ndarray:
     return stage.discount * ((a + stage.coupon * s) * tr.survival + tr.default_prob * stage.recovery * s)
 
 
-def _row_continuation(stage, next_row: np.ndarray) -> np.ndarray:
-    tr = stage.transition
-    return stage.discount * (
-        tr.probs[0] * next_row[tr.succ[0]]
-        + tr.probs[1] * next_row[tr.succ[1]]
-        + tr.probs[2] * next_row[tr.succ[2]]
+def three_term_expect(tr, values: np.ndarray) -> np.ndarray:
+    """Survival-weighted expectation as three gathers, added down, mid, up."""
+    return (
+        tr.probs[0] * values.take(tr.succ[0], axis=-1)
+        + tr.probs[1] * values.take(tr.succ[1], axis=-1)
+        + tr.probs[2] * values.take(tr.succ[2], axis=-1)
     )
+
+
+def _row_continuation(stage, next_row: np.ndarray) -> np.ndarray:
+    return stage.discount * three_term_expect(stage.transition, next_row)
 
 
 def per_nominal_backward_induction(stages, nominal_steps: int, initial_index: int):

@@ -23,6 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 GATES = [
+    ("price", [], 2, 60),
     ("price", ["--steps-per-year", "252"], 2, 80),
     ("validate-tree", ["--steps-per-year", "252"], 1, 80),
     ("mc-check", [], 2, 60),

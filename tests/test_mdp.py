@@ -6,10 +6,13 @@ import pytest
 from oracles import per_nominal_backward_induction, per_nominal_policy_value
 from policies import fixed_schedule_policy, random_admissible_policy
 
+from sinkbond import pricer
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.market_data import DiscountCurve, TimeGrid, build_time_grid
 from sinkbond.mdp import (
+    MDPSolution,
     StageProblem,
+    StageTable,
     backward_induction,
     bellman_residual,
     evaluate_policy,
@@ -181,6 +184,25 @@ class TestBackwardInduction:
         row[row.size // 2] += 1e-9
         assert bellman_residual(stages, spec.nominal_steps, solution)["fixed_point"] > 1e-12
 
+    @pytest.mark.parametrize("where", ["one value", "whole table"])
+    def test_nan_in_a_stored_table_comes_out_as_nan(self, where, fitted_params, flat_curve):
+        # builtin max(0.0, nan) is 0.0: a per-stage NaN deviation must not be folded away
+        spec = README_BOND
+        stages = build_stage_problems(augment_default(build_trinomial(fitted_params, bond_grid(spec, 12))),
+                                      flat_curve, spec)
+        solution = backward_induction(stages, spec.nominal_steps)
+        assert solution.values[36] is not None and bool(stages[36].table.any())
+        table = solution.values[36]
+        array = table.array.copy()
+        if where == "one value":
+            array[len(table) // 2, array.shape[1] // 2] = np.nan
+        else:
+            array[:] = np.nan
+        values = list(solution.values)
+        values[36] = StageTable(table.rows, array)
+        residuals = bellman_residual(stages, spec.nominal_steps, MDPSolution(tuple(values), solution.policy))
+        assert math.isnan(residuals["fixed_point"]) and math.isnan(residuals["minimality"])
+
 
 def sinking_instance(params, curve, *, allow_skip=False):
     spec = SinkingBondSpec(
@@ -275,12 +297,21 @@ TIED_BOND = SinkingBondSpec(
 
 
 @pytest.mark.parametrize(
-    "spec, steps_per_year", [(TIED_BOND, 4), (README_BOND, 12)], ids=["skip-call-K20", "readme-12"]
+    "spec, steps_per_year, fan",
+    [(TIED_BOND, 4, None), (README_BOND, 12, None), (README_BOND, 52, None), (README_BOND, 12, 64)],
+    ids=["skip-call-K20", "readme-12", "readme-52", "readme-12-fan64"],
 )
-def test_engine_equals_per_nominal_reference(spec, steps_per_year, fitted_params, flat_curve):
+def test_engine_equals_per_nominal_reference(spec, steps_per_year, fan, fitted_params, flat_curve, monkeypatch):
+    # readme-52 has coupon-paying carried stages; the fan's stages are those spread_prices
+    # builds, an identity step and one discount factor per node (spread)
     grid = bond_grid(spec, steps_per_year)
-    tree = augment_default(build_trinomial(fitted_params, grid))
-    stages = build_stage_problems(tree, flat_curve, spec)
+    if fan is None:
+        stages = build_stage_problems(augment_default(build_trinomial(fitted_params, grid)), flat_curve, spec)
+    else:
+        stages = []
+        monkeypatch.setattr(pricer, "backward_induction", lambda st, k: stages.extend(st) or backward_induction(st, k))
+        pricer.spread_prices(spec, flat_curve, grid, np.linspace(-0.01, 0.05, fan))
+        assert stages[0].transition.survival.shape == np.shape(stages[0].discount) == (fan,)
     values, policy, ties = per_nominal_backward_induction(stages, spec.nominal_steps, spec.nominal_steps)
     solution = backward_induction(stages, spec.nominal_steps)
     if spec.full_call:

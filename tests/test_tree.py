@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mean_chain, per_layer_validate_tree, per_step_build_trinomial, push_pass_mass_curve
+from oracles import (
+    mean_chain,
+    per_layer_validate_tree,
+    per_step_build_trinomial,
+    push_pass_mass_curve,
+    three_term_expect,
+)
 
 from sinkbond import pricer
 from sinkbond.instruments import SinkingBondSpec, bond_grid
@@ -499,6 +505,37 @@ def test_push_equals_the_per_node_loop():
         np.testing.assert_allclose(tr.push(mass), loop, rtol=8 * np.finfo(float).eps, atol=0.0)
         shared += any(np.unique(tr.succ[row, tr.live]).size < tr.live.sum() for row in range(3))
     assert shared
+
+
+#: (parameters, maturity) of the lattices expect() is pinned on: the README set, a risky
+#: issuer and the sigma 50 / beta -1e-3 box corner
+EXPECT_LATTICES = {
+    "readme": (JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-0.6, z0=30.0), 10.0),
+    "risky": (JDCEVParams(lambda0=0.5, sigma=2.8199, beta=-0.6, z0=30.0), 3.0),
+    "corner": (JDCEVParams(lambda0=0.004, sigma=50.0, beta=-1e-3, z0=30.0), 3.0),
+}
+
+
+@pytest.mark.parametrize(
+    "lattice, steps_per_year",
+    [(name, spy) for name in EXPECT_LATTICES for spy in (4, 52, 252)] + [("chain", 12), ("fan64", None)],
+)
+def test_expect_is_the_three_term_sum_byte_for_byte(lattice, steps_per_year):
+    # one gather and a sum over the branch axis add in the down, mid, up order
+    if lattice == "fan64":
+        transitions = [pricer._fan(64)]
+    elif lattice == "chain":
+        transitions = deterministic_tree(build_time_grid(10.0, steps_per_year), 0.03).transitions
+    else:
+        params, maturity = EXPECT_LATTICES[lattice]
+        tree = augment_default(build_trinomial(params, build_time_grid(maturity, steps_per_year)))
+        transitions = {id(tr): tr for tr in tree.transitions}.values()
+    rng = np.random.default_rng(7)
+    for tr in transitions:
+        values = rng.random((21, tr.next_size)) * (rng.random((21, tr.next_size)) < 0.9)  # about 10 % zeros
+        for arg in (values[0], values[:1], values):
+            got, want = tr.expect(arg), three_term_expect(tr, arg)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 README_PARAMS = JDCEVParams(lambda0=0.004, sigma=2.8199, beta=-0.6, z0=30.0)
