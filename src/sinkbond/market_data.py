@@ -46,7 +46,7 @@ class TimeGrid:
             raise ValueError("a time grid needs at least one step")
         if self.times[0] != 0.0:
             raise ValueError("time grids must start at 0")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if any(not b > a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("grid times must be strictly increasing")
 
     @property
@@ -176,7 +176,7 @@ class DiscountCurve:
             raise ValueError("pillar times and rates must be equally long and nonempty")
         if self.pillar_times[0] != 0.0:
             raise ValueError("the first pillar must sit at time 0")
-        if any(b <= a for a, b in zip(self.pillar_times, self.pillar_times[1:])):
+        if any(not b > a for a, b in zip(self.pillar_times, self.pillar_times[1:])):
             raise ValueError("pillar times must be strictly increasing")
         if not all(math.isfinite(r) for r in self.pillar_rates):
             raise ValueError("pillar rates must be finite")
@@ -195,7 +195,7 @@ class DiscountCurve:
 
     def forward_rates(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if np.any(ts < 0.0):
+        if not np.all(ts >= 0.0):
             raise ValueError("curve evaluation requires t >= 0")
         idx = np.searchsorted(self.pillar_times, ts, side="right") - 1
         return np.asarray(self.pillar_rates)[idx]

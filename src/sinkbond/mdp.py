@@ -5,21 +5,21 @@ per remaining nominal, the step's lattice transition and the cashflow
 parameters of the step.  Each stage is computed as one (R, m) array: a row
 per nominal index reachable from the full notional (``rows``, sorted), a
 column per lattice node.  One kernel, :func:`stage_values`, prices a whole
-stage under a per-(row, node) action array -- cost plus the discounted
-transition ``expect`` of the next stage's array, read at continuation row
-s - a.  The absorbing post-default state never appears explicitly: the
-one-time recovery payment sits inside the stage cost and everything after
-default is worth zero.
+stage under a per-(row, node) action array, or a leading stack of candidate
+ones -- cost plus the discounted transition ``expect`` of the next stage's
+array, read at continuation row s - a.  The absorbing post-default state
+never appears explicitly: the one-time recovery payment sits inside the
+stage cost and everything after default is worth zero.
 
 Action sets are keyed by the remaining nominal alone (the intensity node
 never restricts what an issuer may redeem), so a stage's admissible actions
 are one lookup ``stage.actions(rows)`` returning an (R, A) grid, largest
 amount first.  Finding the optimal policy and valuing a fixed one are one
 sweep: forward it collects the reachable rows and each stage's candidate
-actions, the admissible grid or the policy's single choice; backward it
-takes the smallest value over the candidates, one expectation per stage.
-Ties go to the earlier candidate, so to the largest redemption, and
-policies are reproducible and stored in the candidates' dtype.
+actions, the admissible grid or the policy's single choice, as (C, R, k);
+backward one :func:`stage_values` call values them all and keeps the
+smallest.  Ties go to the earlier candidate, so to the largest redemption,
+a NaN value wins, and policies are stored in the candidates' dtype.
 
 The issuer chooses only where a stage's table holds a nonzero amount (the
 redemption dates and the final stage).  Every other stage redeems nothing
@@ -153,22 +153,17 @@ def stage_values(
     """Cost plus discounted continuation of every (row, node) under ``actions``.
 
     ``rows`` are the stage's sorted nominal indices; ``actions`` broadcasts
-    to (len(rows), m); ``next_values`` is the next stage's (R', m') array
+    to (..., len(rows), m), so (C, R, k) candidates are valued at once from
+    one expectation; ``next_values`` is the next stage's (R', m') array
     whose sorted row labels are ``next_rows``.  Node j of row s under action
     a continues at row s - a of the next stage.
     """
-    cont = stage.discount * stage.transition.expect(next_values)
-    return _continued(stage, rows, actions, next_rows, cont, nominal_steps)
-
-
-def _continued(stage: StageProblem, rows: np.ndarray, actions: np.ndarray, next_rows: np.ndarray,
-               cont: np.ndarray, nominal_steps: int) -> np.ndarray:
-    """:func:`stage_values` given ``cont``, the stage's discounted expectation of the next stage's values."""
     remaining = rows[:, None] - np.asarray(actions)
     pos = np.searchsorted(next_rows, remaining)
     missing = next_rows.take(pos, mode="clip") != remaining
     if missing.any():
         raise ValueError(f"missing continuation values for nominal index {remaining[missing][0]}")
+    cont = stage.discount * stage.transition.expect(next_values)
     return stage_cost(stage, rows[:, None], actions, nominal_steps) + cont[pos, np.arange(stage.size)]
 
 
@@ -197,42 +192,36 @@ def _decides(stages: Sequence[StageProblem], nominal_steps: int) -> list[bool]:
 
 
 def _admissible(stage: StageProblem, rows: np.ndarray, n: int) -> np.ndarray:
-    """The stage's (R, A) action grid for ``rows``; no action may exceed its row."""
+    """The stage's (R, A) action grid for ``rows`` as (A, R, 1) candidates; no action may exceed its row."""
     grid = stage.actions(rows)
     over = np.flatnonzero((grid > rows[:, None]).any(axis=1))
     if over.size:
         raise ValueError(f"stage {n}, nominal index {rows[over[0]]}: action {grid[over[0]].max()} exceeds the nominal")
-    return grid
+    return grid.T[:, :, None]
 
 
 def _next_rows(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Sorted distinct continuation rows s - a of (R, C, k) candidates; actions never exceed their row."""
-    return np.flatnonzero(np.bincount((rows[:, None, None] - candidates).ravel()))
+    """Sorted distinct continuation rows s - a of (C, R, k) candidates; actions never exceed their row."""
+    return np.flatnonzero(np.bincount((rows[:, None] - candidates).ravel()))
 
 
 def _minimize(
     stage: StageProblem, rows: np.ndarray, candidates: np.ndarray, next_rows: np.ndarray, next_values: np.ndarray,
     nominal_steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest :func:`stage_values` of each (row, node) over the (R, C, k) ``candidates``' columns,
-    from one expectation, and the (R, m) actions giving it; only a strictly
-    smaller value replaces the running best, so ties go to the earlier column."""
-    cont = stage.discount * stage.transition.expect(next_values)
-    best = _continued(stage, rows, candidates[:, 0], next_rows, cont, nominal_steps)
-    chosen = np.broadcast_to(candidates[:, 0], best.shape).copy()
-    for col in range(1, candidates.shape[1]):
-        trial = _continued(stage, rows, candidates[:, col], next_rows, cont, nominal_steps)
-        better = trial < best
-        best = np.where(better, trial, best)
-        chosen = np.where(better, candidates[:, col], chosen)
-    return best, chosen
+    """Smallest :func:`stage_values` of each (row, node) over the (C, R, k) ``candidates``, and the
+    (R, m) actions giving it.  ``argmin`` keeps the first minimum, so ties go to the earlier
+    candidate, and a NaN value from any candidate wins."""
+    values = stage_values(stage, rows, candidates, next_rows, next_values, nominal_steps)
+    best = values.argmin(axis=0)[None]
+    return np.take_along_axis(values, best, axis=0)[0], np.take_along_axis(candidates, best, axis=0)[0]
 
 
 def _sweep(
     stages: Sequence[StageProblem], nominal_steps: int, candidates: Callable[[int, np.ndarray], Optional[np.ndarray]]
 ) -> MDPSolution:
     """The Bellman recursion of both solvers.  Forward from the full notional,
-    ``candidates(n, rows)`` gives stage n's (R, C, k) candidate actions, or
+    ``candidates(n, rows)`` gives stage n's (C, R, k) candidate actions, or
     ``None`` at a carried stage, which keeps its rows; backward, a carried
     stage is one :func:`_carry` and any other one :func:`_minimize`."""
     rows, grids = [np.array([nominal_steps])], []
@@ -262,17 +251,15 @@ def _sweep(
 
 def backward_induction(stages: Sequence[StageProblem], nominal_steps: int) -> MDPSolution:
     """Solve the decision problem; the root value is the instrument's price.
-    A deciding stage's candidates are its admissible (R, A, 1) grid."""
+    A deciding stage's candidates are its admissible (A, R, 1) grid."""
     decides = _decides(stages, nominal_steps)
-    return _sweep(
-        stages, nominal_steps, lambda n, rows: _admissible(stages[n], rows, n)[:, :, None] if decides[n] else None
-    )
+    return _sweep(stages, nominal_steps, lambda n, rows: _admissible(stages[n], rows, n) if decides[n] else None)
 
 
 def evaluate_policy(stages: Sequence[StageProblem], nominal_steps: int, policy: PolicyLike) -> MDPSolution:
     """The engine's solution of a fixed admissible policy.
 
-    A deciding stage's one candidate is the policy's (R, 1, m) actions, so
+    A deciding stage's one candidate is the policy's (1, R, m) actions, so
     only states the policy visits are materialized and schedule maps need
     not be defined away from their own trajectory; :func:`bellman_residual`
     refuses such a solution where a rival action leaves those states.  Every
@@ -300,7 +287,7 @@ def evaluate_policy(stages: Sequence[StageProblem], nominal_steps: int, policy: 
             raise ValueError(
                 f"stage {n}, nominal index {rows[r]}: action {acts[r][~admissible[r]].min()} not admissible"
             )
-        return acts[:, None, :] if decides[n] else None
+        return acts[None] if decides[n] else None
 
     return _sweep(stages, nominal_steps, taken)
 
@@ -341,7 +328,7 @@ def bellman_residual(
         stage = stages[n]
         at_policy = stage_values(stage, rows, solution.policy[n].array, next_rows, nxt, nominal_steps)
         fixed_point = np.maximum(fixed_point, np.max(np.abs(at_policy - stored)))
-        best, _ = _minimize(stage, rows, _admissible(stage, rows, n)[:, :, None], next_rows, nxt, nominal_steps)
+        best, _ = _minimize(stage, rows, _admissible(stage, rows, n), next_rows, nxt, nominal_steps)
         minimality = np.maximum(minimality, np.max(stored - best))
         next_rows, nxt = rows, stored
     return {"fixed_point": float(fixed_point), "minimality": float(minimality)}

@@ -132,10 +132,12 @@ def schedule_cashflows(
         col = 0 if rule == "max" else -1
         choices = dict.fromkeys(redemption_stages(spec, grid))  # None: read the rule's column
     else:
-        choices = {
-            grid.index_of(float(date)): spec.fraction_to_index(float(fraction))
-            for date, fraction in schedule.items()
-        }
+        choices, dates = {}, {}
+        for date, fraction in schedule.items():
+            n = grid.index_of(float(date))
+            if n in dates:
+                raise ValueError(f"schedule dates {dates[n]!r} and {date!r} fall on one grid date")
+            dates[n], choices[n] = date, spec.fraction_to_index(float(fraction))
         missing = redemption_stages(spec, grid) - set(choices)
         if missing:
             raise ValueError(

@@ -25,7 +25,8 @@ ROOT = Path(__file__).resolve().parents[1]
 GATES = [
     ("price", [], 2, 60),
     ("price", ["--steps-per-year", "252"], 2, 80),
-    ("validate-tree", ["--steps-per-year", "252"], 1, 80),
+    ("validate-tree", [], 2, 60),
+    ("validate-tree", ["--steps-per-year", "252"], 2, 80),
     ("mc-check", [], 2, 60),
     ("mc-check", ["--steps-per-year", "252"], 2, 80),
     ("calibrate", [], 2, None),

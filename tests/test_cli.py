@@ -411,6 +411,13 @@ class TestMcCheckCommand:
         assert code == 2
         assert "mc.schedule" in report["error"]["message"]
 
+    def test_two_schedule_dates_on_one_grid_date_exit_2(self, tmp_path):
+        schedule = {"1.0": 0.05, "1.0000000001": 0.10, "2.0": 0.05, "3.0": 0.05}
+        payload = dict(BASE, bond=sinking_bond_section(), mc={"n_paths": 100, "schedule": schedule})
+        code, report = run(tmp_path, "mc-check", payload)
+        assert code == 2
+        assert "1.0 and 1.0000000001 fall on one grid date" in report["error"]["message"]
+
     def test_default_free_run_agrees(self, tmp_path):
         # every path pays the same, so the sides differ by rounding at most and the error is zero
         payload = dict(

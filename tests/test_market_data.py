@@ -122,6 +122,8 @@ class TestTimeGrid:
             TimeGrid((0.1, 0.5))
         with pytest.raises(ValueError):
             TimeGrid((0.0, 0.5, 0.5))
+        with pytest.raises(ValueError):
+            TimeGrid((0.0, float("nan")))
 
     def test_index_of(self):
         grid = build_time_grid(2.0, 2)
@@ -139,13 +141,16 @@ class TestDiscountCurve:
             DiscountCurve((0.0, 0.0), (0.01, 0.02))
         with pytest.raises(ValueError):
             DiscountCurve((0.0,), (float("nan"),))
+        with pytest.raises(ValueError):
+            DiscountCurve((0.0, float("nan"), 1.0), (0.02, 0.03, 0.04))
 
     def test_piecewise_lookup_and_flat_extension(self):
         curve = DiscountCurve((0.0, 1.0, 2.0), (0.01, 0.02, 0.03))
         rates = curve.forward_rates(np.array([0.0, 0.999, 1.0, 10.0]))
         assert rates.tolist() == [0.01, 0.01, 0.02, 0.03]
-        with pytest.raises(ValueError):
-            curve.forward_rates(np.array([0.5, -0.1]))
+        for bad in ([0.5, -0.1], [float("nan")]):
+            with pytest.raises(ValueError):
+                curve.forward_rates(np.array(bad))
 
     def test_from_pillars(self):
         curve = DiscountCurve.from_pillars([{"time": 0.0, "rate": 0.02}, {"time": 3.0, "rate": 0.025}])

@@ -6,7 +6,7 @@ import pytest
 from oracles import per_nominal_backward_induction, per_nominal_policy_value
 from policies import fixed_schedule_policy, random_admissible_policy
 
-from sinkbond import pricer
+from sinkbond import mdp, pricer
 from sinkbond.instruments import SinkingBondSpec, bond_grid
 from sinkbond.market_data import DiscountCurve, TimeGrid, build_time_grid
 from sinkbond.mdp import (
@@ -137,6 +137,24 @@ class TestBellmanStep:
         assert solution.values[1][1][0] == 1.0
         assert solution.values[0][1][0] == 1.0
         assert solution.policy[0][1][0] == 1
+
+    @pytest.mark.parametrize("nan_row, action", [(0, 1), (1, 0)], ids=["first", "second"])
+    def test_nan_continuation_wins_from_either_candidate(self, nan_row, action, monkeypatch):
+        # the final stage costs NaN at one nominal row, so exactly one of the
+        # deciding stage's candidates (1, 0) continues into a NaN: the first
+        # when the row is 0, the second when it is 1
+        params = dict(intensity=0.02, dt=0.5, rate=0.01, coupon=0.03, recovery=0.4)
+        carried, decide = chain_stage({1: (0,)}, **params), chain_stage({1: (0, 1)}, **params)
+        last = chain_stage({1: (1,), 0: (0,)}, **params)
+
+        def cost(stage, s_index, action_index, nominal_steps):
+            value = stage_cost(stage, s_index, action_index, nominal_steps)
+            return np.where(np.asarray(s_index) == nan_row, np.nan, value) if stage is last else value
+
+        monkeypatch.setattr(mdp, "stage_cost", cost)
+        solution = backward_induction([carried, decide, last], 1)
+        assert np.isnan(solution.values[1][1][0]) and np.isnan(solution.root_value)
+        assert solution.policy[1][1][0] == action
 
 
 class TestBackwardInduction:

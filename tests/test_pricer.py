@@ -211,6 +211,11 @@ class TestPriceFixedSchedule:
         with pytest.raises(ValueError, match="redemption dates"):
             price_fixed_schedule(tree, flat_curve, spec, {1.0: 0.10})
 
+    def test_two_dates_on_one_grid_date_rejected(self):
+        spec = SinkingBondSpec(maturity=3.0, redemption_dates=(1.0, 2.0), admissible_fractions=(0.25, 0.5))
+        with pytest.raises(ValueError, match="1.0 and 1.0000000001 fall on one grid date"):
+            schedule_cashflows(spec, bond_grid(spec, 1), {1.0: 0.25, 1.0000000001: 0.5, 2.0: 0.25})
+
     def test_dominance_over_random_schedules(self, fitted_params, flat_curve):
         spec = premium_spec()
         tree = stochastic_tree(fitted_params, 5.0, 4, events=spec.redemption_dates)
