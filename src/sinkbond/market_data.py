@@ -48,6 +48,8 @@ class TimeGrid:
             raise ValueError("time grids must start at 0")
         if any(not b > a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("grid times must be strictly increasing")
+        if not math.isfinite(self.times[-1]):
+            raise ValueError("grid times must be finite")
 
     @property
     def n_steps(self) -> int:
@@ -178,6 +180,8 @@ class DiscountCurve:
             raise ValueError("the first pillar must sit at time 0")
         if any(not b > a for a, b in zip(self.pillar_times, self.pillar_times[1:])):
             raise ValueError("pillar times must be strictly increasing")
+        if not math.isfinite(self.pillar_times[-1]):
+            raise ValueError("pillar times must be finite")
         if not all(math.isfinite(r) for r in self.pillar_rates):
             raise ValueError("pillar rates must be finite")
 

@@ -265,22 +265,25 @@ def evaluate_policy(stages: Sequence[StageProblem], nominal_steps: int, policy: 
     refuses such a solution where a rival action leaves those states.  Every
     stage's actions, carried ones included, are checked against its (R, A)
     table in one comparison, and an inadmissible action raises, naming the
-    offending state.
+    offending state.  A solution's tables are read whole, one ``searchsorted``
+    per stage; a row a table lacks raises KeyError, as reading it would.
     """
-    if callable(policy):
-        fn = policy
-    else:
-        tables = policy.policy if isinstance(policy, MDPSolution) else policy
-
-        def fn(stage: int, s_index: int):
-            return tables[stage][s_index]
-
+    whole = isinstance(policy, MDPSolution)
+    fn = policy if callable(policy) else lambda n, s_index: policy[n][s_index]
     decides = _decides(stages, nominal_steps)
 
     def taken(n: int, rows: np.ndarray) -> Optional[np.ndarray]:
         acts = np.empty((rows.size, stages[n].size), dtype=np.intp)
-        for i, s_index in enumerate(rows.tolist()):
-            acts[i] = fn(n, s_index)
+        if whole:
+            table = policy.policy[n]
+            at = np.searchsorted(table.rows, rows)
+            held = table.rows.take(at, mode="clip") == rows
+            if not held.all():
+                raise KeyError(int(rows[np.argmin(held)]))
+            acts[...] = table.array[at]  # a carried stage's (R, 1) column broadcasts
+        else:
+            for i, s_index in enumerate(rows.tolist()):
+                acts[i] = fn(n, s_index)
         admissible = (acts[:, :, None] == stages[n].actions(rows)[:, None, :]).any(axis=2)
         if not admissible.all():
             r = int(np.flatnonzero(~admissible.all(axis=1))[0])

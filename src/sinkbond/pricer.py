@@ -176,7 +176,7 @@ def price_fixed_schedule(
 
 def _fan(width: int) -> LayerTransition:
     """Read-only default-free step carrying each of ``width`` nodes to itself."""
-    identity = np.array([[0.0], [1.0], [0.0], [1.0], [0.0]])  # down, mid, up, survival, default
+    identity = np.array([[0.0], [1.0], [0.0], [1.0], [0.0], [0.0], [1.0], [0.0]])  # branch, survival, default, scaled
     return _band_transition(np.arange(width), identity, slice(0, width), width, 0, width - 1)
 
 

@@ -35,9 +35,12 @@ satisfies |a| < 0.184 dx, the usual case for a drift without mean reversion.
 
 Layer n + 1 holds the nodes x0 + k * dx_n, dx_n = sqrt(3 * dt_n), so a node's
 state depends on (k, dx_n) and its branch triple, survival and default
-probability on (k, dx_n, dt_n+1).  The build evaluates each once, in a window
-of k per spacing and per (spacing, dt) that flags columns that overflowed,
-went non-finite or hold a triple outside [0, 1], and slices every layer.
+probability on (k, dx_n, dt_n+1).  The build evaluates each once, in windows
+of k that flag columns that overflowed, went non-finite or hold a triple
+outside [0, 1]: one row of node columns per spacing and one of branch columns
+per (spacing, dt), the latter with all eight float rows of a transition, so a
+distinct step copies its band once.  A miss refills the rows of every similar
+spacing still to be used in one 2-D pass, and a layer is a view of its window.
 
 A step is set by its spacing, its length, its layer's node range and its
 band, and many steps of a long grid repeat an earlier one.  The build keeps
@@ -72,8 +75,9 @@ _TRUNCATION_TOL = 1e-12
 _SPACING_TOL = 1e-4
 #: |branch variance - dt| / dt above which :func:`validate_tree` flags a layer.
 _VARIANCE_TOL = 1e-3
-#: Nodes per block of layers that :func:`validate_tree` checks at once; the
-#: block's temporaries stay at a few MB however large the lattice.
+#: Nodes per block of layers that :func:`validate_tree` checks at once, and
+#: columns above which a window pass of :func:`build_trinomial` fills one key;
+#: the temporaries stay at a few MB however large the lattice.
 _BLOCK_NODES = 8192
 #: Nodes a :func:`build_trinomial` lattice may hold, counted over all layers,
 #: shared ones included, since pricing work scales with that count (about 120
@@ -165,7 +169,7 @@ class IntensityTree:
 def _read_only(*arrays: np.ndarray) -> np.ndarray:
     """Lock the arrays against writes; returns the first."""
     for arr in arrays:
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return arrays[0]
 
 
@@ -198,13 +202,15 @@ def _node_columns(params: JDCEVParams, x0: float, dx: float, k: np.ndarray):
     return (np.stack((x, z, lam, drift)),), np.isfinite(lam) & np.isfinite(drift)
 
 
-def _branch_columns(params: JDCEVParams, x0: float, dx_prev: float, dt: float, k: np.ndarray):
-    """Successors, and rows down/mid/up, survival and default probability, of node k of a layer
-    spaced ``dx_prev`` over a step ``dt``; clean where the node is and the triple passes the check."""
-    (nodes,), clean = _node_columns(params, x0, dx_prev, k)
-    x, _, lam, drift = nodes
+def _branch_columns(params: JDCEVParams, x0: float, dx_prev, dt, k: np.ndarray):
+    """Successors, and rows down/mid/up, survival, default probability and the survival-scaled
+    down/mid/up, of node k of a layer spaced ``dx_prev`` over a step ``dt``; clean where the
+    node's state is finite and the triple passes the check."""
+    x = x0 + k * dx_prev
+    lam, drift = x_state(params, x)
+    clean = np.isfinite(lam) & np.isfinite(drift)
     mean = x + drift * dt
-    dx = math.sqrt(3.0 * dt)
+    dx = np.sqrt(3.0 * dt)
     center = np.rint((mean - x0) / dx).astype(np.intp)
     offset = (mean - (x0 + center * dx)) / dx
     up = 1.0 / 6.0 + 0.5 * (offset**2 + offset)
@@ -212,15 +218,16 @@ def _branch_columns(params: JDCEVParams, x0: float, dx_prev: float, dt: float, k
     # 2/3 - offset**2 in exact arithmetic; the complement keeps the
     # triple's rounding from draining mass over thousands of steps
     mid = 1.0 - (down + up)
-    branch = np.stack([down, mid, up])
+    rate = -lam * dt
+    survival = np.exp(rate)
+    floats = np.stack([down, mid, up, survival, -np.expm1(rate), down * survival, mid * survival, up * survival])
+    # a NaN fails both bounds; a triple inside them sums to 1 within a few ulps, so they are the whole check
     with np.errstate(all="ignore"):
-        clean &= np.all((branch >= -_PROB_TOL) & (branch <= 1.0 + _PROB_TOL), axis=0)
-        clean &= np.abs(branch.sum(axis=0) - 1.0) <= 1e-9
-    floats = np.stack([down, mid, up, np.exp(-lam * dt), -np.expm1(-lam * dt)])
+        clean &= (floats[:3].min(axis=0) >= -_PROB_TOL) & (floats[:3].max(axis=0) <= 1.0 + _PROB_TOL)
     return (np.stack([center - 1, center, center + 1]), floats), clean
 
 
-def _band_transition(succ: np.ndarray, floats: np.ndarray, band: slice, size: int, lo: int, hi: int) -> LayerTransition:
+def _band_transition(succ, floats, band: slice, size: int, lo: int, hi: int) -> LayerTransition:
     """Freeze one step of a layer of ``size`` nodes from its band's successors,
     numbered from ``lo`` to ``hi`` in the next layer, and :func:`_branch_columns`
     rows, or one column broadcast over the band; nodes off it are all-zero leaves.
@@ -229,8 +236,7 @@ def _band_transition(succ: np.ndarray, floats: np.ndarray, band: slice, size: in
     probability and the survival-scaled branches are rows of one float block.
     """
     block = np.zeros((8, size))
-    block[:5, band] = floats
-    np.multiply(floats[:3], floats[3], out=block[5:, band])
+    block[:, band] = floats
     index = np.zeros((3, size), dtype=np.intp)
     np.subtract(succ, lo, out=index[:, band])
     live = np.zeros(size, dtype=bool)
@@ -240,25 +246,69 @@ def _band_transition(succ: np.ndarray, floats: np.ndarray, band: slice, size: in
 
 
 class _Windows:
-    """Per key, the columns ``columns(*key, k)`` cached over a bounded run of node indices k."""
+    """Per key, the columns ``columns(*key, k)`` over a bounded run of node indices k.
 
-    def __init__(self, columns) -> None:
-        self._columns, self._cached = columns, {}
+    ``keys`` holds the key of each use in order, a key's first field being the
+    node spacing of the layer it indexes.  A miss fills, in one 2-D pass, the
+    missing key and every key still to be used whose spacing is within a factor
+    2 of its own, each over the same stretch of the coordinate; a pass wider
+    than ``_BLOCK_NODES`` columns fills the missing key alone.  A key is
+    *ordered* while the first row of its first column array (a node's
+    coordinate, or its down successor) never falls along its window.
+    """
 
-    def slice(self, key: tuple, a: int, b: int) -> tuple[tuple[np.ndarray, ...], bool]:
-        """Columns at k = a..b, and whether they came from the cache; see :func:`build_trinomial`."""
-        lo, hi, cols, unclean = self._cached.get(key, (0, -1, None, None))
+    def __init__(self, columns, keys: list[tuple], margin: int) -> None:
+        self._columns, self._keys, self._margin = columns, keys, margin
+        row = {key: r for r, key in enumerate(dict.fromkeys(keys))}
+        self._rows = [row[key] for key in keys]
+        self._last = np.zeros(len(row), dtype=int)
+        self._last[self._rows] = np.arange(len(keys))  # the last write wins: each key's last use
+        self._args = [np.array(field)[:, None] for field in zip(*row)]
+        self._cached: list = [(0, -1, None, 0, None, False)] * len(row)
+
+    def slice(self, use: int, a: int, b: int) -> tuple[list[np.ndarray], bool, bool]:
+        """Columns at k = a..b of the key of use ``use``, whether they came from a pass, and
+        whether that key is ordered; see :func:`build_trinomial`."""
+        r = self._rows[use]
+        lo, hi, cols, q, unclean, ordered = self._cached[r]
         if not (lo <= a and b <= hi):
-            w = b - a + 1
-            lo, hi = a - w, b + w
-            with np.errstate(all="ignore"):
-                cols, clean = self._columns(*key, np.arange(lo, hi + 1, dtype=float))
-            unclean = [0, *np.cumsum(~clean).tolist()]
-            self._cached[key] = lo, hi, cols, unclean
+            lo, hi, cols, q, unclean, ordered = self._fill(use, r, lo, hi, a, b)
         i, j = a - lo, b + 1 - lo
-        if unclean[i] != unclean[j]:
-            return self._columns(*key, np.arange(a, b + 1, dtype=float))[0], False
-        return tuple(col[..., i:j] for col in cols), True
+        if self._last[r] == use:  # the key's last use: its window goes once the caller drops the slice
+            self._cached[r] = (0, -1, None, 0, None, False)
+        if unclean is not None and unclean[i] != unclean[j]:
+            cols = self._columns(*self._keys[use], np.arange(a, b + 1, dtype=float))[0]
+            _read_only(*cols)
+            return cols, False, False
+        return [col[..., q, i:j] for col in cols], True, ordered
+
+    def _fill(self, use: int, r: int, lo: int, hi: int, a: int, b: int):
+        """Fill key ``r`` over [a - w, b + w] for its run a..b of w nodes (w at least the margin),
+        or, near its window lo..hi, over that window grown by their union on the side it missed."""
+        w = max(hi, b) - min(lo, a) + 1
+        if hi >= lo and w < 2 * (hi - lo + b - a + 2):
+            a, b = (a - w if a < lo else lo), (b + w if b > hi else hi)
+        else:
+            w = max(b - a + 1, self._margin)
+            a, b = a - w, b + w
+        ratio = self._args[0][r] / self._args[0][:, 0]
+        similar = (ratio >= 0.5) & (ratio <= 2.0) & (self._last >= use) & (b - a < _BLOCK_NODES)
+        rows = np.union1d(np.flatnonzero(similar), [r])
+        first, last = np.floor(a * ratio[rows]).astype(np.int64), np.ceil(b * ratio[rows]).astype(np.int64)
+        q = int(np.searchsorted(rows, r))
+        first[q], last[q] = a, b
+        width = int((last - first).max()) + 1
+        k = np.array([np.arange(f, f + width, dtype=float) for f in first.tolist()])
+        with np.errstate(all="ignore"):
+            cols, clean = self._columns(*(arg[rows] for arg in self._args), k)
+        _read_only(*cols)
+        unclean = np.zeros((rows.size, width + 1), dtype=np.intp)
+        np.cumsum(~clean, axis=1, out=unclean[:, 1:])
+        ordered = np.all(cols[0][0, :, 1:] >= cols[0][0, :, :-1], axis=1).tolist()
+        for p, s in enumerate(rows.tolist()):  # a key's running count of flagged columns, if it has one
+            self._cached[s] = (int(first[p]), int(first[p]) + width - 1, cols, p,
+                               unclean[p] if unclean[p, -1] else None, ordered[p])
+        return self._cached[r]
 
 
 def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
@@ -274,54 +324,62 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
     ``_SPACING_TOL`` times the smallest step's node spacing is refused: the
     nodes would round onto each other.  So is, with a ValueError, a lattice
     of more than ``_MAX_NODES`` nodes, before the layer that crosses it is
-    allocated.
+    sliced.
 
     Layers and bands are slices of the module docstring's windows: a miss refills
-    [a - w, b + w] for a run a..b of w nodes, errors suppressed, and a run with a
-    flagged column is evaluated alone, unsuppressed and checked, as a layer would be.
-    A step keyed like an earlier one, by (spacing, dt, first node, layer size,
-    band), appends that step's transition, and a layer keyed like an earlier
-    one, by (spacing, node range), that layer; the mass push runs every step.
+    [a - w, b + w] for a run a..b of w nodes (w at least the root of the step
+    count, as a band grows), or doubles the window it missed on that side when
+    the run is near, errors suppressed; a run with a flagged column is evaluated
+    alone, unsuppressed and checked, as a layer would be.  A step keyed like an
+    earlier one, by (spacing, dt, first node, layer size, band), appends that
+    step's transition and next layer, and a new layer keyed like an earlier one,
+    by (spacing, node range), that layer; the mass push runs every step.
     """
     x0 = float(transform(params, params.z0))
-    dx_min = math.sqrt(3.0 * float(np.min(grid.steps)))
+    steps = grid.steps.tolist()
+    spacing = [math.sqrt(3.0 * dt) for dt in steps]
     ulp = float(np.spacing(x0))
-    if not ulp <= _SPACING_TOL * dx_min:
+    if not ulp <= _SPACING_TOL * min(spacing):
         raise TreeConstructionError(
-            f"node spacing {dx_min!r} does not survive rounding at x0 = {x0!r} "
+            f"node spacing {min(spacing)!r} does not survive rounding at x0 = {x0!r} "
             f"(float spacing {ulp!r}); the lattice nodes would collapse"
         )
-    nodes = _Windows(functools.partial(_node_columns, params, x0))
-    branches = _Windows(functools.partial(_branch_columns, params, x0))
+    spacings = spacing[:1] + spacing  # node spacing of each layer
+    margin = math.isqrt(grid.n_steps)
+    nodes = _Windows(functools.partial(_node_columns, params, x0), [(dx,) for dx in spacings], margin)
+    branches = _Windows(functools.partial(_branch_columns, params, x0), list(zip(spacings, steps)), margin)
 
     layer_cache: dict[tuple[float, int, int], TreeLayer] = {}
-    step_cache: dict[tuple, tuple[LayerTransition, int]] = {}
+    step_cache: dict[tuple, tuple[LayerTransition, int, TreeLayer]] = {}
 
-    def layer(dx: float, lo: int, hi: int) -> TreeLayer:
-        if (dx, lo, hi) not in layer_cache:
-            (cols,), _ = nodes.slice((dx,), lo, hi)
-            layer_cache[dx, lo, hi] = TreeLayer(*_read_only(cols[:3].copy()))
-        return layer_cache[dx, lo, hi]
+    def layer(n: int, lo: int, hi: int) -> TreeLayer:
+        """Layer n, of nodes lo..hi."""
+        key = (spacings[n], lo, hi)
+        if key not in layer_cache:
+            (cols,), _, _ = nodes.slice(n, lo, hi)
+            layer_cache[key] = TreeLayer(*cols[:3])
+        return layer_cache[key]
 
-    dx_prev, k_lo = math.sqrt(3.0 * float(grid.steps[0])), 0
-    layers = [layer(dx_prev, 0, 0)]
+    k_lo, size, first, stop = 0, 1, 0, 1  # the band is nodes first..stop-1 of the layer
+    layers = [layer(0, 0, 0)]
     transitions: list[LayerTransition] = []
-    band = slice(0, 1)
     mass = np.ones(1)
     survival, default_mass = np.ones(grid.n_steps + 1), np.zeros(grid.n_steps)
     total = 1
 
-    for n in range(grid.n_steps):
-        dt = float(grid.steps[n])
-        key = (dx_prev, dt, k_lo, layers[n].size, band.start, band.stop)
+    for n, dt in enumerate(steps):
+        key = (spacings[n], dt, k_lo, size, first, stop)
         step = step_cache.get(key)
         if step is None:
-            (succ, floats), cached = branches.slice((dx_prev, dt), k_lo + band.start, k_lo + band.stop - 1)
+            (succ, floats), cached, ordered = branches.slice(n, k_lo + first, k_lo + stop - 1)
             if not cached:
-                _check_branch_probs(floats[:3], n, band.start)
-            lo, hi = int(succ[0].min()), int(succ[2].max())
+                _check_branch_probs(floats[:3], n, first)
+            if ordered:  # the successors never fall along the band: its ends hold their range
+                lo, hi = int(succ[0, 0]), int(succ[2, -1])
+            else:
+                lo, hi = int(np.minimum.reduce(succ[0])), int(np.maximum.reduce(succ[2]))
         else:
-            tr, lo = step
+            tr, lo, next_layer = step
             hi = lo + tr.next_size - 1
         total += hi - lo + 1
         if total > _MAX_NODES:
@@ -330,21 +388,22 @@ def build_trinomial(params: JDCEVParams, grid: TimeGrid) -> IntensityTree:
                 "use a coarser grid"
             )
         if step is None:
-            tr = _band_transition(succ, floats, band, layers[n].size, lo, hi)
-            step_cache[key] = tr, lo
+            tr = _band_transition(succ, floats, slice(first, stop), size, lo, hi)
+            next_layer = layer(n + 1, lo, hi)
+            step_cache[key] = tr, lo, next_layer
         transitions.append(tr)
-        dx_prev, k_lo = math.sqrt(3.0 * dt), lo
-        layers.append(layer(dx_prev, lo, hi))
+        layers.append(next_layer)
+        k_lo, size = lo, hi - lo + 1
 
-        default_mass[n] = (mass * tr.default_prob).sum()
+        default_mass[n] = np.add.reduce(mass * tr.default_prob)
         mass = tr.push(mass)
-        survival[n + 1] = mass.sum()
+        survival[n + 1] = np.add.reduce(mass)
         (heavy,) = (mass > _MASS_FLOOR).nonzero()
         if heavy.size:
-            band = slice(int(heavy[0]), int(heavy[-1]) + 1)
+            first, stop = int(heavy[0]), int(heavy[-1]) + 1
         else:
-            heaviest = int(np.argmax(mass))
-            band = slice(heaviest, heaviest + 1)
+            first = int(np.argmax(mass))
+            stop = first + 1
 
     return IntensityTree(
         grid=grid,
@@ -379,11 +438,10 @@ def deterministic_tree(grid: TimeGrid, intensities: Union[float, Sequence[float]
     succ = np.zeros((3, 1), dtype=np.intp)
     _read_only(x, z, lam)
     layers = tuple(TreeLayer(x=x, z_level=z, intensity=lam[n]) for n in range(n_dates))
-    transitions = tuple(
-        _band_transition(succ, np.vstack(([[0.0], [1.0], [0.0]], np.exp(-lam[n] * dt), -np.expm1(-lam[n] * dt))),
-                         slice(0, 1), 1, 0, 0)
-        for n, dt in enumerate(grid.steps)
-    )
+    rate = -lam[:-1] * grid.steps[:, None]
+    kept, zero = np.exp(rate), np.zeros_like(rate)
+    rows = np.stack([zero, zero + 1.0, zero, kept, -np.expm1(rate), zero, kept, zero], axis=1)  # (steps, 8, 1)
+    transitions = tuple(_band_transition(succ, floats, slice(0, 1), 1, 0, 0) for floats in rows)
     # a chain's push multiplies its one mass by the step survival, bit for bit
     survival = np.cumprod([1.0] + [tr.survival[0] for tr in transitions])
     default_mass = survival[:-1] * [tr.default_prob[0] for tr in transitions]

@@ -24,6 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 GATES = [
     ("price", [], 2, 60),
+    ("price", ["--steps-per-year", "52"], 2, 60),
     ("price", ["--steps-per-year", "252"], 2, 80),
     ("validate-tree", [], 2, 60),
     ("validate-tree", ["--steps-per-year", "252"], 2, 80),

@@ -124,6 +124,9 @@ class TestTimeGrid:
             TimeGrid((0.0, 0.5, 0.5))
         with pytest.raises(ValueError):
             TimeGrid((0.0, float("nan")))
+        for times in ((0.0, math.inf), (0.0, 1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                TimeGrid(times)
 
     def test_index_of(self):
         grid = build_time_grid(2.0, 2)
@@ -143,6 +146,9 @@ class TestDiscountCurve:
             DiscountCurve((0.0,), (float("nan"),))
         with pytest.raises(ValueError):
             DiscountCurve((0.0, float("nan"), 1.0), (0.02, 0.03, 0.04))
+        for times in ((0.0, math.inf), (0.0, 1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                DiscountCurve(times, (0.02,) * len(times))
 
     def test_piecewise_lookup_and_flat_extension(self):
         curve = DiscountCurve((0.0, 1.0, 2.0), (0.01, 0.02, 0.03))

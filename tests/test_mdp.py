@@ -274,6 +274,37 @@ class TestEvaluatePolicy:
         with pytest.raises(ValueError, match=r"stage 0, nominal index 15"):
             evaluate_policy(stages, spec.nominal_steps, bad_policy)
 
+    @pytest.mark.parametrize("steps_per_year", [12, 52])
+    def test_a_solution_read_whole_equals_reading_it_row_by_row(self, fitted_params, flat_curve, steps_per_year):
+        # the README bond's carried stages hold (R, 1) policy columns that broadcast over the nodes
+        tree = augment_default(build_trinomial(fitted_params, bond_grid(README_BOND, steps_per_year)))
+        stages = build_stage_problems(tree, flat_curve, README_BOND)
+        k = README_BOND.nominal_steps
+        solution = backward_induction(stages, k)
+        assert any(table.array.shape[1] == 1 for table in solution.policy)
+        whole = evaluate_policy(stages, k, solution)
+        by_row = evaluate_policy(stages, k, lambda n, s_index: solution.policy[n][s_index])
+        for got, want in zip(whole.values + whole.policy, by_row.values + by_row.policy, strict=True):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got.rows, want.rows)
+                assert got.array.dtype == want.array.dtype and np.array_equal(got.array, want.array)
+
+    def test_a_solution_lacking_a_visited_row_raises_key_error(self, fitted_params, flat_curve):
+        spec, stages = sinking_instance(fitted_params, flat_curve)
+        solution = backward_induction(stages, spec.nominal_steps)
+        n = next(n for n, table in enumerate(solution.policy) if table.rows.size > 2)
+        table = solution.policy[n]
+        missing = int(table.rows[1])
+        kept = np.flatnonzero(table.rows != missing)
+        policy = list(solution.policy)
+        policy[n] = StageTable(table.rows[kept], table.array[kept])
+        lacking = MDPSolution(solution.values, tuple(policy))
+        for read in (lacking, lambda m, s_index: lacking.policy[m][s_index]):
+            with pytest.raises(KeyError) as raised:
+                evaluate_policy(stages, spec.nominal_steps, read)
+            assert raised.value.args == (missing,)
+
     def test_redeem_nothing_until_forced_equals_zcb(self, fitted_params, flat_curve):
         spec = SinkingBondSpec(maturity=3.0, coupon_rate=0.0, recovery=0.4, allow_skip=True)
         grid = bond_grid(spec, 4)

@@ -97,6 +97,18 @@ class TestBuildTrinomial:
         arrays += [getattr(tr, name) for tr in tree.transitions for name in fields]
         assert not any(arr.flags.writeable for arr in arrays)
 
+    def test_transition_rows_are_c_contiguous_and_read_only(self, fitted_params):
+        # take copies a non-contiguous index on every expect, and the rows are shared by many steps
+        grid = bond_grid(README_BOND, 52)
+        lattice = build_trinomial(fitted_params, grid)
+        chain = deterministic_tree(grid, 0.02)
+        transitions = [*lattice.transitions, *chain.transitions, pricer._fan(64)]
+        for tr in distinct(transitions):
+            for name in ("succ", "probs", "branch_probs"):
+                arr = getattr(tr, name)
+                assert arr.shape == (3, tr.live.size) and arr.flags.c_contiguous, name
+                assert not arr.flags.writeable, name
+
 
 class TestNodeBudget:
     """A lattice over ``_MAX_NODES`` nodes is refused before the layer that crosses it."""
@@ -128,6 +140,33 @@ class TestNodeBudget:
             build_trinomial(README_PARAMS, build_time_grid(10.0, 12))
         assert sum(args[0].size for args in built) <= 100
 
+    def test_refused_before_a_wide_crossing_layer_is_allocated(self, monkeypatch):
+        # one live node drifts a million nodes up, so the next layer would span about
+        # 10^6 nodes (24 MB of x, level and intensity); the refusal allocates none of it
+        import sinkbond.tree
+
+        params, grid = README_PARAMS, build_time_grid(10.0, 12)
+        reference = per_step_build_trinomial(params, grid)
+        live = np.flatnonzero(reference.transitions[30].live)
+        target = reference.layers[30].x[live[live.size // 2]]
+        drift = 1e6 * math.sqrt(3.0 * grid.steps[30]) / grid.steps[30]
+        # layers of one spacing share their nodes: the first band holding the target crosses
+        crossing = next(n for n, tr in enumerate(reference.transitions) if target in reference.layers[n].x[tr.live])
+
+        def far_drift_at_target(params, x):
+            lam, good = x_state(params, x)
+            return lam, np.where(x == target, drift, good)
+
+        monkeypatch.setattr(sinkbond.tree, "x_state", far_drift_at_target)
+        monkeypatch.setattr(sinkbond.tree, "_MAX_NODES", 100_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"exceed 100000 nodes at step {crossing + 1} of"):
+                build_trinomial(params, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_shared_layers_count_toward_the_budget(self, monkeypatch):
         import sinkbond.tree
@@ -564,8 +603,31 @@ def build_outcome(build, params, grid):
         return type(exc), str(exc)
 
 
+#: (maturity, coupon frequency) of the twelve bonds of perfbench's book-52 workload; each redeems every whole year
+BOOK_GRIDS = [(5, 1), (6, 2), (7, 1), (8, 2), (9, 1), (10, 1), (10, 2), (11, 1), (12, 2), (12, 1), (8, 1), (6, 1)]
+
+
 class TestStepLengthWindows:
     """The windowed build against ``oracles.per_step_build_trinomial``, the per-layer build."""
+
+    @pytest.mark.parametrize("maturity, frequency", BOOK_GRIDS)
+    def test_book_bond_grid_equals_the_per_step_build(self, maturity, frequency):
+        spec = SinkingBondSpec(
+            maturity=float(maturity), coupon_rate=0.05, coupon_frequency=frequency,
+            redemption_dates=tuple(float(y) for y in range(1, maturity)), admissible_fractions=(0.05, 0.10),
+            alpha=50.0, recovery=0.4,
+        )
+        grid = bond_grid(spec, 52)
+        assert_same_tree(build_trinomial(README_PARAMS, grid), per_step_build_trinomial(README_PARAMS, grid))
+
+    def test_a_band_whose_successors_fall_equals_the_per_step_build(self):
+        # just above the default boundary a node's mean can fall below its lower neighbour's,
+        # so a band's ends do not hold its successor range
+        params, grid = JDCEVParams(lambda0=0.004, sigma=10.0, beta=-3.0, z0=1.0), build_time_grid(3.0, 12)
+        reference = per_step_build_trinomial(params, grid)
+        centers = [tr.succ[1][tr.live] for tr in reference.transitions]
+        assert any(c.min() < c[0] or c.max() > c[-1] for c in centers)
+        assert_same_tree(build_trinomial(params, grid), reference)
 
     @pytest.mark.parametrize("steps_per_year", [4, 12, 52, 252])
     def test_readme_lattice_equals_the_per_step_build(self, steps_per_year):
